@@ -24,25 +24,19 @@ VERSION = "0.1.0"
 # strict JSON
 
 
-def _check_finite(obj, path="$"):
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("non-finite number at %s" % path)
-    elif isinstance(obj, dict):
-        for k, v in obj.items():
-            _check_finite(v, "%s.%s" % (path, k))
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            _check_finite(v, "%s[%d]" % (path, i))
+def _finite_float(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError("non-finite number %r" % token)
+    return x
 
 
 def strict_loads(text: str):
-    """json.loads that rejects NaN/Infinity tokens and overflowed floats."""
+    """json.loads that rejects NaN/Infinity tokens and overflowed floats
+    while it parses."""
     def bad(token):
         raise ValueError("non-finite constant %r" % token)
-    obj = json.loads(text, parse_constant=bad)
-    _check_finite(obj)
-    return obj
+    return json.loads(text, parse_constant=bad, parse_float=_finite_float)
 
 
 def load_json(path: str):
@@ -160,17 +154,21 @@ def load_weights(path: str) -> WeightModel:
     return weights_from_dict(load_json(path))
 
 
+_BLOCK_KEYS = {"len", "p"}
+
+
 def sequence_from_dict(obj) -> WeightSequence:
     _require_keys(obj, {"blocks"}, optional={"alpha"}, ctx="sequence")
-    lengths, vectors = [], []
-    for j, b in enumerate(obj["blocks"]):
-        _require_keys(b, {"len", "p"}, ctx="sequence.blocks[%d]" % j)
-        if int(b["len"]) < 1:
+    blocks = obj["blocks"]
+    for j, b in enumerate(blocks):
+        if not isinstance(b, dict) or b.keys() != _BLOCK_KEYS:
+            _require_keys(b, _BLOCK_KEYS, ctx="sequence.blocks[%d]" % j)
+    lengths = [int(b["len"]) for b in blocks]
+    for j, L in enumerate(lengths):
+        if L < 1:
             raise ValueError("sequence.blocks[%d]: len must be >= 1" % j)
-        lengths.append(int(b["len"]))
-        vectors.append(b["p"])
-    alpha = obj.get("alpha")
-    return WeightSequence.from_blocks(lengths, vectors, alpha=alpha)
+    vectors = [b["p"] for b in blocks]
+    return WeightSequence.from_blocks(lengths, vectors, alpha=obj.get("alpha"))
 
 
 def sequence_to_dict(seq: WeightSequence) -> dict:

@@ -52,7 +52,9 @@ def child_codes(codes, arity: int) -> np.ndarray:
     """Codes of all children, shape (len(codes), arity).
 
     Root code is 1; the k-ary heap rule ``c*arity + 1 + i`` keeps codes unique
-    across levels.  Stays below 2**63 for the depths the memory guard allows.
+    across levels.  The node guard does not bound them: codes stay below
+    2**63 only down to level ``max_code_depth(arity)`` (38 for arity 3), and
+    past 2**64 they wrap.  The samplers refuse deeper trees.
     """
     codes = np.asarray(codes, dtype=np.uint64)
     off = np.arange(1, arity + 1, dtype=np.uint64)
@@ -60,3 +62,15 @@ def child_codes(codes, arity: int) -> np.ndarray:
 
 
 ROOT_CODE = np.uint64(1)
+CODE_LIMIT = 2 ** 63      # tree dumps write codes as int64
+
+
+def max_code_depth(arity: int) -> int:
+    """Deepest level whose heap codes all stay below 2**63.  The largest
+    level-n code is the last child of the largest level-(n-1) code."""
+    if arity < 2:
+        return CODE_LIMIT - 2
+    depth, top = 0, 1
+    while top * arity + arity < CODE_LIMIT:
+        depth, top = depth + 1, top * arity + arity
+    return depth

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ifs import DiagonalIFS
-from .rng import ROOT_CODE, child_codes, uniform
+from .rng import ROOT_CODE, child_codes, max_code_depth, uniform
 from .weights import WeightModel, WeightSequence, as_survival_vector
 from .engine import stable_chain, _const_gamma
 
@@ -24,7 +24,15 @@ MEMORY_GUARD = 10 ** 8
 
 
 class ResourceCapError(RuntimeError):
-    """A simulation exceeded its node or box budget."""
+    """A simulation exceeded its node or box budget, or the depth its node
+    codes can represent."""
+
+
+def _check_code_depth(depth: int, arity: int) -> None:
+    limit = max_code_depth(arity)
+    if depth > limit:
+        raise ResourceCapError("depth %d: heap codes of arity %d reach 2**63 "
+                               "past level %d" % (depth, arity, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +157,7 @@ def sample_tree(ifs_or_arity, alpha, depth: int, seed: int = 0,
         alpha = as_survival_vector(alpha, arity)
     elif alpha.shape != (depth, arity):
         raise ValueError("per-level alpha must be (depth, arity)")
+    _check_code_depth(depth, arity)
     levels = [np.array([ROOT_CODE], dtype=np.uint64)]
     codes = levels[0]
     for n in range(1, depth + 1):
@@ -224,6 +233,7 @@ def sample_cascade(model_or_seq, depth: int, seed: int = 0,
     irrelevant for every moment).  Y_k is exact for the sampled tree."""
     m0 = _model_at(model_or_seq, 1)
     arity = m0.n_letters
+    _check_code_depth(depth, arity)
     codes = np.array([ROOT_CODE], dtype=np.uint64)
     Q = np.ones(1)
     levels, masses, Y = [codes], [Q], [1.0]

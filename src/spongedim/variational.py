@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 
 from scipy.special import entr
 
-from .engine import mandelbrot_value, dim_mandelbrot
+from .engine import _const_gamma, mandelbrot_value, dim_mandelbrot
 from .ifs import DiagonalIFS, build_projection_coding, RECT_TOL
 from .weights import (DegenerateError, WeightModel, WeightSequence,
                       as_survival_vector, entropy, p_max_vector, validate_type_ell)
@@ -406,90 +406,249 @@ def perturb_sequence(seq: WeightSequence, eps: float, N: int,
 # coordinate ascent over block schedules
 
 
-class _ScheduleEvaluator:
-    """Fast profile evaluation for candidate row matrices at fixed scales.
+class _RunEvaluator:
+    """Per-system data shared by every run schedule of one search: the
+    entropy of a vector under the survival law, and per clock chain the
+    0/1 class-indicator matrices of projection levels 2..s."""
 
-    Uses plain long-double prefix sums (the public tables use compensated
-    summation; the optimizer inner loop trades that for speed) and caches
-    projection codings per clock chain."""
-
-    def __init__(self, ifs: DiagonalIFS, alpha, rows_budget: int):
+    def __init__(self, ifs: DiagonalIFS, alpha):
         self.ifs = ifs
-        self.alpha = None if alpha is None else as_survival_vector(alpha, ifs.n)
-        self.log_alpha = None if self.alpha is None else np.log(self.alpha)
-        self.rows_budget = rows_budget
-        self.codings = {}
+        self.log_alpha = (None if alpha is None
+                          else np.log(as_survival_vector(alpha, ifs.n)))
+        self.indicator_mats = {}
+        self.chain_keys = {}
+        d = ifs.d
+        self.axes = np.arange(d)
+        # code of a clock pattern: axis order in base d, then the tie bits
+        self.order_weights = d ** self.axes * 2 ** d
+        self.tie_weights = 2 ** self.axes
 
-    def entropies(self, P: np.ndarray) -> np.ndarray:
-        H = entr(P).sum(axis=1)
+    def entropies(self, V: np.ndarray):
+        """H of one vector, or of each row of a matrix."""
+        H = entr(V).sum(axis=-1)
         if self.log_alpha is not None:
-            H = H + P @ self.log_alpha
+            H = H + V @ self.log_alpha
         return H
 
-    def _chain(self, gam: np.ndarray):
-        order = np.argsort(gam, kind="stable")
-        groups, gs = [], []
-        for k in order:
-            if gs and gam[k] == gs[-1]:
-                groups[-1].append(int(k))
-            else:
-                groups.append([int(k)])
-                gs.append(int(gam[k]))
-        key = tuple(tuple(g) for g in groups)
-        coding = self.codings.get(key)
-        if coding is None:
-            chain, rest = [], [k for g in groups for k in g]
-            for g in groups:
+    def indicators(self, key) -> list:
+        """Class indicators (letters x classes) of levels 2..s for the chain
+        whose axis groups, by increasing clock, are ``key``."""
+        mats = self.indicator_mats.get(key)
+        if mats is None:
+            chain, rest = [], [k for g in key for k in g]
+            for g in key:
                 chain.append(frozenset(rest))
                 rest = [k for k in rest if k not in g]
             coding = build_projection_coding(self.ifs, chain)
-            self.codings[key] = coding
-        return gs, coding
+            mats = []
+            for r in range(2, len(key) + 1):
+                M = np.zeros((self.ifs.n, coding.n_classes(r)))
+                M[np.arange(self.ifs.n), coding.class_index[r - 1]] = 1.0
+                mats.append(M)
+            self.indicator_mats[key] = mats
+        return mats
 
-    def stats(self, P: np.ndarray):
-        """Shared per-candidate arrays: (H_prefix with leading 0, per-axis
-        chi prefix)."""
-        H_prefix = np.concatenate([[0.0],
-                                   np.cumsum(self.entropies(P), dtype=np.longdouble)])
-        chi_prefix = np.cumsum(P @ self.ifs.C, axis=0, dtype=np.longdouble)
-        return np.asarray(H_prefix, dtype=np.float64), chi_prefix
 
-    def _profile(self, P: np.ndarray, N: float, stats):
-        H_prefix, chi_prefix = stats
-        gam = np.empty(self.ifs.d, dtype=np.intp)
-        for k in range(self.ifs.d):
-            idx = int(np.searchsorted(chi_prefix[:, k], N, side="right"))
-            if idx >= P.shape[0]:
-                raise ValueError("row budget exhausted at scale %g" % N)
-            gam[k] = idx + 1
-        gs, coding = self._chain(gam)
-        g1, gend = gs[0], gs[-1]
-        band = np.empty(gend - g1)
-        for r in range(2, len(gs) + 1):
-            lo, hi = gs[r - 2], gs[r - 1]
-            proj = coding.project_rows(P[lo:hi], r)
-            band[lo - g1:hi - g1] = entr(proj).sum(axis=1)
-        suffix = np.zeros(band.size + 1)
-        if band.size:
-            suffix[:-1] = np.cumsum(band[::-1], dtype=np.longdouble)[::-1]
-        ks = np.arange(g1, gend + 1)
-        return H_prefix[ks] + suffix, gend
+def _chain_groups(G: np.ndarray, ev: _RunEvaluator):
+    """Split scales (rows of the clock matrix G, one column per axis) by
+    clock chain.  Yields (key, rows, g): the axis groups in increasing clock
+    order, the scales that share them (a slice when all do), and their
+    distinct clocks g_1 < ... < g_s as a (scales, s) matrix."""
+    d = G.shape[1]
+    order = G.argsort(axis=1, kind="stable")
+    Gs = np.sort(G, axis=1)
+    new = np.ones(G.shape, dtype=bool)
+    new[:, 1:] = Gs[:, 1:] != Gs[:, :-1]
+    code = order @ ev.order_weights + new @ ev.tie_weights
+    if G.shape[0] == 1 or (code == code[0]).all():
+        parts = [(0, slice(None))]
+    else:
+        parts = [(rows[0], rows) for rows in
+                 (np.flatnonzero(code == c) for c in np.unique(code))]
+    for first, rows in parts:
+        hit = ev.chain_keys.get(int(code[first]))
+        if hit is None:
+            starts = np.flatnonzero(new[first])
+            axes = order[first].tolist()
+            cuts = starts.tolist() + [d]
+            hit = (tuple(tuple(axes[a:b]) for a, b in zip(cuts, cuts[1:])),
+                   starts)
+            ev.chain_keys[int(code[first])] = hit
+        yield hit[0], rows, Gs[rows][:, hit[1]]
 
-    def d_tilde(self, P: np.ndarray, N: float, stats=None) -> float:
-        """min_k H_{N,k} / N over k in [g_1, g_s]."""
-        if stats is None:
-            stats = self.stats(P)
-        profile, _ = self._profile(P, N, stats)
-        return float(profile.min() / N)
 
-    def d_lower(self, P: np.ndarray, N: float, stats=None) -> float:
-        """min(profile minimum over [g_1, g_s - 1], tail minimum) / N."""
-        if stats is None:
-            stats = self.stats(P)
-        profile, gend = self._profile(P, N, stats)
-        inner = float(profile[:-1].min()) if profile.size > 1 else math.inf
-        tail = float(stats[0][gend:].min())
-        return min(inner, tail) / N
+class _RunSchedule:
+    """A schedule given as runs (length, vector), evaluated in O(#runs).
+
+    Inside a run the prefix sums of H, of every chi_k and of every projected
+    entropy are linear, so they are kept at the run boundaries E_0 = 0 <
+    E_1 < ... < E_R only.  A clock is a search over boundaries plus one
+    division, corrected by ``engine._const_gamma`` where it is off.  The
+    profile H_{N,k} and the tail sums are piecewise linear in k, so their
+    minima sit at a boundary or at a clock g_r; the admissibility scans are
+    linear per run, so checking the boundaries and the scan start is exact.
+
+    With ``slot`` given, that run is free: the fixed runs' sums are built
+    once with the slot left out, and ``set(v)`` adds v's contribution,
+    (rows of the slot up to a position) x (its value per row), as a delta."""
+
+    def __init__(self, ev: _RunEvaluator, lengths, vectors, slot=None):
+        self.ev = ev
+        self.L = np.asarray(lengths, dtype=np.float64)
+        self.V = np.asarray(vectors, dtype=np.float64)
+        R = self.L.size
+        self.E = np.concatenate([[0.0], np.cumsum(self.L)])
+        self.rows = int(self.E[-1])
+        # per-run values are padded with a zero run at E_R, so a position
+        # m in [0, rows] reads run searchsorted(E, m, "right") - 1
+        H = np.append(ev.entropies(self.V), 0.0)
+        chi = np.vstack([self.V @ ev.ifs.C, np.zeros(ev.ifs.d)])
+        self._mask = np.zeros(R + 1, dtype=bool)
+        self._step = np.zeros(R + 1)
+        self.slot = slot
+        if slot is not None:
+            self._mask[slot] = True
+            self._step[slot + 1:] = self.L[slot]
+            H[slot] = 0.0
+            chi[slot] = 0.0
+        self._H0, self._chi0 = H, chi
+        self._HP0 = np.concatenate([[0.0], np.cumsum(self.L * H[:R])])
+        self._CP0 = np.vstack([np.zeros(ev.ifs.d),
+                               np.cumsum(self.L[:, None] * chi[:R], axis=0)])
+        self._proj0 = {}
+        self._scans = {}
+        if slot is None:
+            self._set(None, 0.0, np.zeros(ev.ifs.d))
+
+    def set(self, v: np.ndarray) -> None:
+        """Put vector v in the free run."""
+        self._set(v, float(self.ev.entropies(v)), v @ self.ev.ifs.C)
+
+    def _set(self, v, Hv, chiv):
+        self.v, self.Hv = v, Hv
+        self.H = np.where(self._mask, Hv, self._H0)
+        self.chi = np.where(self._mask[:, None], chiv, self._chi0)
+        self.HP = self._HP0 + self._step * Hv
+        self.CP = self._CP0 + self._step[:, None] * chiv
+        self._proj = {}
+
+    def _projected(self, key):
+        """(slopes, boundary prefix sums) of the projected entropies of
+        levels 2..s of chain ``key``, one row per level."""
+        out = self._proj.get(key)
+        if out is None:
+            mats = self.ev.indicators(key)
+            base = self._proj0.get(key)
+            if base is None:
+                h = np.array([entr(self.V @ M).sum(axis=1) for M in mats])
+                h = np.concatenate([h, np.zeros((len(mats), 1))], axis=1)
+                h[:, self._mask] = 0.0
+                Q = np.concatenate([np.zeros((len(mats), 1)),
+                                    np.cumsum(h[:, :-1] * self.L, axis=1)], axis=1)
+                base = self._proj0[key] = (h, Q)
+            if self.v is None:
+                out = base
+            else:
+                hv = np.array([entr(self.v @ M).sum() for M in mats])[:, None]
+                out = (np.where(self._mask, hv, base[0]),
+                       base[1] + hv * self._step)
+            self._proj[key] = out
+        return out
+
+    def clocks(self, Ns: np.ndarray) -> np.ndarray:
+        """gamma_k(N), the smallest n with sum_{m<=n} chi_k > N, for every
+        scale (rows) and axis (columns)."""
+        js = np.count_nonzero(self.CP[1:, None, :] <= Ns[:, None], axis=0)
+        if js.max() >= self.L.size:
+            raise ValueError("row budget exhausted at scale %g"
+                             % Ns[(js >= self.L.size).any(axis=1)][0])
+        axes = self.ev.axes
+        rest = Ns[:, None] - self.CP[js, axes]
+        chi = self.chi[js, axes]
+        n = np.floor(rest / chi) + 1.0
+        off = ((n - 1.0) * chi > rest) | (n * chi <= rest)
+        for i, k in zip(*np.nonzero(off)):
+            n[i, k] = _const_gamma(float(chi[i, k]), float(rest[i, k]))
+        return self.E[js] + np.minimum(n, self.L[js])
+
+    def _minima(self, Ns, tail: bool):
+        """Per scale: the profile minimum over k in [g_1, g_s] and, with
+        ``tail``, the minimum of the prefix sums of H over [g_s, rows]."""
+        G = self.clocks(Ns)
+        prof = np.empty(Ns.size)
+        low = np.empty(Ns.size) if tail else None
+        E = self.E
+        if tail:
+            after = np.minimum.accumulate(self.HP[::-1])[::-1]
+        for key, rows, g in _chain_groups(G, self.ev):
+            s = g.shape[1]
+            # candidate positions: the clocks and the boundaries in [g_1, g_s]
+            K = np.empty((g.shape[0], s + E.size))
+            K[:, :s] = g
+            K[:, s:] = E
+            np.maximum(K, g[:, :1], out=K)
+            np.minimum(K, g[:, -1:], out=K)
+            j = E.searchsorted(K, side="right") - 1
+            off = K - E[j]
+            HK = self.HP[j] + off * self.H[j]
+            val = HK.copy() if s > 1 else HK
+            if s > 1:
+                h, Q = self._projected(key)
+                for r in range(1, s):
+                    # level-(r+1) projected entropies of the generations in
+                    # (clip(k, g_r, g_{r+1}), g_{r+1}]; for s = 2 the clip
+                    # leaves K as it is
+                    hi = g[:, r:r + 1]
+                    jh = E.searchsorted(hi, side="right") - 1
+                    val += Q[r - 1][jh] + (hi - E[jh]) * h[r - 1][jh]
+                    if s == 2:
+                        jr, offr = j, off
+                    else:
+                        Kr = np.minimum(np.maximum(K, g[:, r - 1:r]), hi)
+                        jr = E.searchsorted(Kr, side="right") - 1
+                        offr = Kr - E[jr]
+                    val -= Q[r - 1][jr] + offr * h[r - 1][jr]
+            prof[rows] = val.min(axis=1)
+            if tail:
+                low[rows] = np.minimum(HK[:, s - 1],
+                                       after[E.searchsorted(g[:, -1])])
+        return prof, low
+
+    def d_tilde(self, Ns) -> np.ndarray:
+        """min_k H_{N,k} / N over k in [g_1, g_s], per scale."""
+        Ns = np.asarray(Ns, dtype=np.float64)
+        prof, _ = self._minima(Ns, tail=False)
+        return prof / Ns
+
+    def d_lower(self, Ns) -> np.ndarray:
+        """min(profile minimum, tail minimum) / N, per scale."""
+        Ns = np.asarray(Ns, dtype=np.float64)
+        prof, low = self._minima(Ns, tail=True)
+        return np.minimum(prof, low) / Ns
+
+    def admissible(self, M0: int, rate: float) -> bool:
+        """sum_{n<=M} H >= rate*M for every M in [M0, rows]."""
+        if M0 > self.rows:
+            return True
+        scan = self._scans.get((M0, rate))
+        if scan is None:
+            # margins without the slot, before and after it, and at M0
+            E, keep = self.E, self.E >= M0
+            margin = self._HP0 - rate * E
+            moved = self._step > 0
+            j = int(E.searchsorted(M0, side="right")) - 1
+            at_M0 = self._HP0[j] + (M0 - E[j]) * self._H0[j] - rate * M0
+            rows_M0 = 0.0
+            if self.slot is not None:
+                rows_M0 = min(max(M0 - E[self.slot], 0.0), self.L[self.slot])
+            scan = (float(margin[keep & ~moved].min(initial=math.inf)),
+                    float(margin[keep & moved].min(initial=math.inf)),
+                    float(self._step[-1]), float(at_M0), float(rows_M0))
+            self._scans[(M0, rate)] = scan
+        fixed, moved, rows_after, at_M0, rows_M0 = scan
+        Hv = self.Hv
+        return (fixed >= 0.0 and moved + rows_after * Hv >= 0.0
+                and at_M0 + rows_M0 * Hv >= 0.0)
 
 
 def _blocks_covering(lengths, budget: int):
@@ -508,35 +667,81 @@ def _blocks_covering(lengths, budget: int):
     return spans
 
 
-def _ascend_blocks(objective, P0: np.ndarray, spans, feasible,
-                   seed: int = 0, max_passes: int = 8, nm_iter: int = 120):
+def _block_runs(runs, spans):
+    """Cut runs (length, vector) at the block boundaries: one run list per
+    span."""
+    blocks, i, used = [], 0, 0
+    for a, b in spans:
+        block, need = [], b - a
+        while need:
+            L, v = runs[i]
+            take = min(L - used, need)
+            block.append((take, v))
+            need -= take
+            used += take
+            if used == L:
+                i, used = i + 1, 0
+        blocks.append(block)
+    return blocks
+
+
+def _row_runs(rows: np.ndarray):
+    """Runs (length, vector) of equal consecutive rows."""
+    cut = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
+    starts = [0] + cut.tolist()
+    ends = cut.tolist() + [rows.shape[0]]
+    return [(e - s, rows[s]) for s, e in zip(starts, ends)]
+
+
+def _flat_runs(blocks):
+    """(lengths, vectors) of the runs of all blocks, in order."""
+    return zip(*[run for block in blocks for run in block])
+
+
+def _blocks_to_rows(blocks) -> np.ndarray:
+    lengths, vectors = _flat_runs(blocks)
+    return np.repeat(np.array(vectors), lengths, axis=0)
+
+
+def _ascend_blocks(ev: _RunEvaluator, blocks, objective, feasible,
+                   max_passes: int = 8, nm_iter: int = 120):
     """Coordinate ascent over block vectors: per block, Nelder-Mead in
-    softmax coordinates with infeasible candidates rejected."""
-    P = P0.copy()
-    n = P.shape[1]
-    best = objective(P) if feasible(P) else -math.inf
+    softmax coordinates with infeasible candidates rejected.
+
+    ``blocks`` holds each block's runs (length, vector).  A start that is
+    not constant on a block keeps its runs until the block is optimized,
+    which collapses them into one.  While block j moves, every other run
+    is fixed, so a candidate costs one vector's entropies plus O(#runs)."""
+    blocks = [list(block) for block in blocks]
+    full = _RunSchedule(ev, *_flat_runs(blocks))
+    best = objective(full) if feasible(full) else -math.inf
     for _ in range(max_passes):
         improved = False
-        for (a, b) in spans:
-            x0 = np.log(np.maximum(P[a], 1e-12))
+        for j, block in enumerate(blocks):
+            runs = [run for b in blocks[:j] for run in b]
+            slot = len(runs)
+            runs.append((sum(L for L, _ in block), block[0][1]))
+            runs += [run for b in blocks[j + 1:] for run in b]
+            lengths, vectors = zip(*runs)
+            sched = _RunSchedule(ev, lengths, vectors, slot=slot)
+            x0 = np.log(np.maximum(block[0][1], 1e-12))
 
             def f(x):
-                cand = P.copy()
-                cand[a:b] = softmax(x)
-                if not feasible(cand):
+                sched.set(softmax(x))
+                if not feasible(sched):
                     return math.inf
-                return -objective(cand)
+                return -objective(sched)
 
             res = minimize(f, x0, method="Nelder-Mead",
                            options={"maxiter": nm_iter, "fatol": 1e-12,
                                     "xatol": 1e-8})
             if -res.fun > best + 1e-12:
                 best = -res.fun
-                P[a:b] = softmax(res.x)
+                blocks[j] = [(lengths[slot], softmax(res.x))]
                 improved = True
         if not improved:
             break
-    return P, best
+    return blocks, best
 
 
 def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
@@ -546,9 +751,10 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     entropy sums above -M*eps up to the budget), then report the tail
     maximum over the scale grid.
 
-    The witness concatenates entropy-lifted maximizers on exponentially
-    separated windows; it is reported, with its admissibility scan, rather
-    than certified optimal."""
+    The search is deterministic; ``seed`` is accepted for the common
+    optimizer interface.  The witness concatenates entropy-lifted
+    maximizers on exponentially separated windows; it is reported, with its
+    admissibility scan, rather than certified optimal."""
     alpha = as_survival_vector(alpha, ifs.n)
     bad = validate_type_ell(lengths)
     if bad:
@@ -561,35 +767,34 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     N_grid = np.sort(np.asarray(N_grid, dtype=np.float64))
     _, lam_hi = ifs.contraction_span()
     pm = p_max_vector(alpha)
+    ev = _RunEvaluator(ifs, alpha)
     per_N = []
     best_rows = {}
     for N in N_grid:
         budget = int(math.floor(lam_hi * N)) + 2
         spans = _blocks_covering(lengths, budget)
-        ev = _ScheduleEvaluator(ifs, alpha, budget)
         M_lo = max(1, int(math.floor(N * eps)))
-        Ms = np.arange(M_lo, budget + 1, dtype=np.float64)
+        Ns = np.array([N])
 
-        def feasible(P):
-            H = ev.entropies(P)
-            pre = np.cumsum(H, dtype=np.longdouble)
-            return bool(np.all(pre[M_lo - 1:] >= -eps * Ms[:pre.size - M_lo + 1]))
+        def feasible(sched):
+            return sched.admissible(M_lo, -eps)
 
-        def objective(P):
-            return ev.d_tilde(P, float(N))
+        def objective(sched):
+            return float(sched.d_tilde(Ns)[0])
 
-        starts = [np.repeat(pm[None, :], budget, axis=0)]
+        starts = [[(budget, pm)]]
         spread = _band_spread_start(ifs, alpha, float(N), budget)
         if spread is not None:
             starts.append(spread)
-        bestP, bestv = None, -math.inf
-        for P0 in starts:
-            P1, v1 = _ascend_blocks(objective, P0, spans, feasible,
-                                    seed=seed, max_passes=max_passes)
-            if v1 > bestv:
-                bestP, bestv = P1, v1
+        best_blocks, bestv = None, -math.inf
+        for runs in starts:
+            blocks, v1 = _ascend_blocks(ev, _block_runs(runs, spans),
+                                        objective, feasible,
+                                        max_passes=max_passes)
+            if best_blocks is None or v1 > bestv:
+                best_blocks, bestv = blocks, v1
         per_N.append({"N": float(N), "value": float(bestv)})
-        best_rows[float(N)] = bestP
+        best_rows[float(N)] = _blocks_to_rows(best_blocks)
     vals = np.array([row["value"] for row in per_N])
     w0 = len(vals) // 2
     value = float(vals[w0:].max())
@@ -607,8 +812,9 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
 
 
 def _band_spread_start(ifs, alpha, N, budget):
-    """Start that spends the coarse band on projected entropy: rows past the
-    fast clock get the level-2 class-uniform lift."""
+    """Start that spends the coarse band on projected entropy: runs of the
+    entropy maximizer up to the fast clock, then of the level-2
+    class-uniform lift."""
     try:
         ctx = PressureContext(ifs, alpha)
     except ValueError:
@@ -616,13 +822,13 @@ def _band_spread_start(ifs, alpha, N, budget):
     if ctx.s < 2:
         return None
     pm = p_max_vector(alpha)
-    g1 = int(N / ctx.chi_tilde[0]) + 1
+    g1 = min(int(N / ctx.chi_tilde[0]) + 1, budget)
     m2 = ctx.coding.n_classes(2)
     u = np.full(m2, 1.0 / m2)
-    spread = ctx.lift_to_letters(u, 2)
-    P = np.repeat(pm[None, :], budget, axis=0)
-    P[min(g1, budget):] = spread
-    return P
+    runs = [(g1, pm)]
+    if g1 < budget:
+        runs.append((budget - g1, ctx.lift_to_letters(u, 2)))
+    return runs
 
 
 def _packing_witness(ifs, alpha, lengths, eps, N_grid, best_rows, lam_hi):
@@ -713,48 +919,45 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
         pm = np.full(ifs.n, 1.0 / ifs.n)
         if eps >= math.log(ifs.n):
             raise ValueError("eps = %g not below log #letters" % eps)
-    ev = _ScheduleEvaluator(ifs, alpha, horizon)
+    ev = _RunEvaluator(ifs, alpha)
     spans = _blocks_covering(lengths, horizon)
     _, lam_hi = ifs.contraction_span()
     maxN = horizon / lam_hi * 0.98
     N_grid = np.geomspace(max(4.0, maxN / 16.0), maxN, N_points)
     burn = int(math.ceil(1.0 / eps))
-    Ms = np.arange(burn, horizon + 1, dtype=np.float64)
 
-    def feasible(P):
-        pre = np.cumsum(ev.entropies(P), dtype=np.longdouble)
-        return bool(np.all(pre[burn - 1:] >= eps * Ms))
+    def feasible(sched):
+        return sched.admissible(burn, eps)
 
-    def objective(P):
-        stats = ev.stats(P)
-        return min(ev.d_lower(P, float(N), stats) for N in N_grid)
+    def objective(sched):
+        return float(sched.d_lower(N_grid).min())
 
-    starts = [np.repeat(pm[None, :], horizon, axis=0)]
+    starts = [[(horizon, pm)]]
     mm = optimize_mandelbrot(ifs, alpha, starts=8, seed=seed)
-    starts.append(np.repeat(mm.argument[None, :], horizon, axis=0))
+    starts.append([(horizon, mm.argument)])
     for s in seeds:
         rows = s.p_rows() if hasattr(s, "p_rows") else np.asarray(s)
-        starts.append(_pad_rows(rows.copy(), horizon, pm))
-    bestP, bestv = None, -math.inf
-    for P0 in starts:
-        if not feasible(P0):
+        starts.append(_row_runs(_pad_rows(rows, horizon, pm)))
+    best_blocks, bestv = None, -math.inf
+    for runs in starts:
+        if not feasible(_RunSchedule(ev, *zip(*runs))):
             continue
-        P1, v1 = _ascend_blocks(objective, P0, spans, feasible,
-                                seed=seed, max_passes=max_passes)
+        blocks, v1 = _ascend_blocks(ev, _block_runs(runs, spans), objective,
+                                    feasible, max_passes=max_passes)
         if v1 > bestv:
-            bestP, bestv = P1, v1
-    if bestP is None:
+            best_blocks, bestv = blocks, v1
+    if best_blocks is None:
         raise ValueError("no feasible start for eps = %g" % eps)
 
     # certificate on the eta = eps^2 grid
     eta = eps * eps
-    Pg = _grid_project_rows(bestP, spans, eta)
-    pre = np.cumsum(ev.entropies(Pg), dtype=np.longdouble)
-    grid_ok = bool(np.all(pre[burn - 1:] >= eps * Ms))
-    grid_val = min(ev.d_lower(Pg, float(N)) for N in N_grid) if grid_ok else None
-    vectors = [bestP[a] for (a, b) in spans]
-    seq = WeightSequence.from_blocks([b - a for (a, b) in spans], vectors,
-                                     alpha=alpha)
+    block_lengths = [b - a for (a, b) in spans]
+    vectors = [block[0][1] for block in best_blocks]
+    snapped = _RunSchedule(ev, block_lengths,
+                           [_grid_project(v, eta) for v in vectors])
+    grid_ok = snapped.admissible(burn, eps)
+    grid_val = float(snapped.d_lower(N_grid).min()) if grid_ok else None
+    seq = WeightSequence.from_blocks(block_lengths, vectors, alpha=alpha)
     flags = ["at-horizon"]
     if not grid_ok:
         flags.append("grid-certificate-failed")
@@ -768,13 +971,9 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
                                       "N_grid": N_grid})
 
 
-def _grid_project_rows(P, spans, eta):
-    """Snap each block vector to the eta-grid: floor multiples of eta with
-    the shortfall added to the largest coordinate."""
-    out = P.copy()
-    for (a, b) in spans:
-        v = P[a].copy()
-        snapped = np.where(v < eta, eta, np.floor(v / eta) * eta)
-        snapped[np.argmax(v)] += 1.0 - snapped.sum()
-        out[a:b] = snapped
-    return out
+def _grid_project(v, eta):
+    """Snap a block vector to the eta-grid: floor multiples of eta with the
+    shortfall added to the largest coordinate."""
+    snapped = np.where(v < eta, eta, np.floor(v / eta) * eta)
+    snapped[np.argmax(v)] += 1.0 - snapped.sum()
+    return snapped

@@ -28,15 +28,26 @@ class DegenerateError(ValueError):
 
 def as_prob_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
+    if p.ndim != 1:
         raise ValueError("probability vector must be 1-d and nonempty")
-    if not np.all(np.isfinite(p)):
+    return as_prob_rows(p[None, :])[0]
+
+
+def as_prob_rows(rows) -> np.ndarray:
+    """Validate every row of a matrix as a probability vector at once."""
+    P = np.asarray(rows, dtype=np.float64)
+    if P.ndim != 2 or P.shape[1] == 0:
+        raise ValueError("probability vector must be 1-d and nonempty")
+    if not np.all(np.isfinite(P)):
         raise ValueError("non-finite probability entry")
-    if np.any(p < 0.0):
+    if np.any(P < 0.0):
         raise ValueError("negative probability entry")
-    if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
-        raise ValueError("probabilities sum to %r, not 1" % float(p.sum()))
-    return p
+    sums = P.sum(axis=1)
+    off = np.abs(sums - 1.0) > PROB_SUM_TOL
+    if np.any(off):
+        raise ValueError("probabilities sum to %r, not 1"
+                         % float(sums[np.argmax(off)]))
+    return P
 
 
 def as_survival_vector(alpha, n: int | None = None) -> np.ndarray:
@@ -250,8 +261,7 @@ class WeightSequence:
         lengths = [int(x) for x in lengths]
         if len(lengths) != len(vectors) or any(x <= 0 for x in lengths):
             raise ValueError("need one positive length per block vector")
-        rows = np.repeat(np.array([as_prob_vector(v) for v in vectors]),
-                         lengths, axis=0)
+        rows = np.repeat(as_prob_rows(vectors), lengths, axis=0)
         return cls(P=rows, alpha=alpha, block_lengths=lengths)
 
     @classmethod

@@ -106,6 +106,27 @@ def test_resource_cap_exits_four(workdir):
     assert r.returncode == 4
 
 
+def test_simulate_heap_code_depth(workdir):
+    # arity-3 heap codes can reach 2**63 from level 39 on
+    ok = run_cli("simulate", "--ifs", "ifs.json", "--alpha", "0.3",
+                 "--depth", "38", "--seed", "1", "--out", "o38", cwd=workdir)
+    assert ok.returncode == 0
+    deep = run_cli("simulate", "--ifs", "ifs.json", "--alpha", "0.3",
+                   "--depth", "39", "--seed", "1", "--out", "o39", cwd=workdir)
+    assert deep.returncode == 4
+
+
+def test_bad_sequence_numbers_exit_two(workdir):
+    for name, text in (
+            ("overflow.json", '{"blocks": [{"len": 2, "p": [1e999, 0.5, 0.5]}]}'),
+            ("negative.json", '{"blocks": [{"len": 2, "p": [-0.5, 0.75, 0.75]}]}')):
+        (workdir / name).write_text(text)
+        r = run_cli("dim-imm", "--ifs", "ifs.json", "--sequence", name,
+                    "--out", "o", cwd=workdir)
+        assert r.returncode == 2
+        assert "sequence" in r.stderr
+
+
 def test_json_flag_prints_versioned_document(workdir):
     r = run_cli("dim-mm", "--ifs", "ifs.json", "--weights", "weights.json",
                 "--json", "--out", "o", cwd=workdir)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from spongedim import io
 from spongedim.simulate import (PercolationTree, ResourceCapError,
                                 box_count, box_count_fit, codes_to_words,
                                 empirical_local_dimension, gw_extinction,
@@ -124,6 +125,23 @@ def test_tree_rects_nested(mcmullen):
 def test_resource_cap_raises(mcmullen):
     with pytest.raises(ResourceCapError):
         sample_tree(mcmullen, np.ones(3), depth=30, seed=0, guard=10 ** 5)
+
+
+def test_heap_code_depth_boundary():
+    # keeping only the last letter walks the largest code of every level;
+    # at arity 3 it is (5 * 3**n - 3) / 2, below 2**63 up to n = 38
+    last = np.array([0.0, 0.0, 1.0])
+    tree = sample_tree(3, np.tile(last, (38, 1)), depth=38, seed=0)
+    top = int(tree.levels[-1][0])
+    assert top == (5 * 3 ** 38 - 3) // 2 < 2 ** 63
+    back = io.tree_from_dict(io.tree_to_dict(tree, {}))
+    assert int(back.levels[-1][0]) == top
+    cascade = sample_cascade(WeightModel.deterministic(last), depth=38)
+    assert int(cascade.levels[-1][0]) == top
+    with pytest.raises(ResourceCapError):
+        sample_tree(3, np.tile(last, (39, 1)), depth=39, seed=0)
+    with pytest.raises(ResourceCapError):
+        sample_cascade(WeightModel.deterministic(last), depth=39)
 
 
 # === cascades ===

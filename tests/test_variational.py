@@ -10,10 +10,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
-from spongedim.variational import (admissible_eps_bound,
+from spongedim.engine import d_sequences
+from spongedim.scales import PrefixTable
+
+from spongedim.variational import (_RunEvaluator, _RunSchedule,
+                                   admissible_eps_bound,
                                    dim_attractor_equal_linear,
                                    optimize_mandelbrot, optimize_packing,
                                    optimize_type_ell_hausdorff,
@@ -100,6 +105,15 @@ def test_perturbation_restores_drift(seed):
     if dips.any():
         P[dips] = rng.dirichlet(np.full(3, 0.25), size=int(dips.sum()))
     seq = WeightSequence(P=P, alpha=alpha)
+    # the documented precondition, from the rows: sum_{n<=M} H >= -M*eps
+    # for M in [floor(N*eps), floor(Lambda*N)]; some draws break it
+    lo, hi = int(math.floor(N * eps)), int(math.floor(lam_hi * N))
+    H_in = -xlogy(P, P).sum(axis=1) + P @ np.log(alpha)
+    Ms = np.arange(lo, hi + 1)
+    if np.any(np.cumsum(H_in)[lo - 1:hi] < -eps * Ms):
+        with pytest.raises(ValueError, match="admissible class"):
+            perturb_sequence(seq, eps, N, ifs)
+        return
     res = perturb_sequence(seq, eps, N, ifs)
     H = res.seq.H_array()
     M_hi = int(math.floor(lam_hi * N))
@@ -156,3 +170,50 @@ def test_type_ell_hausdorff_search_small(mcmullen):
     assert res.extras["grid_certificate"] is True
     # the argument is a block schedule over the same alphabet
     assert res.argument.n_letters == 3
+
+
+# === run-schedule evaluator against the dense engine ===
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_run_evaluator_matches_dense_engine(mcmullen, sponge3d, seed,
+                                            use_sponge, percolated):
+    rng = np.random.default_rng(seed)
+    ifs = sponge3d if use_sponge else mcmullen
+    R = int(rng.integers(1, 9))
+    lengths = rng.integers(1, 60, size=R)
+    vectors = rng.dirichlet(np.full(ifs.n, rng.uniform(0.3, 3.0)), size=R)
+    alpha = rng.uniform(0.6, 1.0, size=ifs.n) if percolated else None
+    seq = WeightSequence.from_blocks(lengths, vectors, alpha=alpha)
+    prefix = PrefixTable(ifs, seq)
+    N = float(rng.uniform(0.05, 0.98) * prefix.max_resolution())
+    # a dense clock sum within 1e-9 of N is a tie that rounding may break
+    # either way, so those draws are skipped
+    assume(np.abs(prefix.chi_prefix - N).min() > 1e-9)
+    ref = d_sequences(seq, ifs, N, prefix=prefix)
+
+    ev = _RunEvaluator(ifs, alpha)
+    whole = _RunSchedule(ev, lengths, vectors)
+    # the same schedule with one run free, filled in as a candidate
+    j = int(rng.integers(R))
+    other = vectors.copy()
+    other[j] = rng.dirichlet(np.ones(ifs.n))
+    moved = _RunSchedule(ev, lengths, other, slot=j)
+    moved.set(vectors[j])
+    for sched in (whole, moved):
+        assert abs(sched.d_tilde([N])[0] - ref.d_tilde) < 1e-12
+        assert abs(sched.d_lower([N])[0] - ref.d) < 1e-12
+
+    # admissibility scans against a dense row-wise prefix scan; margins
+    # within 1e-9 of zero are left out for the same reason
+    pre = np.cumsum(seq.H_array())
+    M = np.arange(1, seq.horizon + 1)
+    for _ in range(4):
+        M0 = int(rng.integers(1, seq.horizon + 1))
+        rate = float(rng.uniform(-0.3, 0.8))
+        margin = pre[M0 - 1:] - rate * M[M0 - 1:]
+        if np.abs(margin).min() < 1e-9:
+            continue
+        dense = bool(np.all(margin >= 0.0))
+        assert whole.admissible(M0, rate) is dense
+        assert moved.admissible(M0, rate) is dense
