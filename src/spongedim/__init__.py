@@ -13,7 +13,7 @@ from .weights import (DegenerateError, TypeEllSequence, WeightModel,
                       WeightSequence, as_prob_vector, as_survival_vector,
                       entropy, moment_bound, nondegeneracy_report,
                       validate_type_ell)
-from .scales import (PrefixTable, ScaleDecomposition, decompose, gamma,
+from .scales import (PrefixTable, ScaleDecomposition, clock_chain, decompose,
                      kahan_cumsum, tail_min)
 from .engine import (PeriodicSpec, d_sequences, dim_exp_periodic,
                      dim_imm_bounds, dim_mandelbrot, entropy_profile,

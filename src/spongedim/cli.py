@@ -96,8 +96,6 @@ def _jconv(x):
 
 
 def common_options(fn):
-    fn = click.option("--threads", type=int, default=None,
-                      help="Worker cap; results are independent of it.")(fn)
     fn = click.option("--json", "json_mode", is_flag=True,
                       help="Print the JSON result to stdout.")(fn)
     fn = click.option("--out", default=".", show_default=True,
@@ -140,7 +138,7 @@ def main():
 @cli.command("validate")
 @click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
 @common_options
-def cmd_validate(ifs_path, out, json_mode, threads):
+def cmd_validate(ifs_path, out, json_mode):
     """Check separation and face conditions of a diagonal system."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -157,7 +155,7 @@ def cmd_validate(ifs_path, out, json_mode, threads):
 @cli.command("classify")
 @click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
 @common_options
-def cmd_classify(ifs_path, out, json_mode, threads):
+def cmd_classify(ifs_path, out, json_mode):
     """Name the sponge class of a diagonal system."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -184,7 +182,7 @@ def cmd_classify(ifs_path, out, json_mode, threads):
 @click.option("--p", "p_text", default=None,
               help="Comma-separated letter masses; default uniform.")
 @common_options
-def cmd_coding(ifs_path, p_text, out, json_mode, threads):
+def cmd_coding(ifs_path, p_text, out, json_mode):
     """Letter identifications along the clock-ordered projection chain."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -215,7 +213,7 @@ def cmd_coding(ifs_path, p_text, out, json_mode, threads):
 @click.option("--sequence", "seq_path", required=True, type=click.Path(exists=True))
 @click.option("--N", "n_scale", required=True, type=float)
 @common_options
-def cmd_decompose(ifs_path, seq_path, n_scale, out, json_mode, threads):
+def cmd_decompose(ifs_path, seq_path, n_scale, out, json_mode):
     """Axis groups and clock values of a schedule at one scale."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -233,7 +231,7 @@ def cmd_decompose(ifs_path, seq_path, n_scale, out, json_mode, threads):
 @click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
 @click.option("--weights", "weights_path", required=True, type=click.Path(exists=True))
 @common_options
-def cmd_dim_mm(ifs_path, weights_path, out, json_mode, threads):
+def cmd_dim_mm(ifs_path, weights_path, out, json_mode):
     """Dimension of the limit measure of a constant weight law."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -256,7 +254,7 @@ def cmd_dim_mm(ifs_path, weights_path, out, json_mode, threads):
 @click.option("--scales", default=None, help="Comma-separated N grid.")
 @click.option("--horizon", type=int, default=None, help="Tail search horizon.")
 @common_options
-def cmd_dim_imm(ifs_path, seq_path, scales, horizon, out, json_mode, threads):
+def cmd_dim_imm(ifs_path, seq_path, scales, horizon, out, json_mode):
     """At-horizon dimension bounds of an inhomogeneous schedule."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -291,7 +289,7 @@ def cmd_dim_imm(ifs_path, seq_path, scales, horizon, out, json_mode, threads):
 @click.option("--quad-step", type=float, default=None,
               help="Quadrature step as a multiplier lambda**step.")
 @common_options
-def cmd_dim_periodic(ifs_path, periodic_path, quad_step, out, json_mode, threads):
+def cmd_dim_periodic(ifs_path, periodic_path, quad_step, out, json_mode):
     """Exact dimensions of an exponentially periodic schedule."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -328,7 +326,7 @@ def _trace_summary(res):
 @click.option("--starts", type=int, default=32, show_default=True)
 @common_options
 def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, seed, starts,
-                           out, json_mode, threads):
+                           out, json_mode):
     """Largest Hausdorff dimension over weight laws (constant or scheduled)."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -372,7 +370,7 @@ def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, seed, starts,
 @click.option("--passes", type=int, default=6, show_default=True)
 @common_options
 def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, seed,
-                         passes, out, json_mode, threads):
+                         passes, out, json_mode):
     """Largest at-horizon packing dimension over admissible schedules."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -406,7 +404,7 @@ def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, seed,
 @click.option("--alpha", "alpha_text", required=True,
               help="Survival probabilities (scalar or per-letter list).")
 @common_options
-def cmd_dim_attractor(ifs_path, alpha_text, out, json_mode, threads):
+def cmd_dim_attractor(ifs_path, alpha_text, out, json_mode):
     """A.s. dimension of the percolation set (equal linear parts)."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -433,7 +431,7 @@ def cmd_dim_attractor(ifs_path, alpha_text, out, json_mode, threads):
 @click.option("--guard", type=int, default=10 ** 8, show_default=True)
 @common_options
 def cmd_simulate(ifs_path, alpha_text, depth, seed, conditioned, guard, out,
-                 json_mode, threads):
+                 json_mode):
     """Sample a fractal percolation tree and dump it."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -472,7 +470,7 @@ def cmd_simulate(ifs_path, alpha_text, depth, seed, conditioned, guard, out,
 @click.option("--window", default=None, help="Fit window as i,j (half-open).")
 @common_options
 def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
-                 out, json_mode, threads):
+                 out, json_mode):
     """Grid box counts of a sampled set and the fitted log-slope."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -521,7 +519,7 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
 @click.option("--depth", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @common_options
-def cmd_cascade(weights_path, seq_path, depth, seed, out, json_mode, threads):
+def cmd_cascade(weights_path, seq_path, depth, seed, out, json_mode):
     """Sample a multiplicative cascade; emit node masses at the deepest level."""
     out = _ensure_out(out)
     if (weights_path is None) == (seq_path is None):
@@ -567,7 +565,7 @@ def cmd_cascade(weights_path, seq_path, depth, seed, out, json_mode, threads):
 @click.option("--scales", default=None, help="Comma-separated N list.")
 @common_options
 def cmd_local_dim(ifs_path, weights_path, depth, points, seed, scales, out,
-                  json_mode, threads):
+                  json_mode):
     """Local dimension slopes at measure-typical points."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -597,7 +595,7 @@ def cmd_local_dim(ifs_path, weights_path, depth, points, seed, scales, out,
 
 @cli.command("gap-demo")
 @common_options
-def cmd_gap_demo(out, json_mode, threads):
+def cmd_gap_demo(out, json_mode):
     """Built-in periodic percolation model whose schedule lowers the
     dimension below every constant law with the same average."""
     out = _ensure_out(out)

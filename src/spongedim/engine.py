@@ -16,9 +16,10 @@ import numpy as np
 from scipy.special import entr
 
 from .ifs import DiagonalIFS, build_projection_coding
-from .scales import PrefixTable, ScaleDecomposition, decompose, tail_min, TailMin
+from .scales import (PrefixTable, ScaleDecomposition, TailMin, clock_chain,
+                     decompose, tail_min)
 from .weights import (DegenerateError, WeightModel, WeightSequence, as_prob_vector,
-                      entropy, nondegeneracy_report, weight_entropy)
+                      entropy, nondegeneracy_report)
 
 DEGENERATE_TOL = 1e-12
 
@@ -123,35 +124,17 @@ def _const_gamma(chi: float, N: float) -> int:
     return n
 
 
-def _const_groups(chi: np.ndarray, N: float):
-    gam = np.array([_const_gamma(c, N) for c in chi])
-    order = np.argsort(gam, kind="stable")
-    groups, gs = [], []
-    for k in order:
-        if gs and gam[k] == gs[-1]:
-            groups[-1].append(int(k))
-        else:
-            groups.append([int(k)])
-            gs.append(int(gam[k]))
-    return tuple(tuple(grp) for grp in groups)
-
-
 def stable_chain(ifs: DiagonalIFS, p, start: int = 8, stop: int = 40):
     """Clock partition of the axes for a constant sequence, taken at the
     first dyadic resolution where two consecutive doublings agree."""
     chi = ifs.lyapunov(as_prob_vector(p))
     prev = None
     for j in range(start, stop + 1):
-        cur = _const_groups(chi, float(2 ** j))
-        if prev is not None and cur == prev:
-            groups = [list(g) for g in cur]
-            chain, rest = [], [k for g in groups for k in g]
-            for g in groups:
-                chain.append(frozenset(rest))
-                rest = [k for k in rest if k not in g]
-            chi_tilde = np.array([chi[list(g)].mean() for g in groups])
+        groups, chain = clock_chain([_const_gamma(c, float(2 ** j)) for c in chi])
+        if groups == prev:
+            chi_tilde = np.array([chi[g].mean() for g in groups])
             return groups, chain, chi_tilde, 2 ** (j - 1)
-        prev = cur
+        prev = groups
     raise ValueError("axis clock partition failed to stabilize")
 
 
@@ -166,26 +149,19 @@ class MandelbrotDimension:
     flags: list
 
 
-def dim_mandelbrot(ifs: DiagonalIFS, W: WeightModel,
-                   coding_cache: dict | None = None) -> MandelbrotDimension:
+def dim_mandelbrot(ifs: DiagonalIFS, W: WeightModel) -> MandelbrotDimension:
     """Dimension of the limit measure of a fixed weight law.
 
     Requires H(W) >= 0; H(W) < 0 gives an a.s. vanishing measure and raises.
     The value is H/chi~_1 plus one correction per coarser clock group,
     (1/chi~_r - 1/chi~_{r-1}) * min(H, h(Pi_r p))."""
     p = W.mean()
-    H = weight_entropy(W)
+    H = W.entropy_H()
     if H < -DEGENERATE_TOL:
         raise DegenerateError("H(W) = %g < 0: the measure is degenerate" % H)
     flags = ["degenerate-boundary"] if H <= DEGENERATE_TOL else []
     groups, chain, chi_tilde, refN = stable_chain(ifs, p)
-    key = tuple(tuple(sorted(D)) for D in chain)
-    if coding_cache is not None and key in coding_cache:
-        coding = coding_cache[key]
-    else:
-        coding = build_projection_coding(ifs, chain)
-        if coding_cache is not None:
-            coding_cache[key] = coding
+    coding = build_projection_coding(ifs, chain)
     value = H / chi_tilde[0]
     breakdown = [{"r": 1, "chi": float(chi_tilde[0]), "term": H,
                   "contribution": float(value)}]
@@ -203,32 +179,14 @@ def dim_mandelbrot(ifs: DiagonalIFS, W: WeightModel,
                                reference_N=refN, flags=flags)
 
 
-def mandelbrot_value(ifs: DiagonalIFS, p: np.ndarray, H: float,
-                     cache: dict) -> float:
+def mandelbrot_value(ifs: DiagonalIFS, p: np.ndarray, H: float) -> float:
     """Objective used by optimizers: same closed form, chain from the exact
     ordering of chi(p), tie groups merged.  Extends continuously below
     H = 0 (where it equals H/chi~_s < 0)."""
     chi = p @ ifs.C
-    order = np.argsort(-chi, kind="stable")
-    groups, vals = [], []
-    for k in order:
-        if vals and chi[k] == vals[-1]:
-            groups[-1].append(int(k))
-        else:
-            groups.append([int(k)])
-            vals.append(chi[k])
-    key = tuple(tuple(sorted(g)) for g in groups)
-    hit = cache.get(key)
-    if hit is None:
-        chain, rest = [], [k for g in groups for k in g]
-        for g in groups:
-            chain.append(frozenset(rest))
-            rest = [k for k in rest if k not in g]
-        coding = build_projection_coding(ifs, chain)
-        cache[key] = (coding, None)
-        hit = (coding, None)
-    coding = hit[0]
-    chi_tilde = np.array([chi[list(g)].mean() for g in groups])
+    groups, chain = clock_chain(-chi)
+    coding = build_projection_coding(ifs, chain)
+    chi_tilde = np.array([chi[g].mean() for g in groups])
     value = H / chi_tilde[0]
     for r in range(2, len(groups) + 1):
         coeff = 1.0 / chi_tilde[r - 1] - 1.0 / chi_tilde[r - 2]
@@ -422,7 +380,6 @@ class _PeriodTables:
                                for k in range(ifs.d)]).T
         self.G_H = self._base_table(self.H)
         self._proj_tables = {}
-        self._codings = {}
 
     def _base_table(self, f: np.ndarray) -> np.ndarray:
         """G(t_j) = int_0^{t_j} f for t_j in [1, lam]; the part below 1 is
@@ -464,12 +421,6 @@ class _PeriodTables:
             proj = coding.project_rows(self.P, r)
             self._proj_tables[key] = self._base_table(entr(proj).sum(axis=1))
         return self._proj_tables[key]
-
-    def coding_for(self, chain: list):
-        key = tuple(tuple(sorted(D)) for D in chain)
-        if key not in self._codings:
-            self._codings[key] = build_projection_coding(self.ifs, chain)
-        return self._codings[key]
 
 
 @dataclass
@@ -519,19 +470,10 @@ def dim_exp_periodic(ifs: DiagonalIFS, pspec: PeriodicSpec,
     d1_rows, d2_rows = [], []
     for T in T_grid:
         gam = np.array([tab.invert(tab.G_chi[:, k], T) for k in range(ifs.d)])
-        order = np.argsort(gam, kind="stable")
-        groups, gvals = [], []
-        for k in order:
-            if gvals and abs(gam[k] - gvals[-1]) <= 1e-9 * gvals[-1]:
-                groups[-1].append(int(k))
-            else:
-                groups.append([int(k)])
-                gvals.append(float(gam[k]))
-        chain, rest = [], [k for g in groups for k in g]
-        for g in groups:
-            chain.append(frozenset(rest))
-            rest = [k for k in rest if k not in g]
-        coding = tab.coding_for(chain)
+        # interpolated continuous clocks: equal up to rounding means tied
+        groups, chain = clock_chain(gam, rtol=1e-9)
+        gvals = [float(gam[g[0]]) for g in groups]
+        coding = build_projection_coding(ifs, chain)
         s = len(groups)
         g1, gs = gvals[0], gvals[-1]
 

@@ -89,6 +89,7 @@ class DiagonalIFS:
         self.A = np.array([m.a for m in maps])
         self.T = np.array([m.t for m in maps])
         self.C = -np.log(self.A)
+        self._codings = {}      # see build_projection_coding
 
     def lyapunov(self, p) -> np.ndarray:
         """chi_k(p) = -sum_i p_i log a_{i,k}, for all axes k."""
@@ -332,13 +333,13 @@ def classify(ifs: DiagonalIFS, tol: float = RECT_TOL, slack: float = LP_SLACK) -
 class ProjectionCoding:
     """Letter identifications along a decreasing chain of direction sets.
 
-    Level r merges letters whose maps coincide (within tol) on the axes of
-    chain[r-1]; the representative of a class is its smallest letter.  Level
-    indices are 1-based to match the scale decomposition that produces the
-    chain.
+    Level r merges letters whose maps coincide (within RECT_TOL) on the axes
+    of chain[r-1]; the representative of a class is its smallest letter.
+    Level indices are 1-based to match the scale decomposition that produces
+    the chain.  Build codings through ``build_projection_coding``.
     """
 
-    def __init__(self, ifs: DiagonalIFS, chain, tol: float = RECT_TOL):
+    def __init__(self, ifs: DiagonalIFS, chain):
         chain = [frozenset(D) for D in chain]
         for prev, cur in zip(chain, chain[1:]):
             if not cur < prev:
@@ -348,17 +349,21 @@ class ProjectionCoding:
         self.class_index = []   # per level: letter -> class id
         self.reps = []          # per level: class id -> representative letter
         self.fibers = []        # per level: class id -> array of letters
+        self.indicators = []    # per level: 0/1 matrix, letters x classes
         for D in chain:
-            idx, reps, fibers = self._build_level(D, tol)
+            idx, reps, fibers = self._build_level(D)
             self.class_index.append(idx)
             self.reps.append(reps)
             self.fibers.append(fibers)
+            M = np.zeros((ifs.n, len(reps)))
+            M[np.arange(ifs.n), idx] = 1.0
+            self.indicators.append(M)
         # map class ids of level r-1 to class ids of level r
         self.chain_maps = [None]
         for r in range(1, len(chain)):
             self.chain_maps.append(self.class_index[r][self.reps[r - 1]])
 
-    def _build_level(self, axes, tol):
+    def _build_level(self, axes):
         n = self.ifs.n
         parent = list(range(n))
 
@@ -369,7 +374,7 @@ class ProjectionCoding:
             return x
 
         for i, j in itertools.combinations(range(n), 2):
-            verdict = compare_projections(self.ifs, i, j, axes, tol)
+            verdict = compare_projections(self.ifs, i, j, axes)
             if verdict == "exact":
                 ri, rj = find(i), find(j)
                 if ri != rj:
@@ -397,12 +402,16 @@ class ProjectionCoding:
                            minlength=self.n_classes(r))
 
     def project_rows(self, rows, r: int) -> np.ndarray:
-        """Vectorized project_vector over the rows of a matrix."""
-        rows = np.asarray(rows, dtype=np.float64)
-        out = np.zeros((rows.shape[0], self.n_classes(r)))
-        np.add.at(out, (slice(None), self.class_index[r - 1]), rows)
-        return out
+        """project_vector over the rows of a matrix."""
+        return np.asarray(rows, dtype=np.float64) @ self.indicators[r - 1]
 
 
-def build_projection_coding(ifs: DiagonalIFS, chain, tol: float = RECT_TOL) -> ProjectionCoding:
-    return ProjectionCoding(ifs, chain, tol)
+def build_projection_coding(ifs: DiagonalIFS, chain) -> ProjectionCoding:
+    """The projection coding of ``chain`` on ``ifs``.  Each system builds a
+    chain's coding once and returns that object for every later request,
+    whatever the order of the axes inside the sets."""
+    key = tuple(tuple(sorted(D)) for D in chain)
+    coding = ifs._codings.get(key)
+    if coding is None:
+        coding = ifs._codings[key] = ProjectionCoding(ifs, chain)
+    return coding

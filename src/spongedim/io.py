@@ -163,8 +163,12 @@ def sequence_from_dict(obj) -> WeightSequence:
     for j, b in enumerate(blocks):
         if not isinstance(b, dict) or b.keys() != _BLOCK_KEYS:
             _require_keys(b, _BLOCK_KEYS, ctx="sequence.blocks[%d]" % j)
-    lengths = [int(b["len"]) for b in blocks]
+    lengths = [b["len"] for b in blocks]
     for j, L in enumerate(lengths):
+        # bool is an int subclass; a JSON true is not a length
+        if not isinstance(L, int) or isinstance(L, bool):
+            raise ValueError("sequence.blocks[%d]: len must be an integer, got %r"
+                             % (j, L))
         if L < 1:
             raise ValueError("sequence.blocks[%d]: len must be >= 1" % j)
     vectors = [b["p"] for b in blocks]

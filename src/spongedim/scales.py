@@ -53,9 +53,6 @@ class PrefixTable:
     def d(self) -> int:
         return self.ifs.d
 
-    def H_partial(self, n: int) -> float:
-        return float(self.H_prefix[n])
-
     def max_resolution(self) -> float:
         """Largest N for which every axis clock stays inside the horizon."""
         return float(self.chi_prefix[-1].min())
@@ -70,8 +67,28 @@ class PrefixTable:
         return idx + 1
 
 
-def gamma(prefix: PrefixTable, N: float, k: int) -> int:
-    return prefix.gamma(N, k)
+def clock_chain(clocks, rtol: float = 0.0):
+    """Group axes by clock and build the nested chain of direction sets.
+
+    Axes are taken by increasing clock (stable in the axis index); an axis
+    joins the current group when its clock lies within rtol * |c| of the
+    group's first clock c, so rtol = 0 means exact equality.  Returns
+    (groups, chain): groups[r-1] lists the axes of A_r and chain[r-1] is the
+    frozenset D_r of the axes in groups r..s."""
+    clocks = np.asarray(clocks)
+    groups, firsts = [], []
+    for k in np.argsort(clocks, kind="stable"):
+        c = clocks[k]
+        if groups and abs(c - firsts[-1]) <= rtol * abs(firsts[-1]):
+            groups[-1].append(int(k))
+        else:
+            groups.append([int(k)])
+            firsts.append(c)
+    chain, rest = [], [k for grp in groups for k in grp]
+    for grp in groups:
+        chain.append(frozenset(rest))
+        rest = rest[len(grp):]
+    return groups, chain
 
 
 @dataclass
@@ -88,13 +105,6 @@ class ScaleDecomposition:
         # g_0 = 0 by convention
         return 0 if r == 0 else self.g[r - 1]
 
-    def band_of(self, n: int) -> int:
-        """r with g_{r-1} < n <= g_r."""
-        for r in range(1, self.s + 1):
-            if n <= self.g[r - 1]:
-                return r
-        raise ValueError("generation %d beyond g_s = %d" % (n, self.g[-1]))
-
     def as_dict(self) -> dict:
         return {
             "N": self.N,
@@ -106,7 +116,7 @@ class ScaleDecomposition:
 
 
 def decompose(ifs: DiagonalIFS, seq, N: float,
-              prefix: PrefixTable | None = None, tol: float = 1e-12) -> ScaleDecomposition:
+              prefix: PrefixTable | None = None) -> ScaleDecomposition:
     """Group axes by equal clock gamma_k(N) and build the projection chain.
 
     Ties are exact integer equality of the clocks.  The first group is the
@@ -115,22 +125,10 @@ def decompose(ifs: DiagonalIFS, seq, N: float,
         raise ValueError("resolution N must be positive")
     if prefix is None:
         prefix = PrefixTable(ifs, seq)
-    d = ifs.d
-    gam = np.array([prefix.gamma(N, k) for k in range(d)], dtype=np.intp)
-    order = np.argsort(gam, kind="stable")
-    groups, g = [], []
-    for k in order:
-        if g and gam[k] == g[-1]:
-            groups[-1].append(int(k))
-        else:
-            groups.append([int(k)])
-            g.append(int(gam[k]))
-    chain = []
-    rest = [k for grp in groups for k in grp]
-    for grp in groups:
-        chain.append(frozenset(rest))
-        rest = [k for k in rest if k not in grp]
-    coding = build_projection_coding(ifs, chain, tol=tol)
+    gam = np.array([prefix.gamma(N, k) for k in range(ifs.d)], dtype=np.intp)
+    groups, chain = clock_chain(gam)
+    g = [int(gam[grp[0]]) for grp in groups]
+    coding = build_projection_coding(ifs, chain)
     return ScaleDecomposition(N=float(N), s=len(groups), groups=groups,
                               chain=chain, g=g, gammas=gam, coding=coding)
 

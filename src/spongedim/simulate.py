@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ifs import DiagonalIFS
+from .ifs import DiagonalIFS, build_projection_coding
 from .rng import ROOT_CODE, child_codes, max_code_depth, uniform
 from .weights import WeightModel, WeightSequence, as_survival_vector
 from .engine import stable_chain, _const_gamma
@@ -481,7 +481,6 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
     p = model.mean()
     groups, chain, chi_tilde, _ = stable_chain(ifs, p)
     s = len(groups)
-    from .ifs import build_projection_coding
     coding = build_projection_coding(ifs, chain)
     if N_list is None:
         N_max = (depth - 1) * float(chi_tilde[-1]) * 0.999
@@ -517,8 +516,7 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
             vals = alive * ratio
             for r in range(2, s + 1):
                 cls = coding.class_index[r - 1]
-                V = np.zeros((n_points, coding.n_classes(r)))
-                np.add.at(V, (slice(None), cls), vals)
+                V = coding.project_rows(vals, r)
                 sel = V[np.arange(n_points), cls[digits[:, n]]]
                 log_V[r][:, n] = np.log(sel)
     else:
@@ -534,8 +532,7 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
             log_w[:, n] = np.log(w[idx, dig])
             for r in range(2, s + 1):
                 cls = coding.class_index[r - 1]
-                fiber_sum = np.zeros((n_points, coding.n_classes(r)))
-                np.add.at(fiber_sum, (slice(None), cls), w[idx])
+                fiber_sum = coding.project_rows(w[idx], r)
                 sel = fiber_sum[np.arange(n_points), cls[dig]]
                 log_V[r][:, n] = np.log(sel)
 

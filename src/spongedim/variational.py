@@ -19,6 +19,7 @@ from scipy.special import entr
 
 from .engine import _const_gamma, mandelbrot_value, dim_mandelbrot
 from .ifs import DiagonalIFS, build_projection_coding, RECT_TOL
+from .scales import clock_chain
 from .weights import (DegenerateError, WeightModel, WeightSequence,
                       as_survival_vector, entropy, p_max_vector, validate_type_ell)
 
@@ -116,20 +117,19 @@ def optimize_mandelbrot(ifs: DiagonalIFS, alpha=None, starts: int = 32,
     The objective is concave (minimum of concave entropy terms), so the
     multistart is belt and braces; a nonpositive maximum is reported as
     dimension zero with a degenerate-sup flag."""
-    cache: dict = {}
     if alpha is not None:
         alpha = as_survival_vector(alpha, ifs.n)
         log_alpha = np.log(alpha)
 
         def f(p):
             H = entropy(p) + float(p @ log_alpha)
-            return mandelbrot_value(ifs, p, H, cache)
+            return mandelbrot_value(ifs, p, H)
 
         extra = [p_max_vector(alpha)]
     else:
 
         def f(p):
-            return mandelbrot_value(ifs, p, entropy(p), cache)
+            return mandelbrot_value(ifs, p, entropy(p))
 
         extra = []
     res = maximize_on_simplex(f, ifs.n, starts=starts, seed=seed,
@@ -160,23 +160,10 @@ class PressureContext:
         self.ifs = ifs
         self.alpha = as_survival_vector(alpha, ifs.n)
         chi = ifs.C[0]
-        order = np.argsort(-chi, kind="stable")
-        groups, vals = [], []
-        for k in order:
-            if vals and chi[k] == vals[-1]:
-                groups[-1].append(int(k))
-            else:
-                groups.append([int(k)])
-                vals.append(chi[k])
-        self.groups = groups
-        self.chi_tilde = np.array([chi[g].mean() for g in groups])
-        chain, rest = [], [k for g in groups for k in g]
-        for g in groups:
-            chain.append(frozenset(rest))
-            rest = [k for k in rest if k not in g]
-        self.chain = chain
-        self.coding = build_projection_coding(ifs, chain)
-        self.s = len(groups)
+        self.groups, self.chain = clock_chain(-chi)
+        self.chi_tilde = np.array([chi[g].mean() for g in self.groups])
+        self.coding = build_projection_coding(ifs, self.chain)
+        self.s = len(self.groups)
         # expected offspring per class and level
         self.EN = [np.bincount(self.coding.class_index[r - 1], weights=self.alpha,
                                minlength=self.coding.n_classes(r))
@@ -202,36 +189,31 @@ def weighted_pressure(ifs: DiagonalIFS, alpha, r: int, theta: float,
     if not (1 <= r <= ctx.s):
         raise ValueError("level r = %d outside 1..%d" % (r, ctx.s))
     chi = ctx.chi_tilde
-    # V on level-r classes; W up the chain by softmax aggregation
-    V = theta * np.log(ctx.EN[r - 1]) / chi[r - 1]
-    levels = list(range(r, ctx.s + 1))
-    Ws = {r: V}
-    for rho in levels[:-1]:
+    # W on the level-r classes, then up the chain by softmax aggregation
+    W = theta * np.log(ctx.EN[r - 1]) / chi[r - 1]
+    # per level rho < s: class map to rho+1, exp(scaled - top of its
+    # target class) and the per-target sums, kept for the way down
+    steps = []
+    for rho in range(r, ctx.s):
         cmap = ctx.coding.chain_maps[rho]          # classes rho -> rho+1
-        scaled = chi[rho - 1] * Ws[rho]
+        scaled = chi[rho - 1] * W
         n_next = ctx.coding.n_classes(rho + 1)
         # grouped log-sum-exp, stable per target class
         tops = np.full(n_next, -np.inf)
         np.maximum.at(tops, cmap, scaled)
+        e = np.exp(scaled - tops[cmap])
         sums = np.zeros(n_next)
-        np.add.at(sums, cmap, np.exp(scaled - tops[cmap]))
-        Ws[rho + 1] = (tops + np.log(sums)) / chi[rho - 1]
-    top = Ws[levels[-1]]
-    scaled = chi[ctx.s - 1] * top
+        np.add.at(sums, cmap, e)
+        steps.append((cmap, e, sums))
+        W = (tops + np.log(sums)) / chi[rho - 1]
+    scaled = chi[ctx.s - 1] * W
     tmax = scaled.max()
     P = (tmax + math.log(np.exp(scaled - tmax).sum())) / chi[ctx.s - 1]
     # Gibbs chain back down: marginal at the top, conditionals per level
     w = np.exp(scaled - tmax)
     w /= w.sum()
-    for rho in reversed(levels[:-1]):
-        cmap = ctx.coding.chain_maps[rho]
-        scaled = chi[rho - 1] * Ws[rho]
-        tops = np.full(ctx.coding.n_classes(rho + 1), -np.inf)
-        np.maximum.at(tops, cmap, scaled)
-        sums = np.zeros(ctx.coding.n_classes(rho + 1))
-        np.add.at(sums, cmap, np.exp(scaled - tops[cmap]))
-        cond = np.exp(scaled - tops[cmap]) / sums[cmap]
-        w = cond * w[cmap]
+    for cmap, e, sums in reversed(steps):
+        w = e / sums[cmap] * w[cmap]
     return float(P), w
 
 
@@ -408,15 +390,14 @@ def perturb_sequence(seq: WeightSequence, eps: float, N: int,
 
 class _RunEvaluator:
     """Per-system data shared by every run schedule of one search: the
-    entropy of a vector under the survival law, and per clock chain the
-    0/1 class-indicator matrices of projection levels 2..s."""
+    entropy of a vector under the survival law, and the projection coding
+    and group starts of each clock pattern met so far."""
 
     def __init__(self, ifs: DiagonalIFS, alpha):
         self.ifs = ifs
         self.log_alpha = (None if alpha is None
                           else np.log(as_survival_vector(alpha, ifs.n)))
-        self.indicator_mats = {}
-        self.chain_keys = {}
+        self.chains = {}
         d = ifs.d
         self.axes = np.arange(d)
         # code of a clock pattern: axis order in base d, then the tie bits
@@ -430,31 +411,12 @@ class _RunEvaluator:
             H = H + V @ self.log_alpha
         return H
 
-    def indicators(self, key) -> list:
-        """Class indicators (letters x classes) of levels 2..s for the chain
-        whose axis groups, by increasing clock, are ``key``."""
-        mats = self.indicator_mats.get(key)
-        if mats is None:
-            chain, rest = [], [k for g in key for k in g]
-            for g in key:
-                chain.append(frozenset(rest))
-                rest = [k for k in rest if k not in g]
-            coding = build_projection_coding(self.ifs, chain)
-            mats = []
-            for r in range(2, len(key) + 1):
-                M = np.zeros((self.ifs.n, coding.n_classes(r)))
-                M[np.arange(self.ifs.n), coding.class_index[r - 1]] = 1.0
-                mats.append(M)
-            self.indicator_mats[key] = mats
-        return mats
-
 
 def _chain_groups(G: np.ndarray, ev: _RunEvaluator):
     """Split scales (rows of the clock matrix G, one column per axis) by
-    clock chain.  Yields (key, rows, g): the axis groups in increasing clock
-    order, the scales that share them (a slice when all do), and their
+    clock chain.  Yields (coding, rows, g): the projection coding of the
+    chain, the scales that share it (a slice when all do), and their
     distinct clocks g_1 < ... < g_s as a (scales, s) matrix."""
-    d = G.shape[1]
     order = G.argsort(axis=1, kind="stable")
     Gs = np.sort(G, axis=1)
     new = np.ones(G.shape, dtype=bool)
@@ -466,14 +428,11 @@ def _chain_groups(G: np.ndarray, ev: _RunEvaluator):
         parts = [(rows[0], rows) for rows in
                  (np.flatnonzero(code == c) for c in np.unique(code))]
     for first, rows in parts:
-        hit = ev.chain_keys.get(int(code[first]))
+        hit = ev.chains.get(int(code[first]))
         if hit is None:
-            starts = np.flatnonzero(new[first])
-            axes = order[first].tolist()
-            cuts = starts.tolist() + [d]
-            hit = (tuple(tuple(axes[a:b]) for a, b in zip(cuts, cuts[1:])),
-                   starts)
-            ev.chain_keys[int(code[first])] = hit
+            _, chain = clock_chain(G[first])
+            hit = ev.chains[int(code[first])] = (
+                build_projection_coding(ev.ifs, chain), np.flatnonzero(new[first]))
         yield hit[0], rows, Gs[rows][:, hit[1]]
 
 
@@ -532,27 +491,27 @@ class _RunSchedule:
         self.CP = self._CP0 + self._step[:, None] * chiv
         self._proj = {}
 
-    def _projected(self, key):
+    def _projected(self, coding):
         """(slopes, boundary prefix sums) of the projected entropies of
-        levels 2..s of chain ``key``, one row per level."""
-        out = self._proj.get(key)
+        levels 2..s of ``coding``, one row per level."""
+        out = self._proj.get(coding)
         if out is None:
-            mats = self.ev.indicators(key)
-            base = self._proj0.get(key)
+            mats = coding.indicators[1:]
+            base = self._proj0.get(coding)
             if base is None:
                 h = np.array([entr(self.V @ M).sum(axis=1) for M in mats])
                 h = np.concatenate([h, np.zeros((len(mats), 1))], axis=1)
                 h[:, self._mask] = 0.0
                 Q = np.concatenate([np.zeros((len(mats), 1)),
                                     np.cumsum(h[:, :-1] * self.L, axis=1)], axis=1)
-                base = self._proj0[key] = (h, Q)
+                base = self._proj0[coding] = (h, Q)
             if self.v is None:
                 out = base
             else:
                 hv = np.array([entr(self.v @ M).sum() for M in mats])[:, None]
                 out = (np.where(self._mask, hv, base[0]),
                        base[1] + hv * self._step)
-            self._proj[key] = out
+            self._proj[coding] = out
         return out
 
     def clocks(self, Ns: np.ndarray) -> np.ndarray:
@@ -580,7 +539,7 @@ class _RunSchedule:
         E = self.E
         if tail:
             after = np.minimum.accumulate(self.HP[::-1])[::-1]
-        for key, rows, g in _chain_groups(G, self.ev):
+        for coding, rows, g in _chain_groups(G, self.ev):
             s = g.shape[1]
             # candidate positions: the clocks and the boundaries in [g_1, g_s]
             K = np.empty((g.shape[0], s + E.size))
@@ -593,7 +552,7 @@ class _RunSchedule:
             HK = self.HP[j] + off * self.H[j]
             val = HK.copy() if s > 1 else HK
             if s > 1:
-                h, Q = self._projected(key)
+                h, Q = self._projected(coding)
                 for r in range(1, s):
                     # level-(r+1) projected entropies of the generations in
                     # (clip(k, g_r, g_{r+1}), g_{r+1}]; for s = 2 the clip
@@ -768,6 +727,10 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     _, lam_hi = ifs.contraction_span()
     pm = p_max_vector(alpha)
     ev = _RunEvaluator(ifs, alpha)
+    try:
+        ctx = PressureContext(ifs, alpha)
+    except ValueError:
+        ctx = None
     per_N = []
     best_rows = {}
     for N in N_grid:
@@ -783,7 +746,7 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
             return float(sched.d_tilde(Ns)[0])
 
         starts = [[(budget, pm)]]
-        spread = _band_spread_start(ifs, alpha, float(N), budget)
+        spread = _band_spread_start(ctx, pm, float(N), budget)
         if spread is not None:
             starts.append(spread)
         best_blocks, bestv = None, -math.inf
@@ -811,17 +774,13 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
                                       "eps": eps})
 
 
-def _band_spread_start(ifs, alpha, N, budget):
+def _band_spread_start(ctx, pm, N, budget):
     """Start that spends the coarse band on projected entropy: runs of the
-    entropy maximizer up to the fast clock, then of the level-2
-    class-uniform lift."""
-    try:
-        ctx = PressureContext(ifs, alpha)
-    except ValueError:
+    entropy maximizer pm up to the fast clock, then of the level-2
+    class-uniform lift.  None without a two-level chain (``ctx`` is None
+    when the linear parts differ)."""
+    if ctx is None or ctx.s < 2:
         return None
-    if ctx.s < 2:
-        return None
-    pm = p_max_vector(alpha)
     g1 = min(int(N / ctx.chi_tilde[0]) + 1, budget)
     m2 = ctx.coding.n_classes(2)
     u = np.full(m2, 1.0 / m2)
@@ -903,7 +862,12 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
 
     The certificate re-scans the returned schedule after projecting each
     block vector to the eps^2 grid; both the continuous and the projected
-    values are reported."""
+    values are reported.
+
+    The value reproduces only to about 1e-3 across summation orders or
+    platforms: the objective, a minimum over scales, is not smooth, so a
+    rounding-level change of it can send Nelder-Mead down another path
+    (seen as 1.21227 against 1.21327 on one type-ell input)."""
     alpha = None if alpha is None else as_survival_vector(alpha, ifs.n)
     bad = validate_type_ell(lengths)
     if bad:

@@ -68,14 +68,6 @@ def entropy(p) -> float:
     return float(entr(np.asarray(p, dtype=np.float64)).sum())
 
 
-def lyapunov(ifs, p) -> np.ndarray:
-    """chi_k(p) for all axes; positive since every ratio is < 1."""
-    p = as_prob_vector(p)
-    if p.size != ifs.n:
-        raise ValueError("vector indexed by %d letters, ifs has %d" % (p.size, ifs.n))
-    return ifs.lyapunov(p)
-
-
 def _pow_mass(x: np.ndarray, q: float) -> np.ndarray:
     # x >= 0 with the convention 0^0 = 0 (counts the support at q=0)
     if q == 0.0:
@@ -190,25 +182,6 @@ class WeightModel:
         return WeightModel.atoms(atoms)
 
 
-def weight_entropy(W: WeightModel) -> float:
-    """H(W) = -sum_i E(W_i log W_i), the entropy dimension numerator."""
-    return W.entropy_H()
-
-
-def log_moment(W: WeightModel, q: float) -> tuple[float, float]:
-    """(phi_W(q), T_W(q) = -log phi_W(q))."""
-    phi = W.phi(q)
-    return phi, -math.log(phi)
-
-
-def projected_tau(p, coding, r: int, q: float) -> float:
-    """tau_r(q) = -log sum_j (Pi_r p)_j^q over the level-r classes."""
-    if not (1 <= r <= coding.levels):
-        raise ValueError("projection level %d out of range" % r)
-    pr = coding.project_vector(as_prob_vector(p), r)
-    return -math.log(float(_pow_mass(pr, q).sum()))
-
-
 def p_max_vector(alpha) -> np.ndarray:
     """argmax of h~(p) = h(p) + sum p_i log alpha_i: p_i = alpha_i/sum."""
     a = np.asarray(alpha, dtype=np.float64)
@@ -313,9 +286,6 @@ class WeightSequence:
         if self.alpha is None:
             return masses.sum(axis=1)
         return masses @ (self.alpha ** (1.0 - q))
-
-    def survival_at(self, n: int) -> np.ndarray:
-        return self.model_at(n).survival()
 
     def truncated(self, horizon: int) -> "WeightSequence":
         if horizon > self.horizon:

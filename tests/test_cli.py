@@ -117,9 +117,13 @@ def test_simulate_heap_code_depth(workdir):
 
 
 def test_bad_sequence_numbers_exit_two(workdir):
+    p = '"p": [0.5, 0.25, 0.25]'
     for name, text in (
             ("overflow.json", '{"blocks": [{"len": 2, "p": [1e999, 0.5, 0.5]}]}'),
-            ("negative.json", '{"blocks": [{"len": 2, "p": [-0.5, 0.75, 0.75]}]}')):
+            ("negative.json", '{"blocks": [{"len": 2, "p": [-0.5, 0.75, 0.75]}]}'),
+            ("fraction.json", '{"blocks": [{"len": 2.7, %s}]}' % p),
+            ("boolean.json", '{"blocks": [{"len": true, %s}]}' % p),
+            ("string.json", '{"blocks": [{"len": "3", %s}]}' % p)):
         (workdir / name).write_text(text)
         r = run_cli("dim-imm", "--ifs", "ifs.json", "--sequence", name,
                     "--out", "o", cwd=workdir)
@@ -136,15 +140,11 @@ def test_json_flag_prints_versioned_document(workdir):
     assert 0 < doc["value"] < 2
 
 
-def test_threads_flag_does_not_change_results(workdir):
-    r1 = run_cli("dim-mm", "--ifs", "ifs.json", "--weights", "weights.json",
-                 "--out", "o1", cwd=workdir)
-    r2 = run_cli("dim-mm", "--ifs", "ifs.json", "--weights", "weights.json",
-                 "--threads", "8", "--out", "o2", cwd=workdir)
-    assert r1.returncode == r2.returncode == 0
-    a = read_json(workdir / "o1" / "dim-mm.json")
-    b = read_json(workdir / "o2" / "dim-mm.json")
-    assert a == b
+def test_threads_flag_is_rejected(workdir):
+    r = run_cli("dim-mm", "--ifs", "ifs.json", "--weights", "weights.json",
+                "--threads", "8", "--out", "o", cwd=workdir)
+    assert r.returncode == 2
+    assert "--threads" in r.stderr
 
 
 # === simulation artifacts ===

@@ -192,3 +192,29 @@ def test_coding_projection_conserves_mass(seed):
         q = coding.project_vector(p, r)
         assert q.min() >= 0
         assert abs(q.sum() - 1.0) < 1e-12
+
+
+def test_projection_coding_is_shared_across_axis_orders(sponge3d):
+    a = build_projection_coding(sponge3d, [frozenset({0, 1, 2}), frozenset({1, 2}),
+                                           frozenset({2})])
+    b = build_projection_coding(sponge3d, [[2, 1, 0], [2, 1], [2]])
+    assert a is b
+    assert build_projection_coding(sponge3d, [[0, 1, 2], [2]]) is not a
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_project_rows_matches_scatter(seed):
+    rng = np.random.default_rng(seed)
+    ifs = DiagonalIFS([
+        DiagonalMap([1 / 4, 1 / 3, 1 / 2], [0, 0, 0]),
+        DiagonalMap([1 / 4, 1 / 3, 1 / 2], [1 / 4, 1 / 3, 0]),
+        DiagonalMap([1 / 4, 1 / 3, 1 / 2], [1 / 2, 0, 1 / 2]),
+        DiagonalMap([1 / 4, 1 / 3, 1 / 2], [3 / 4, 0, 1 / 2]),
+    ])
+    coding = build_projection_coding(ifs, [{0, 1, 2}, {1, 2}, {2}])
+    rows = rng.exponential(size=(int(rng.integers(1, 40)), ifs.n))
+    for r in range(1, coding.levels + 1):
+        want = np.zeros((rows.shape[0], coding.n_classes(r)))
+        np.add.at(want, (slice(None), coding.class_index[r - 1]), rows)
+        assert np.allclose(coding.project_rows(rows, r), want, rtol=1e-15, atol=0)

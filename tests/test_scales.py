@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spongedim import DiagonalIFS, DiagonalMap
 from spongedim.ifs import feasible_direction_sets
-from spongedim.scales import PrefixTable, decompose, gamma
+from spongedim.scales import PrefixTable, clock_chain, decompose
 from spongedim.weights import WeightSequence
 
 from conftest import carpet
@@ -36,7 +36,7 @@ def test_gamma_two_sided_inequality(seed):
     for _ in range(4):
         N = float(rng.uniform(5.0, 120.0))
         for k in range(ifs.d):
-            g = gamma(table, N, k)
+            g = table.gamma(N, k)
             pre = float(np.sum(chi[: g - 1, k]))
             assert pre <= N < pre + chi[g - 1, k]
 
@@ -45,8 +45,69 @@ def test_gamma_monotone_in_N():
     ifs, seq, _ = random_instance(11)
     table = PrefixTable(ifs, seq)
     for k in range(ifs.d):
-        gs = [gamma(table, N, k) for N in np.linspace(2.0, 150.0, 60)]
+        gs = [table.gamma(N, k) for N in np.linspace(2.0, 150.0, 60)]
         assert all(a <= b for a, b in zip(gs, gs[1:]))
+
+
+# === the clock chain ===
+
+@st.composite
+def planted_clocks(draw):
+    """Clocks with planted exact ties and near-ties just inside and just
+    outside rtol of a group's first clock, in a shuffled axis order.
+    Returns (rtol, clocks, number of groups planted)."""
+    rtol = draw(st.sampled_from([0.0, 1e-9]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    anchors = draw(st.lists(st.integers(1, 50), min_size=1, max_size=4,
+                            unique=True))
+    scale = draw(st.sampled_from([1.0, 0.37, 1234.5]))
+    clocks, planted = [], 0
+    for a in anchors:
+        c = sign * a * scale
+        kinds = draw(st.lists(st.sampled_from(["tie", "inside", "outside"]),
+                              max_size=3, unique=True))
+        clocks.append(c)
+        if "tie" in kinds:
+            clocks.append(c)
+        # above c, so that c stays the group's first clock
+        if "inside" in kinds:
+            clocks.append(c + 0.9 * rtol * abs(c))
+        if "outside" in kinds:
+            clocks.append(c + 1.6 * rtol * abs(c) if rtol
+                          else float(np.nextafter(c, np.inf)))
+        planted += 1 + ("outside" in kinds)
+    perm = draw(st.permutations(range(len(clocks))))
+    return rtol, [clocks[i] for i in perm], planted
+
+
+@given(planted_clocks())
+@settings(max_examples=200, deadline=None)
+def test_clock_chain_groups_and_chain(case):
+    rtol, clocks, planted = case
+    groups, chain = clock_chain(clocks, rtol=rtol)
+    d = len(clocks)
+    # the groups partition the axes; every axis of a group sits within
+    # rtol of the group's first (smallest) clock, and the next group's
+    # first clock lies outside that window
+    assert sorted(k for g in groups for k in g) == list(range(d))
+    assert len(groups) == planted
+    firsts = []
+    for g in groups:
+        first = min(clocks[k] for k in g)
+        assert clocks[g[0]] == first
+        assert all(abs(clocks[k] - first) <= rtol * abs(first) for k in g)
+        firsts.append(first)
+    for a, b in zip(firsts, firsts[1:]):
+        assert b - a > rtol * abs(a)
+    # groups increase: every clock of group r is below every clock of r+1
+    for g, h in zip(groups, groups[1:]):
+        assert max(clocks[k] for k in g) < min(clocks[k] for k in h)
+    # D_1 is every axis, the chain strictly decreases, D_r = A_r u ... u A_s
+    assert chain[0] == frozenset(range(d))
+    for hi, lo in zip(chain, chain[1:]):
+        assert lo < hi
+    for r in range(len(groups)):
+        assert chain[r] == frozenset(k for g in groups[r:] for k in g)
 
 
 # === the decomposition ===
