@@ -11,8 +11,7 @@ from .ifs import (DiagonalIFS, DiagonalMap, ProjectionCoding,
                   compare_projections, feasible_direction_sets, validate_ifs)
 from .weights import (DegenerateError, TypeEllSequence, WeightModel,
                       WeightSequence, as_prob_vector, as_survival_vector,
-                      entropy, moment_bound, nondegeneracy_report,
-                      validate_type_ell)
+                      entropy, nondegeneracy_report, validate_type_ell)
 from .scales import (PrefixTable, ScaleDecomposition, clock_chain, decompose,
                      kahan_cumsum, tail_min)
 from .engine import (PeriodicSpec, d_sequences, dim_exp_periodic,

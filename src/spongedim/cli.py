@@ -62,6 +62,20 @@ def _floats(text):
     return np.array(vals)
 
 
+def _resolution(N, what):
+    if not (math.isfinite(N) and N > 0):
+        _fail(2, "%s must be finite and positive, got %r" % (what, N))
+    return N
+
+
+def _scales(text):
+    """A comma-separated list of resolutions N, each finite and positive."""
+    vals = _floats(text)
+    for N in vals:
+        _resolution(float(N), "scale")
+    return vals
+
+
 def _ints(text):
     vals = _floats(text)
     if np.any(vals != np.round(vals)):
@@ -188,7 +202,7 @@ def cmd_coding(ifs_path, p_text, out, json_mode):
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     p = np.full(ifs.n, 1.0 / ifs.n) if p_text is None else _floats(p_text)
     groups, chain, chi_tilde, ref_N = _compute(lambda: stable_chain(ifs, p))
-    coding = build_projection_coding(ifs, chain)
+    coding = _compute(lambda: build_projection_coding(ifs, chain))
     classes = []
     for r in range(1, coding.levels + 1):
         classes.append([sorted(int(x) for x in fib) for fib in coding.fibers[r - 1]])
@@ -218,6 +232,7 @@ def cmd_decompose(ifs_path, seq_path, n_scale, out, json_mode):
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     seq = _load(io.load_sequence, seq_path, "sequence")
+    _resolution(n_scale, "--N")
     dec = _compute(lambda: decompose(ifs, seq, n_scale))
     result = dec.as_dict()
     _finish("decompose", {"ifs": ifs_path, "sequence": seq_path,
@@ -259,7 +274,9 @@ def cmd_dim_imm(ifs_path, seq_path, scales, horizon, out, json_mode):
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     seq = _load(io.load_sequence, seq_path, "sequence")
-    N_grid = None if scales is None else _floats(scales)
+    N_grid = None if scales is None else _scales(scales)
+    if horizon is not None and horizon < 1:
+        _fail(2, "--horizon must be at least 1, got %d" % horizon)
     res = _compute(lambda: dim_imm_bounds(seq, ifs, N_grid=N_grid,
                                           tail_horizon=horizon))
     csv_path = os.path.join(out, "dim-imm.csv")
@@ -376,7 +393,7 @@ def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, seed,
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = _alpha_arg(alpha_text, ifs.n)
     blocks = _ints(lengths)
-    N_grid = _floats(scales)
+    N_grid = _scales(scales)
     res = _compute(lambda: optimize_packing(ifs, alpha, blocks, eps, N_grid,
                                             seed=seed, max_passes=passes))
     if isinstance(res.argument, WeightSequence):
@@ -484,7 +501,7 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
             _fail(2, "either --tree or both --alpha and --depth are required")
         alpha = _alpha_arg(alpha_text, ifs.n)
         tree = _compute(lambda: sample_tree(ifs, alpha, depth, seed=seed))
-    N_list = _floats(scales)
+    N_list = _scales(scales)
     fit_window = None
     if window is not None:
         ij = _ints(window)
@@ -570,7 +587,7 @@ def cmd_local_dim(ifs_path, weights_path, depth, points, seed, scales, out,
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     model = _load(io.load_weights, weights_path, "weights")
-    N_list = None if scales is None else _floats(scales)
+    N_list = None if scales is None else _scales(scales)
     rep = _compute(lambda: empirical_local_dimension(
         ifs, model, depth, points, seed=seed, N_list=N_list))
     try:

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.special import entr
 
 from .ifs import DiagonalIFS, build_projection_coding
-from .scales import (PrefixTable, ScaleDecomposition, TailMin, clock_chain,
-                     decompose, tail_min)
+from .scales import (PrefixTable, ScaleDecomposition, TailMin, _const_gamma,
+                     certified_tail_horizon, clock_chain, decompose)
 from .weights import (DegenerateError, WeightModel, WeightSequence, as_prob_vector,
                       entropy, nondegeneracy_report)
 
@@ -26,30 +26,6 @@ DEGENERATE_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # profiles and the two dimension sequences
-
-
-def _band_entropies(seq: WeightSequence, dec: ScaleDecomposition) -> np.ndarray:
-    """h(Pi_{r_n} p^{(n)}) for n = g_1+1 .. g_s (the coarse bands)."""
-    g = dec.g
-    g1, gs = g[0], g[-1]
-    out = np.empty(gs - g1)
-    P = seq.p_rows()
-    for r in range(2, dec.s + 1):
-        lo, hi = g[r - 2], g[r - 1]
-        proj = dec.coding.project_rows(P[lo:hi], r)
-        out[lo - g1:hi - g1] = entr(proj).sum(axis=1)
-    return out
-
-
-def _profile_vector(seq, prefix: PrefixTable, dec: ScaleDecomposition):
-    """(ks, H_{N,k} for k = g_1..g_s)."""
-    g1, gs = dec.g[0], dec.g[-1]
-    band = _band_entropies(seq, dec)
-    suffix = np.zeros(band.size + 1)
-    if band.size:
-        suffix[:-1] = np.cumsum(band[::-1], dtype=np.longdouble)[::-1]
-    ks = np.arange(g1, gs + 1)
-    return ks, prefix.H_prefix[ks] + suffix
 
 
 def entropy_profile(seq: WeightSequence, dec: ScaleDecomposition, k: int,
@@ -63,16 +39,7 @@ def entropy_profile(seq: WeightSequence, dec: ScaleDecomposition, k: int,
         if ifs is None:
             raise ValueError("need a PrefixTable or the ifs to build one")
         prefix = PrefixTable(ifs, seq)
-    total = prefix.H_prefix[k]
-    P = seq.p_rows()
-    for r in range(1, dec.s + 1):
-        lo = max(k, dec.g_of(r - 1))
-        hi = dec.g[r - 1]
-        if lo >= hi:
-            continue
-        proj = dec.coding.project_rows(P[lo:hi], r)
-        total += float(entr(proj).sum())
-    return float(total)
+    return prefix.profile_at(dec.g, dec.coding, k)
 
 
 @dataclass
@@ -80,15 +47,22 @@ class DSequences:
     N: float
     d: float
     d_tilde: float
-    k_min: int              # argmin of the profile for d_tilde
     tail: TailMin
     decomposition: ScaleDecomposition = field(repr=False)
     flags: list = field(default_factory=list)
 
 
+def _scan(prefix: PrefixTable, Ns: np.ndarray, tail_horizon: int | None):
+    """d_N and d~_N for every N of a grid, in one pass over the run table.
+    Returns (clocks, d, d_tilde, tail), the tail past g_s(N) as
+    (tail horizon, tail minima, horizon-limited flags)."""
+    T = prefix.horizon if tail_horizon is None else min(int(tail_horizon), prefix.horizon)
+    G, prof, (base, low, limited) = prefix._minima(Ns, T)
+    return G, np.minimum(prof, low) / Ns, prof / Ns, (T, low - base, limited)
+
+
 def d_sequences(seq: WeightSequence, ifs: DiagonalIFS, N: float,
                 prefix: PrefixTable | None = None,
-                dec: ScaleDecomposition | None = None,
                 tail_horizon: int | None = None) -> DSequences:
     """The lower (d_N) and upper (d~_N) dimension sequences at resolution N.
 
@@ -97,31 +71,17 @@ def d_sequences(seq: WeightSequence, ifs: DiagonalIFS, N: float,
     consists of the tail part alone."""
     if prefix is None:
         prefix = PrefixTable(ifs, seq)
-    if dec is None:
-        dec = decompose(ifs, seq, N, prefix=prefix)
-    ks, Hk = _profile_vector(seq, prefix, dec)
-    gs = dec.g[-1]
-    tail = tail_min(prefix, gs, horizon=tail_horizon)
-    tail_part = float(prefix.H_prefix[gs]) + tail.value
-    inner = float(Hk[:-1].min()) if Hk.size > 1 else math.inf
-    d = min(inner, tail_part) / N
-    j = int(np.argmin(Hk))
+    _, d, dt, (T, value, limited) = _scan(prefix, np.array([N], dtype=np.float64),
+                                          tail_horizon)
+    tail = TailMin(value=float(value[0]), horizon=T, horizon_limited=bool(limited[0]))
     flags = ["tail-horizon-limited"] if tail.horizon_limited else []
-    return DSequences(N=float(N), d=float(d), d_tilde=float(Hk[j] / N),
-                      k_min=int(ks[j]), tail=tail, decomposition=dec, flags=flags)
+    return DSequences(N=float(N), d=float(d[0]), d_tilde=float(dt[0]), tail=tail,
+                      decomposition=decompose(ifs, seq, N, prefix=prefix),
+                      flags=flags)
 
 
 # ---------------------------------------------------------------------------
 # Mandelbrot measures: closed form via the stabilized clock partition
-
-
-def _const_gamma(chi: float, N: float) -> int:
-    n = int(N // chi) + 1
-    while n > 1 and (n - 1) * chi > N:
-        n -= 1
-    while n * chi <= N:
-        n += 1
-    return n
 
 
 def stable_chain(ifs: DiagonalIFS, p, start: int = 8, stop: int = 40):
@@ -204,7 +164,6 @@ class DimensionProfile:
     N: np.ndarray
     d: np.ndarray
     d_tilde: np.ndarray
-    k_min: np.ndarray
     tail_flags: np.ndarray
 
 
@@ -239,27 +198,15 @@ def dim_imm_bounds(seq: WeightSequence, ifs: DiagonalIFS,
     N_grid = np.asarray(N_grid, dtype=np.float64)
     if N_grid.max() > maxN:
         raise ValueError("N grid exceeds the horizon resolution %g" % maxN)
+    G, d, dt, (_, _, limited) = _scan(prefix, N_grid, tail_horizon)
     flags = []
     if tail_horizon is None and rep.eps is not None:
         # certified cover for every tail minimizer on the grid
-        from .scales import certified_tail_horizon
-        gs_max = max(prefix.gamma(float(N_grid.max()), k) for k in range(ifs.d))
-        need = certified_tail_horizon(gs_max, seq.n_letters, rep.eps)
+        need = certified_tail_horizon(int(G.max()), seq.n_letters, rep.eps)
         if need > prefix.horizon:
             flags.append("tail-horizon-limited")
-    rows_d, rows_dt, rows_k, rows_tf = [], [], [], []
-    for N in N_grid:
-        res = d_sequences(seq, ifs, float(N), prefix=prefix,
-                          tail_horizon=tail_horizon)
-        rows_d.append(res.d)
-        rows_dt.append(res.d_tilde)
-        rows_k.append(res.k_min)
-        rows_tf.append(bool(res.flags))
-    d = np.array(rows_d)
-    dt = np.array(rows_dt)
     profile = DimensionProfile(N=N_grid, d=d, d_tilde=dt,
-                               k_min=np.array(rows_k),
-                               tail_flags=np.array(rows_tf))
+                               tail_flags=limited)
     w0 = int(len(N_grid) * (1.0 - window_frac))
     w1 = (w0 + len(N_grid)) // 2
     osc = {
@@ -386,7 +333,7 @@ class _PeriodTables:
         the closed geometric sum I/(lam-1)."""
         integrand = f * self.t
         steps = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(self.x)
-        F = np.concatenate([[0.0], np.cumsum(steps, dtype=np.longdouble)]).astype(np.float64)
+        F = np.concatenate([[0.0], np.cumsum(steps)])
         I = F[-1]
         return I / (self.pspec.lam - 1.0) + F
 

@@ -5,6 +5,13 @@ generations needed before the cumulated contraction along k exceeds N.  Axes
 with equal clocks are grouped; ordering the groups by increasing clock gives
 the nested chain of direction sets D_1 superset ... superset D_s on which the
 entropy profiles are evaluated.
+
+Every prefix sum of a schedule lives in one run table: a schedule is a list
+of runs (length, vector), and inside a run the sums of the entropies, of the
+Lyapunov exponents and of the projected entropies are linear, so they are
+kept at the run boundaries only.  ``PrefixTable`` builds the table of a
+``WeightSequence`` by collapsing equal adjacent rows; the schedule
+optimizers build theirs from block runs directly.
 """
 
 from __future__ import annotations
@@ -13,8 +20,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import entr
 
 from .ifs import DiagonalIFS, build_projection_coding, ProjectionCoding
+from .weights import as_survival_vector
 
 
 def kahan_cumsum(rows: np.ndarray) -> np.ndarray:
@@ -34,37 +43,14 @@ def kahan_cumsum(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-class PrefixTable:
-    """Kahan prefix sums of the per-generation exponents chi_k(p^{(n)})
-    and entropies H(W^{(n)})."""
-
-    def __init__(self, ifs: DiagonalIFS, seq):
-        if seq.n_letters != ifs.n:
-            raise ValueError("sequence alphabet size %d, ifs has %d maps"
-                             % (seq.n_letters, ifs.n))
-        self.ifs = ifs
-        self.seq = seq
-        chi_rows = seq.p_rows() @ ifs.C          # (horizon, d)
-        self.chi_prefix = kahan_cumsum(chi_rows)
-        self.H_prefix = kahan_cumsum(seq.H_array())[:, 0]
-        self.horizon = seq.horizon
-
-    @property
-    def d(self) -> int:
-        return self.ifs.d
-
-    def max_resolution(self) -> float:
-        """Largest N for which every axis clock stays inside the horizon."""
-        return float(self.chi_prefix[-1].min())
-
-    def gamma(self, N: float, k: int) -> int:
-        """Smallest n with sum_{m<=n} chi_k(p^{(m)}) > N (strict)."""
-        col = self.chi_prefix[1:, k]
-        idx = int(np.searchsorted(col, N, side="right"))
-        if idx >= col.size:
-            raise ValueError("horizon %d exhausted before axis %d reaches "
-                             "resolution %g" % (self.horizon, k, N))
-        return idx + 1
+def _const_gamma(chi: float, N: float) -> int:
+    """Smallest n with n * chi > N, for a constant exponent chi."""
+    n = int(N // chi) + 1
+    while n > 1 and (n - 1) * chi > N:
+        n -= 1
+    while n * chi <= N:
+        n += 1
+    return n
 
 
 def clock_chain(clocks, rtol: float = 0.0):
@@ -89,6 +75,327 @@ def clock_chain(clocks, rtol: float = 0.0):
         chain.append(frozenset(rest))
         rest = rest[len(grp):]
     return groups, chain
+
+
+# ---------------------------------------------------------------------------
+# the run table
+
+
+class _RunEvaluator:
+    """Per-system data shared by every run table of one system: the
+    entropy of a vector under the survival law, and the projection coding
+    and group starts of each clock pattern met so far."""
+
+    def __init__(self, ifs: DiagonalIFS, alpha):
+        self.ifs = ifs
+        self.log_alpha = (None if alpha is None
+                          else np.log(as_survival_vector(alpha, ifs.n)))
+        self.chains = {}
+        d = ifs.d
+        self.axes = np.arange(d)
+        # code of a clock pattern: axis order in base d, then the tie bits
+        self.order_weights = d ** self.axes * 2 ** d
+        self.tie_weights = 2 ** self.axes
+
+    def entropies(self, V: np.ndarray):
+        """H of one vector, or of each row of a matrix."""
+        H = entr(V).sum(axis=-1)
+        if self.log_alpha is not None:
+            H = H + V @ self.log_alpha
+        return H
+
+
+def _chain_groups(G: np.ndarray, ev: _RunEvaluator):
+    """Split scales (rows of the clock matrix G, one column per axis) by
+    clock chain.  Yields (coding, rows, g): the projection coding of the
+    chain, the scales that share it (a slice when all do), and their
+    distinct clocks g_1 < ... < g_s as a (scales, s) matrix."""
+    order = G.argsort(axis=1, kind="stable")
+    Gs = np.sort(G, axis=1)
+    new = np.ones(G.shape, dtype=bool)
+    new[:, 1:] = Gs[:, 1:] != Gs[:, :-1]
+    code = order @ ev.order_weights + new @ ev.tie_weights
+    if G.shape[0] == 1 or (code == code[0]).all():
+        parts = [(0, slice(None))]
+    else:
+        parts = [(rows[0], rows) for rows in
+                 (np.flatnonzero(code == c) for c in np.unique(code))]
+    for first, rows in parts:
+        hit = ev.chains.get(int(code[first]))
+        if hit is None:
+            _, chain = clock_chain(G[first])
+            hit = ev.chains[int(code[first])] = (
+                build_projection_coding(ev.ifs, chain), np.flatnonzero(new[first]))
+        yield hit[0], rows, Gs[rows][:, hit[1]]
+
+
+def _range_min(F: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min F[a_i:b_i] per i, +inf where the range is empty.  ``reduceat``
+    also reduces the gaps between consecutive ranges, so the ranges are
+    taken in order of their starts: the gaps then add up to at most len(F)
+    and the work is the ranges' total length plus len(F)."""
+    if a.size == 1:
+        return np.array([F[a[0]:b[0]].min() if a[0] < b[0] else math.inf])
+    if (a[1:] < a[:-1]).any():
+        order = np.argsort(a, kind="stable")
+        out = np.empty(a.size)
+        out[order] = _range_min(F, a[order], b[order])
+        return out
+    idx = np.empty(2 * a.size, dtype=np.intp)
+    idx[0::2], idx[1::2] = a, b
+    out = np.minimum.reduceat(F, idx)[0::2]
+    out[a >= b] = math.inf
+    return out
+
+
+class _RunTable:
+    """A schedule given as runs (length, vector), evaluated in O(#runs).
+
+    Inside a run the prefix sums of H, of every chi_k and of every projected
+    entropy are linear, so they are kept at the run boundaries E_0 = 0 <
+    E_1 < ... < E_R only, in float64 over O(#runs) terms.  A clock is a
+    search over boundaries plus one division, corrected by ``_const_gamma``
+    where it is off.  On the band [g_rho, g_{rho+1}] of a scale the profile
+    H_{N,k} is HP(k) - Q_{rho+1}(k) plus a constant (HP the prefix sums of
+    H, Q_r those of the level-r projected entropies), linear inside runs,
+    so its minimum sits at a clock or at a boundary inside the band: one
+    range minimum per band.  Tail minima use suffix minima over the
+    boundaries, and the admissibility scans are linear per run, so
+    checking the boundaries and the scan start is exact.
+
+    ``H`` gives the entropy of each run (default: that of its vector under
+    the evaluator's survival law).  With ``slot`` given, that run is free:
+    the fixed runs' sums are built once with the slot left out, and
+    ``set(v)`` adds v's contribution, (rows of the slot up to a position) x
+    (its value per row), as a delta."""
+
+    def __init__(self, ev: _RunEvaluator, lengths, vectors, slot=None, H=None):
+        self.ev = ev
+        self.L = np.asarray(lengths, dtype=np.float64)
+        self.V = np.asarray(vectors, dtype=np.float64)
+        R = self.L.size
+        self.E = np.concatenate([[0.0], np.cumsum(self.L)])
+        self.horizon = int(self.E[-1])
+        # per-run values are padded with a zero run at E_R, so a position
+        # m in [0, horizon] reads run searchsorted(E, m, "right") - 1
+        H = np.append(ev.entropies(self.V) if H is None else H, 0.0)
+        chi = np.vstack([self.V @ ev.ifs.C, np.zeros(ev.ifs.d)])
+        self._mask = np.zeros(R + 1, dtype=bool)
+        self._step = np.zeros(R + 1)
+        self.slot = slot
+        if slot is not None:
+            self._mask[slot] = True
+            self._step[slot + 1:] = self.L[slot]
+            H[slot] = 0.0
+            chi[slot] = 0.0
+        self._H0, self._chi0 = H, chi
+        self._HP0 = np.concatenate([[0.0], np.cumsum(self.L * H[:R])])
+        self._CP0 = np.vstack([np.zeros(ev.ifs.d),
+                               np.cumsum(self.L[:, None] * chi[:R], axis=0)])
+        self._proj0 = {}
+        self._scans = {}
+        if slot is None:
+            self._set(None, 0.0, np.zeros(ev.ifs.d))
+
+    def set(self, v: np.ndarray) -> None:
+        """Put vector v in the free run."""
+        self._set(v, float(self.ev.entropies(v)), v @ self.ev.ifs.C)
+
+    def _set(self, v, Hv, chiv):
+        self.v, self.Hv = v, Hv
+        self.H = np.where(self._mask, Hv, self._H0)
+        self.chi = np.where(self._mask[:, None], chiv, self._chi0)
+        self.HP = self._HP0 + self._step * Hv
+        self.CP = self._CP0 + self._step[:, None] * chiv
+        self._proj = {}
+
+    def max_resolution(self) -> float:
+        """Largest N for which every axis clock stays inside the horizon."""
+        return float(self.CP[-1].min())
+
+    def _projected(self, coding, first: int = 2):
+        """(slopes, boundary prefix sums) of the projected entropies of
+        levels first..s of ``coding``, one row per level."""
+        key = (coding, first)
+        out = self._proj.get(key)
+        if out is None:
+            mats = coding.indicators[first - 1:]
+            base = self._proj0.get(key)
+            if base is None:
+                h = np.array([entr(self.V @ M).sum(axis=1) for M in mats])
+                h = np.concatenate([h, np.zeros((len(mats), 1))], axis=1)
+                h[:, self._mask] = 0.0
+                Q = np.concatenate([np.zeros((len(mats), 1)),
+                                    np.cumsum(h[:, :-1] * self.L, axis=1)], axis=1)
+                base = self._proj0[key] = (h, Q)
+            if self.v is None:
+                out = base
+            else:
+                hv = np.array([entr(self.v @ M).sum() for M in mats])[:, None]
+                out = (np.where(self._mask, hv, base[0]),
+                       base[1] + hv * self._step)
+            self._proj[key] = out
+        return out
+
+    def clocks(self, Ns) -> np.ndarray:
+        """gamma_k(N), the smallest n with sum_{m<=n} chi_k > N, for every
+        scale (rows) and axis (columns)."""
+        Ns = np.asarray(Ns, dtype=np.float64)
+        if not (Ns.min() > 0.0 and math.isfinite(Ns.max())):
+            bad = Ns[~(np.isfinite(Ns) & (Ns > 0.0))][0]
+            raise ValueError("resolution N must be finite and positive, got %r"
+                             % float(bad))
+        R = self.L.size
+        js = np.empty((Ns.size, self.ev.ifs.d), dtype=np.intp)
+        for k in self.ev.axes:
+            js[:, k] = self.CP[1:, k].searchsorted(Ns, side="right")
+        if js.max() >= R:
+            i, k = np.argwhere(js >= R)[0]
+            raise ValueError("horizon %d exhausted before axis %d reaches "
+                             "resolution %g" % (self.horizon, k, Ns[i]))
+        axes = self.ev.axes
+        rest = Ns[:, None] - self.CP[js, axes]
+        chi = self.chi[js, axes]
+        n = np.floor(rest / chi) + 1.0
+        off = ((n - 1.0) * chi > rest) | (n * chi <= rest)
+        for i, k in zip(*np.nonzero(off)):
+            n[i, k] = _const_gamma(float(chi[i, k]), float(rest[i, k]))
+        return self.E[js] + np.minimum(n, self.L[js])
+
+    def _locate(self, x):
+        """(run, offset into the run, prefix sum of H) at positions x."""
+        j = self.E.searchsorted(x, side="right") - 1
+        off = x - self.E[j]
+        return j, off, self.HP[j] + off * self.H[j]
+
+    def _minima(self, Ns, T: int | None = None):
+        """Per scale: the clocks and the profile minimum over k in
+        [g_1, g_s]; with a tail horizon T also the tail past g_s, as
+        (HP(g_s), smallest prefix sum of H over [g_s, T], whether T is its
+        only minimizer)."""
+        G = self.clocks(Ns)
+        m = G.shape[0]
+        prof = np.empty(m)
+        tail = None
+        if T is not None:
+            if T < self.horizon and G.max() > T:
+                raise ValueError("need 0 <= N <= horizon")
+            tail = (np.empty(m), np.empty(m), np.empty(m, dtype=bool))
+        HP = self.HP
+        for coding, rows, g in _chain_groups(G, self.ev):
+            s = g.shape[1]
+            j, off, HPg = self._locate(g)
+            if tail is not None:
+                tail[0][rows] = HPg[:, -1]
+                tail[1][rows], tail[2][rows] = self._tail(j[:, -1], HPg[:, -1], T)
+            if s == 1:
+                prof[rows] = HPg[:, 0]
+                continue
+            h, Q = self._projected(coding)
+            best = None
+            above = 0.0     # band entropies of the levels above
+            for i in range(s - 2, -1, -1):
+                # band rho = i+1, level r = i+2: Q_r at g_rho and g_{rho+1}
+                jj = j[:, i:i + 2]
+                Qg = Q[i][jj] + off[:, i:i + 2] * h[i][jj]
+                F = HPg[:, i:i + 2] - Qg
+                # the boundaries strictly inside (g_rho, g_{rho+1})
+                inner = _range_min(HP - Q[i], jj[:, 0] + 1, jj[:, 1] + (off[:, i + 1] > 0))
+                const = Qg[:, 1] if i == s - 2 else Qg[:, 1] + above
+                val = np.minimum(np.minimum(F[:, 0], F[:, 1]), inner) + const
+                best = val if best is None else np.minimum(best, val)
+                if i:
+                    above = above + (Qg[:, 1] - Qg[:, 0])
+            prof[rows] = best
+        return G, prof, tail
+
+    def _tail(self, j, base, T: int):
+        """Per start position x <= T in run j, with HP(x) = base: (the
+        smallest prefix sum of H over the generations [x, T], whether T is
+        its only minimizer)."""
+        jT, _, at_T = self._locate(T)
+        # suffix minima over the boundaries strictly inside (x, T): those
+        # in [j + 1, b), with an empty range reading +inf
+        b = jT + int(self.E[jT] < T)
+        inner = np.full(b + 1, math.inf)
+        inner[:b] = np.minimum.accumulate(self.HP[:b][::-1])[::-1]
+        before = np.minimum(base, inner[np.minimum(j + 1, b)])
+        return np.minimum(before, at_T), at_T < before
+
+    def profile_at(self, g, coding, k: int) -> float:
+        """H_{N,k} at one scale with distinct clocks g and chain coding
+        ``coding``, for any 0 <= k <= g_s."""
+        h, Q = self._projected(coding, first=1)
+        g = np.asarray(g, dtype=np.float64)
+        # level r counts the generations in (clip(k, g_{r-1}, g_r), g_r]
+        lo = np.minimum(np.maximum(k, np.concatenate([[0.0], g[:-1]])), g)
+        j, off, HPpos = self._locate(np.concatenate([[k], lo, g]))
+        lev, jl, jh = np.arange(g.size), j[1:g.size + 1], j[g.size + 1:]
+        Qlo = Q[lev, jl] + off[1:g.size + 1] * h[lev, jl]
+        Qhi = Q[lev, jh] + off[g.size + 1:] * h[lev, jh]
+        return float(HPpos[0] + (Qhi - Qlo).sum())
+
+    def d_tilde(self, Ns) -> np.ndarray:
+        """min_k H_{N,k} / N over k in [g_1, g_s], per scale."""
+        Ns = np.asarray(Ns, dtype=np.float64)
+        _, prof, _ = self._minima(Ns)
+        return prof / Ns
+
+    def d_lower(self, Ns) -> np.ndarray:
+        """min(profile minimum, tail minimum) / N, per scale."""
+        Ns = np.asarray(Ns, dtype=np.float64)
+        _, prof, (_, low, _) = self._minima(Ns, self.horizon)
+        return np.minimum(prof, low) / Ns
+
+    def admissible(self, M0: int, rate: float) -> bool:
+        """sum_{n<=M} H >= rate*M for every M in [M0, horizon]."""
+        if M0 > self.horizon:
+            return True
+        scan = self._scans.get((M0, rate))
+        if scan is None:
+            # margins without the slot, before and after it, and at M0
+            E, keep = self.E, self.E >= M0
+            margin = self._HP0 - rate * E
+            moved = self._step > 0
+            j = int(E.searchsorted(M0, side="right")) - 1
+            at_M0 = self._HP0[j] + (M0 - E[j]) * self._H0[j] - rate * M0
+            rows_M0 = 0.0
+            if self.slot is not None:
+                rows_M0 = min(max(M0 - E[self.slot], 0.0), self.L[self.slot])
+            scan = (float(margin[keep & ~moved].min(initial=math.inf)),
+                    float(margin[keep & moved].min(initial=math.inf)),
+                    float(self._step[-1]), float(at_M0), float(rows_M0))
+            self._scans[(M0, rate)] = scan
+        fixed, moved, rows_after, at_M0, rows_M0 = scan
+        Hv = self.Hv
+        return (fixed >= 0.0 and moved + rows_after * Hv >= 0.0
+                and at_M0 + rows_M0 * Hv >= 0.0)
+
+
+class PrefixTable(_RunTable):
+    """The run table of a weight sequence.  Equal adjacent rows collapse
+    into one run (equal model indices, for a sequence of explicit models),
+    and each run keeps the sequence's own entropy H(W^{(n)}): that of its
+    mean vector under the shared survival law, or that of its model, so
+    finite-atom laws are exact.  A dense schedule is one run per row."""
+
+    def __init__(self, ifs: DiagonalIFS, seq):
+        if seq.n_letters != ifs.n:
+            raise ValueError("sequence alphabet size %d, ifs has %d maps"
+                             % (seq.n_letters, ifs.n))
+        P = seq.p_rows()
+        if seq.mode == "models":
+            change = seq.model_idx[1:] != seq.model_idx[:-1]
+        else:
+            change = np.zeros(seq.horizon - 1, dtype=bool)
+            for col in P.T:
+                change |= col[1:] != col[:-1]
+        starts = np.flatnonzero(np.concatenate([[True], change]))
+        # explicit models (finite-atom laws) carry their own H; rows share
+        # the survival law alpha, under which the evaluator computes it
+        H = seq.H_array()[starts] if seq.mode == "models" else None
+        super().__init__(_RunEvaluator(ifs, seq.alpha),
+                         np.diff(np.append(starts, seq.horizon)), P[starts], H=H)
 
 
 @dataclass
@@ -121,11 +428,9 @@ def decompose(ifs: DiagonalIFS, seq, N: float,
 
     Ties are exact integer equality of the clocks.  The first group is the
     most contractive direction (smallest clock, largest exponent)."""
-    if N <= 0:
-        raise ValueError("resolution N must be positive")
     if prefix is None:
         prefix = PrefixTable(ifs, seq)
-    gam = np.array([prefix.gamma(N, k) for k in range(ifs.d)], dtype=np.intp)
+    gam = prefix.clocks([N])[0].astype(np.intp)
     groups, chain = clock_chain(gam)
     g = [int(gam[grp[0]]) for grp in groups]
     coding = build_projection_coding(ifs, chain)
@@ -136,9 +441,8 @@ def decompose(ifs: DiagonalIFS, seq, N: float,
 @dataclass
 class TailMin:
     value: float            # A_N = min_{N' in [N, horizon]} sum_{n=N+1}^{N'} H
-    N_tilde: int            # smallest minimizer
     horizon: int
-    horizon_limited: bool   # minimum sits at the horizon boundary
+    horizon_limited: bool   # the horizon is the only minimizer
 
 
 def tail_min(prefix: PrefixTable, N: int, horizon: int | None = None) -> TailMin:
@@ -147,17 +451,13 @@ def tail_min(prefix: PrefixTable, N: int, horizon: int | None = None) -> TailMin
     Always <= 0 (the empty tail counts).  When the minimizer lands exactly on
     the requested horizon the result is flagged: a longer table could still
     decrease it."""
-    S = prefix.H_prefix
     horizon = prefix.horizon if horizon is None else min(int(horizon), prefix.horizon)
-    if not (0 <= N <= horizon):
+    if not 0 <= N <= horizon:
         raise ValueError("need 0 <= N <= horizon")
-    seg = S[N:horizon + 1]
-    j = int(np.argmin(seg))
-    value = float(seg[j] - S[N])
-    N_tilde = N + j
-    limited = (N_tilde == horizon and horizon > N)
-    return TailMin(value=value, N_tilde=N_tilde, horizon=horizon,
-                   horizon_limited=limited)
+    j, _, base = prefix._locate(np.array([N], dtype=np.float64))
+    low, limited = prefix._tail(j, base, horizon)
+    return TailMin(value=float(low[0] - base[0]), horizon=horizon,
+                   horizon_limited=bool(limited[0]))
 
 
 def certified_tail_horizon(N: int, n_letters: int, eps: float) -> int:

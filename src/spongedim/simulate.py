@@ -18,7 +18,8 @@ import numpy as np
 from .ifs import DiagonalIFS, build_projection_coding
 from .rng import ROOT_CODE, child_codes, max_code_depth, uniform
 from .weights import WeightModel, WeightSequence, as_survival_vector
-from .engine import stable_chain, _const_gamma
+from .engine import stable_chain
+from .scales import _const_gamma
 
 MEMORY_GUARD = 10 ** 8
 

@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from scipy.special import entr
-
-from .engine import _const_gamma, mandelbrot_value, dim_mandelbrot
+from .engine import mandelbrot_value, dim_mandelbrot
 from .ifs import DiagonalIFS, build_projection_coding, RECT_TOL
-from .scales import clock_chain
+from .scales import PrefixTable, _RunEvaluator, _RunTable, clock_chain
 from .weights import (DegenerateError, WeightModel, WeightSequence,
                       as_survival_vector, entropy, p_max_vector, validate_type_ell)
 
@@ -350,7 +348,7 @@ def perturb_sequence(seq: WeightSequence, eps: float, N: int,
                          % (seq.horizon, M_hi))
     M_lo = int(math.floor(N * eps))
     H = seq.H_array()
-    prefix = np.cumsum(H[:M_hi], dtype=np.longdouble)
+    prefix = np.cumsum(H[:M_hi])
     Ms = np.arange(1, M_hi + 1)
     bad = prefix[M_lo - 1:] < -eps * Ms[M_lo - 1:]
     if np.any(bad):
@@ -375,7 +373,7 @@ def perturb_sequence(seq: WeightSequence, eps: float, N: int,
     sel = np.flatnonzero(low)
     rows[sel] = (1.0 - blend) * rows[sel] + blend * pm
     out = WeightSequence(P=rows, alpha=alpha, block_lengths=None)
-    pre2 = np.cumsum(out.H_array()[:M_hi], dtype=np.longdouble)
+    pre2 = np.cumsum(out.H_array()[:M_hi])
     margin = float((pre2 - eps * Ms).min())
     ok = margin >= -1e-9
     if not ok:
@@ -386,228 +384,6 @@ def perturb_sequence(seq: WeightSequence, eps: float, N: int,
 
 # ---------------------------------------------------------------------------
 # coordinate ascent over block schedules
-
-
-class _RunEvaluator:
-    """Per-system data shared by every run schedule of one search: the
-    entropy of a vector under the survival law, and the projection coding
-    and group starts of each clock pattern met so far."""
-
-    def __init__(self, ifs: DiagonalIFS, alpha):
-        self.ifs = ifs
-        self.log_alpha = (None if alpha is None
-                          else np.log(as_survival_vector(alpha, ifs.n)))
-        self.chains = {}
-        d = ifs.d
-        self.axes = np.arange(d)
-        # code of a clock pattern: axis order in base d, then the tie bits
-        self.order_weights = d ** self.axes * 2 ** d
-        self.tie_weights = 2 ** self.axes
-
-    def entropies(self, V: np.ndarray):
-        """H of one vector, or of each row of a matrix."""
-        H = entr(V).sum(axis=-1)
-        if self.log_alpha is not None:
-            H = H + V @ self.log_alpha
-        return H
-
-
-def _chain_groups(G: np.ndarray, ev: _RunEvaluator):
-    """Split scales (rows of the clock matrix G, one column per axis) by
-    clock chain.  Yields (coding, rows, g): the projection coding of the
-    chain, the scales that share it (a slice when all do), and their
-    distinct clocks g_1 < ... < g_s as a (scales, s) matrix."""
-    order = G.argsort(axis=1, kind="stable")
-    Gs = np.sort(G, axis=1)
-    new = np.ones(G.shape, dtype=bool)
-    new[:, 1:] = Gs[:, 1:] != Gs[:, :-1]
-    code = order @ ev.order_weights + new @ ev.tie_weights
-    if G.shape[0] == 1 or (code == code[0]).all():
-        parts = [(0, slice(None))]
-    else:
-        parts = [(rows[0], rows) for rows in
-                 (np.flatnonzero(code == c) for c in np.unique(code))]
-    for first, rows in parts:
-        hit = ev.chains.get(int(code[first]))
-        if hit is None:
-            _, chain = clock_chain(G[first])
-            hit = ev.chains[int(code[first])] = (
-                build_projection_coding(ev.ifs, chain), np.flatnonzero(new[first]))
-        yield hit[0], rows, Gs[rows][:, hit[1]]
-
-
-class _RunSchedule:
-    """A schedule given as runs (length, vector), evaluated in O(#runs).
-
-    Inside a run the prefix sums of H, of every chi_k and of every projected
-    entropy are linear, so they are kept at the run boundaries E_0 = 0 <
-    E_1 < ... < E_R only.  A clock is a search over boundaries plus one
-    division, corrected by ``engine._const_gamma`` where it is off.  The
-    profile H_{N,k} and the tail sums are piecewise linear in k, so their
-    minima sit at a boundary or at a clock g_r; the admissibility scans are
-    linear per run, so checking the boundaries and the scan start is exact.
-
-    With ``slot`` given, that run is free: the fixed runs' sums are built
-    once with the slot left out, and ``set(v)`` adds v's contribution,
-    (rows of the slot up to a position) x (its value per row), as a delta."""
-
-    def __init__(self, ev: _RunEvaluator, lengths, vectors, slot=None):
-        self.ev = ev
-        self.L = np.asarray(lengths, dtype=np.float64)
-        self.V = np.asarray(vectors, dtype=np.float64)
-        R = self.L.size
-        self.E = np.concatenate([[0.0], np.cumsum(self.L)])
-        self.rows = int(self.E[-1])
-        # per-run values are padded with a zero run at E_R, so a position
-        # m in [0, rows] reads run searchsorted(E, m, "right") - 1
-        H = np.append(ev.entropies(self.V), 0.0)
-        chi = np.vstack([self.V @ ev.ifs.C, np.zeros(ev.ifs.d)])
-        self._mask = np.zeros(R + 1, dtype=bool)
-        self._step = np.zeros(R + 1)
-        self.slot = slot
-        if slot is not None:
-            self._mask[slot] = True
-            self._step[slot + 1:] = self.L[slot]
-            H[slot] = 0.0
-            chi[slot] = 0.0
-        self._H0, self._chi0 = H, chi
-        self._HP0 = np.concatenate([[0.0], np.cumsum(self.L * H[:R])])
-        self._CP0 = np.vstack([np.zeros(ev.ifs.d),
-                               np.cumsum(self.L[:, None] * chi[:R], axis=0)])
-        self._proj0 = {}
-        self._scans = {}
-        if slot is None:
-            self._set(None, 0.0, np.zeros(ev.ifs.d))
-
-    def set(self, v: np.ndarray) -> None:
-        """Put vector v in the free run."""
-        self._set(v, float(self.ev.entropies(v)), v @ self.ev.ifs.C)
-
-    def _set(self, v, Hv, chiv):
-        self.v, self.Hv = v, Hv
-        self.H = np.where(self._mask, Hv, self._H0)
-        self.chi = np.where(self._mask[:, None], chiv, self._chi0)
-        self.HP = self._HP0 + self._step * Hv
-        self.CP = self._CP0 + self._step[:, None] * chiv
-        self._proj = {}
-
-    def _projected(self, coding):
-        """(slopes, boundary prefix sums) of the projected entropies of
-        levels 2..s of ``coding``, one row per level."""
-        out = self._proj.get(coding)
-        if out is None:
-            mats = coding.indicators[1:]
-            base = self._proj0.get(coding)
-            if base is None:
-                h = np.array([entr(self.V @ M).sum(axis=1) for M in mats])
-                h = np.concatenate([h, np.zeros((len(mats), 1))], axis=1)
-                h[:, self._mask] = 0.0
-                Q = np.concatenate([np.zeros((len(mats), 1)),
-                                    np.cumsum(h[:, :-1] * self.L, axis=1)], axis=1)
-                base = self._proj0[coding] = (h, Q)
-            if self.v is None:
-                out = base
-            else:
-                hv = np.array([entr(self.v @ M).sum() for M in mats])[:, None]
-                out = (np.where(self._mask, hv, base[0]),
-                       base[1] + hv * self._step)
-            self._proj[coding] = out
-        return out
-
-    def clocks(self, Ns: np.ndarray) -> np.ndarray:
-        """gamma_k(N), the smallest n with sum_{m<=n} chi_k > N, for every
-        scale (rows) and axis (columns)."""
-        js = np.count_nonzero(self.CP[1:, None, :] <= Ns[:, None], axis=0)
-        if js.max() >= self.L.size:
-            raise ValueError("row budget exhausted at scale %g"
-                             % Ns[(js >= self.L.size).any(axis=1)][0])
-        axes = self.ev.axes
-        rest = Ns[:, None] - self.CP[js, axes]
-        chi = self.chi[js, axes]
-        n = np.floor(rest / chi) + 1.0
-        off = ((n - 1.0) * chi > rest) | (n * chi <= rest)
-        for i, k in zip(*np.nonzero(off)):
-            n[i, k] = _const_gamma(float(chi[i, k]), float(rest[i, k]))
-        return self.E[js] + np.minimum(n, self.L[js])
-
-    def _minima(self, Ns, tail: bool):
-        """Per scale: the profile minimum over k in [g_1, g_s] and, with
-        ``tail``, the minimum of the prefix sums of H over [g_s, rows]."""
-        G = self.clocks(Ns)
-        prof = np.empty(Ns.size)
-        low = np.empty(Ns.size) if tail else None
-        E = self.E
-        if tail:
-            after = np.minimum.accumulate(self.HP[::-1])[::-1]
-        for coding, rows, g in _chain_groups(G, self.ev):
-            s = g.shape[1]
-            # candidate positions: the clocks and the boundaries in [g_1, g_s]
-            K = np.empty((g.shape[0], s + E.size))
-            K[:, :s] = g
-            K[:, s:] = E
-            np.maximum(K, g[:, :1], out=K)
-            np.minimum(K, g[:, -1:], out=K)
-            j = E.searchsorted(K, side="right") - 1
-            off = K - E[j]
-            HK = self.HP[j] + off * self.H[j]
-            val = HK.copy() if s > 1 else HK
-            if s > 1:
-                h, Q = self._projected(coding)
-                for r in range(1, s):
-                    # level-(r+1) projected entropies of the generations in
-                    # (clip(k, g_r, g_{r+1}), g_{r+1}]; for s = 2 the clip
-                    # leaves K as it is
-                    hi = g[:, r:r + 1]
-                    jh = E.searchsorted(hi, side="right") - 1
-                    val += Q[r - 1][jh] + (hi - E[jh]) * h[r - 1][jh]
-                    if s == 2:
-                        jr, offr = j, off
-                    else:
-                        Kr = np.minimum(np.maximum(K, g[:, r - 1:r]), hi)
-                        jr = E.searchsorted(Kr, side="right") - 1
-                        offr = Kr - E[jr]
-                    val -= Q[r - 1][jr] + offr * h[r - 1][jr]
-            prof[rows] = val.min(axis=1)
-            if tail:
-                low[rows] = np.minimum(HK[:, s - 1],
-                                       after[E.searchsorted(g[:, -1])])
-        return prof, low
-
-    def d_tilde(self, Ns) -> np.ndarray:
-        """min_k H_{N,k} / N over k in [g_1, g_s], per scale."""
-        Ns = np.asarray(Ns, dtype=np.float64)
-        prof, _ = self._minima(Ns, tail=False)
-        return prof / Ns
-
-    def d_lower(self, Ns) -> np.ndarray:
-        """min(profile minimum, tail minimum) / N, per scale."""
-        Ns = np.asarray(Ns, dtype=np.float64)
-        prof, low = self._minima(Ns, tail=True)
-        return np.minimum(prof, low) / Ns
-
-    def admissible(self, M0: int, rate: float) -> bool:
-        """sum_{n<=M} H >= rate*M for every M in [M0, rows]."""
-        if M0 > self.rows:
-            return True
-        scan = self._scans.get((M0, rate))
-        if scan is None:
-            # margins without the slot, before and after it, and at M0
-            E, keep = self.E, self.E >= M0
-            margin = self._HP0 - rate * E
-            moved = self._step > 0
-            j = int(E.searchsorted(M0, side="right")) - 1
-            at_M0 = self._HP0[j] + (M0 - E[j]) * self._H0[j] - rate * M0
-            rows_M0 = 0.0
-            if self.slot is not None:
-                rows_M0 = min(max(M0 - E[self.slot], 0.0), self.L[self.slot])
-            scan = (float(margin[keep & ~moved].min(initial=math.inf)),
-                    float(margin[keep & moved].min(initial=math.inf)),
-                    float(self._step[-1]), float(at_M0), float(rows_M0))
-            self._scans[(M0, rate)] = scan
-        fixed, moved, rows_after, at_M0, rows_M0 = scan
-        Hv = self.Hv
-        return (fixed >= 0.0 and moved + rows_after * Hv >= 0.0
-                and at_M0 + rows_M0 * Hv >= 0.0)
 
 
 def _blocks_covering(lengths, budget: int):
@@ -644,14 +420,6 @@ def _block_runs(runs, spans):
     return blocks
 
 
-def _row_runs(rows: np.ndarray):
-    """Runs (length, vector) of equal consecutive rows."""
-    cut = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
-    starts = [0] + cut.tolist()
-    ends = cut.tolist() + [rows.shape[0]]
-    return [(e - s, rows[s]) for s, e in zip(starts, ends)]
-
-
 def _flat_runs(blocks):
     """(lengths, vectors) of the runs of all blocks, in order."""
     return zip(*[run for block in blocks for run in block])
@@ -672,7 +440,7 @@ def _ascend_blocks(ev: _RunEvaluator, blocks, objective, feasible,
     which collapses them into one.  While block j moves, every other run
     is fixed, so a candidate costs one vector's entropies plus O(#runs)."""
     blocks = [list(block) for block in blocks]
-    full = _RunSchedule(ev, *_flat_runs(blocks))
+    full = _RunTable(ev, *_flat_runs(blocks))
     best = objective(full) if feasible(full) else -math.inf
     for _ in range(max_passes):
         improved = False
@@ -682,7 +450,7 @@ def _ascend_blocks(ev: _RunEvaluator, blocks, objective, feasible,
             runs.append((sum(L for L, _ in block), block[0][1]))
             runs += [run for b in blocks[j + 1:] for run in b]
             lengths, vectors = zip(*runs)
-            sched = _RunSchedule(ev, lengths, vectors, slot=slot)
+            sched = _RunTable(ev, lengths, vectors, slot=slot)
             x0 = np.log(np.maximum(block[0][1], 1e-12))
 
             def f(x):
@@ -823,7 +591,7 @@ def _packing_witness(ifs, alpha, lengths, eps, N_grid, best_rows, lam_hi):
     seq = WeightSequence(P=rows, alpha=alpha,
                          block_lengths=list(lengths))
     H = seq.H_array()
-    pre = np.cumsum(H, dtype=np.longdouble)
+    pre = np.cumsum(H)
     Ms = np.arange(1, horizon + 1)
     if windows:
         scan_ok = bool(np.all(pre >= -eps * Ms))
@@ -901,10 +669,12 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
     starts.append([(horizon, mm.argument)])
     for s in seeds:
         rows = s.p_rows() if hasattr(s, "p_rows") else np.asarray(s)
-        starts.append(_row_runs(_pad_rows(rows, horizon, pm)))
+        runs = PrefixTable(ifs, WeightSequence(P=_pad_rows(rows, horizon, pm),
+                                               alpha=alpha))
+        starts.append(list(zip(runs.L.astype(int).tolist(), runs.V)))
     best_blocks, bestv = None, -math.inf
     for runs in starts:
-        if not feasible(_RunSchedule(ev, *zip(*runs))):
+        if not feasible(_RunTable(ev, *zip(*runs))):
             continue
         blocks, v1 = _ascend_blocks(ev, _block_runs(runs, spans), objective,
                                     feasible, max_passes=max_passes)
@@ -917,7 +687,7 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
     eta = eps * eps
     block_lengths = [b - a for (a, b) in spans]
     vectors = [block[0][1] for block in best_blocks]
-    snapped = _RunSchedule(ev, block_lengths,
+    snapped = _RunTable(ev, block_lengths,
                            [_grid_project(v, eta) for v in vectors])
     grid_ok = snapped.admissible(burn, eps)
     grid_val = float(snapped.d_lower(N_grid).min()) if grid_ok else None

@@ -12,7 +12,7 @@ outside of tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import entr, xlogy
@@ -351,8 +351,6 @@ class NondegeneracyReport:
     verdict: str                 # "supercritical-at-horizon" | "degenerate-at-horizon"
     eps: float | None            # largest certified drift in the grid
     N_eps: int | None            # burn-in for that drift
-    H: np.ndarray = field(repr=False, default=None)
-    partial_means: np.ndarray = field(repr=False, default=None)
 
 
 def nondegeneracy_report(seq: WeightSequence, horizon: int | None = None,
@@ -367,10 +365,7 @@ def nondegeneracy_report(seq: WeightSequence, horizon: int | None = None,
     horizon = seq.horizon if horizon is None else int(horizon)
     if not (1 <= horizon <= seq.horizon):
         raise ValueError("horizon outside sequence length")
-    H = H[:horizon]
-    prefix = np.cumsum(H, dtype=np.longdouble)
-    Ns = np.arange(1, horizon + 1, dtype=np.float64)
-    means = (prefix / Ns).astype(np.float64)
+    means = np.cumsum(H[:horizon]) / np.arange(1, horizon + 1)
     if eps_grid is None:
         top = math.log(seq.n_letters)
         eps_grid = np.geomspace(1e-4, top, 48)
@@ -388,40 +383,4 @@ def nondegeneracy_report(seq: WeightSequence, horizon: int | None = None,
             break
     verdict = "supercritical-at-horizon" if means.min() > 0 else "degenerate-at-horizon"
     return NondegeneracyReport(horizon=horizon, min_partial_mean=float(means.min()),
-                               verdict=verdict, eps=eps, N_eps=N_eps,
-                               H=H, partial_means=means)
-
-
-@dataclass
-class MomentBound:
-    B: float
-    upper: float
-    N_tilde: int
-    horizon: int
-
-
-def moment_bound(H_prefix, N: int, q_prime: float, eps: float,
-                 n_letters: int, C: float = 1.0, c: float = 1.0) -> MomentBound:
-    """Two-sided L^{q'} moment bracket for the cascade mass (diagnostic).
-
-    H_prefix[n] = sum_{m<=n} H(W^{(m)}) with H_prefix[0] = 0.  Requires the
-    prefix to reach ceil(log(n_letters)/eps * N), the proven horizon for the
-    minimizing tail index.
-    """
-    if not (1.0 < q_prime <= 2.0):
-        raise ValueError("q' must lie in (1, 2]")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    H_prefix = np.asarray(H_prefix, dtype=np.float64)
-    need = int(math.ceil(math.log(n_letters) / eps * N))
-    horizon = H_prefix.size - 1
-    if horizon < need:
-        raise ValueError("prefix horizon %d too short, need %d" % (horizon, need))
-    seg = H_prefix[N:need + 1]
-    j = int(np.argmin(seg))
-    N_tilde = N + j
-    tail = float(seg[j] - H_prefix[N])
-    B = max(1.0, math.exp(-(q_prime - 1.0) * tail))
-    denom = (1.0 - math.exp(-(q_prime - 1.0) * eps / (4.0 * q_prime))) ** q_prime
-    upper = C * N ** q_prime * math.exp(c * N * (q_prime - 1.0) ** 2) / denom * B
-    return MomentBound(B=B, upper=upper, N_tilde=N_tilde, horizon=need)
+                               verdict=verdict, eps=eps, N_eps=N_eps)

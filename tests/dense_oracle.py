@@ -1,0 +1,121 @@
+"""Dense reference path for the run table: one row per generation.
+
+Compensated (Kahan) prefix sums of chi_k and H over every row, per-row band
+entropies for the profile, and argmin scans for the tail: the oracle that
+``spongedim.scales.PrefixTable`` and the engine functions built on it are
+checked against.  It costs O(horizon) Python work per table, so use it on
+small schedules only.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.special import entr
+
+from spongedim.ifs import build_projection_coding
+from spongedim.scales import (ScaleDecomposition, TailMin, clock_chain,
+                              kahan_cumsum)
+
+
+class DensePrefixTable:
+    """Kahan prefix sums of the per-generation exponents chi_k(p^{(n)})
+    and entropies H(W^{(n)})."""
+
+    def __init__(self, ifs, seq):
+        self.ifs = ifs
+        self.seq = seq
+        self.chi_prefix = kahan_cumsum(seq.p_rows() @ ifs.C)
+        self.H_prefix = kahan_cumsum(seq.H_array())[:, 0]
+        self.horizon = seq.horizon
+
+    def max_resolution(self) -> float:
+        return float(self.chi_prefix[-1].min())
+
+    def gamma(self, N: float, k: int) -> int:
+        """Smallest n with sum_{m<=n} chi_k(p^{(m)}) > N (strict)."""
+        col = self.chi_prefix[1:, k]
+        idx = int(np.searchsorted(col, N, side="right"))
+        if idx >= col.size:
+            raise ValueError("horizon %d exhausted before axis %d reaches "
+                             "resolution %g" % (self.horizon, k, N))
+        return idx + 1
+
+
+def decompose(ifs, seq, N: float, prefix: DensePrefixTable) -> ScaleDecomposition:
+    gam = np.array([prefix.gamma(N, k) for k in range(ifs.d)], dtype=np.intp)
+    groups, chain = clock_chain(gam)
+    g = [int(gam[grp[0]]) for grp in groups]
+    return ScaleDecomposition(N=float(N), s=len(groups), groups=groups,
+                              chain=chain, g=g, gammas=gam,
+                              coding=build_projection_coding(ifs, chain))
+
+
+def tail_min(prefix: DensePrefixTable, N: int, horizon: int | None = None) -> TailMin:
+    S = prefix.H_prefix
+    horizon = prefix.horizon if horizon is None else min(int(horizon), prefix.horizon)
+    if not (0 <= N <= horizon):
+        raise ValueError("need 0 <= N <= horizon")
+    seg = S[N:horizon + 1]
+    j = int(np.argmin(seg))
+    N_tilde = N + j
+    return TailMin(value=float(seg[j] - S[N]), horizon=horizon,
+                   horizon_limited=(N_tilde == horizon and horizon > N))
+
+
+def _band_entropies(seq, dec: ScaleDecomposition) -> np.ndarray:
+    """h(Pi_{r_n} p^{(n)}) for n = g_1+1 .. g_s (the coarse bands)."""
+    g = dec.g
+    out = np.empty(g[-1] - g[0])
+    P = seq.p_rows()
+    for r in range(2, dec.s + 1):
+        lo, hi = g[r - 2], g[r - 1]
+        proj = dec.coding.project_rows(P[lo:hi], r)
+        out[lo - g[0]:hi - g[0]] = entr(proj).sum(axis=1)
+    return out
+
+
+def profile_vector(seq, prefix: DensePrefixTable, dec: ScaleDecomposition):
+    """(ks, H_{N,k} for k = g_1..g_s)."""
+    g1, gs = dec.g[0], dec.g[-1]
+    band = _band_entropies(seq, dec)
+    suffix = np.zeros(band.size + 1)
+    if band.size:
+        suffix[:-1] = np.cumsum(band[::-1], dtype=np.longdouble)[::-1]
+    ks = np.arange(g1, gs + 1)
+    return ks, prefix.H_prefix[ks] + suffix
+
+
+def entropy_profile(seq, dec: ScaleDecomposition, k: int,
+                    prefix: DensePrefixTable) -> float:
+    """H_{N,k} for any 0 <= k <= g_s, summed row by row."""
+    total = prefix.H_prefix[k]
+    P = seq.p_rows()
+    for r in range(1, dec.s + 1):
+        lo = max(k, dec.g_of(r - 1))
+        hi = dec.g[r - 1]
+        if lo < hi:
+            total += float(entr(dec.coding.project_rows(P[lo:hi], r)).sum())
+    return float(total)
+
+
+class DenseSequences:
+    def __init__(self, N, d, d_tilde, tail, decomposition):
+        self.N, self.d, self.d_tilde = N, d, d_tilde
+        self.tail, self.decomposition = tail, decomposition
+
+
+def d_sequences(seq, ifs, N: float, prefix: DensePrefixTable | None = None,
+                tail_horizon: int | None = None) -> DenseSequences:
+    if prefix is None:
+        prefix = DensePrefixTable(ifs, seq)
+    dec = decompose(ifs, seq, N, prefix)
+    ks, Hk = profile_vector(seq, prefix, dec)
+    gs = dec.g[-1]
+    tail = tail_min(prefix, gs, horizon=tail_horizon)
+    tail_part = float(prefix.H_prefix[gs]) + tail.value
+    inner = float(Hk[:-1].min()) if Hk.size > 1 else math.inf
+    return DenseSequences(N=float(N), d=min(inner, tail_part) / N,
+                          d_tilde=float(Hk.min() / N), tail=tail,
+                          decomposition=dec)

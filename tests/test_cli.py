@@ -87,6 +87,15 @@ def test_parse_error_exits_two(workdir):
     r = run_cli("validate", "--ifs", "broken.json", "--out", "o",
                 cwd=workdir)
     assert r.returncode == 2
+    # resolutions must be finite and positive, a tail horizon at least 1
+    seq = ("--ifs", "ifs.json", "--sequence", "sequence.json")
+    for args in (("decompose", *seq, "--N", "nan"),
+                 ("decompose", *seq, "--N", "-3"),
+                 ("dim-imm", *seq, "--scales", "nan,100"),
+                 ("dim-imm", *seq, "--scales", "20,0"),
+                 ("dim-imm", *seq, "--horizon", "-5")):
+        r = run_cli(*args, "--out", "o", cwd=workdir)
+        assert r.returncode == 2, args
 
 
 def test_numeric_failure_exits_three(workdir):
@@ -97,6 +106,21 @@ def test_numeric_failure_exits_three(workdir):
     r = run_cli("dim-mm", "--ifs", "ifs.json", "--weights", "dead.json",
                 "--out", "o", cwd=workdir)
     assert r.returncode == 3
+    # a scale past the schedule's resolution
+    r = run_cli("dim-imm", "--ifs", "ifs.json", "--sequence", "sequence.json",
+                "--scales", "20,1e6", "--out", "o", cwd=workdir)
+    assert r.returncode == 3
+    # a 2x3 carpet whose x-projections overlap is not a good sponge
+    overlap = {"dimension": 2, "maps": [
+        {"a": [0.5, 1 / 3], "t": [0.0, 0.0]},
+        {"a": [0.5, 1 / 3], "t": [0.25, 1 / 3]},
+        {"a": [0.5, 1 / 3], "t": [0.5, 2 / 3]}]}
+    with open(workdir / "overlap.json", "w") as fh:
+        json.dump(overlap, fh)
+    for args in (("coding",), ("dim-attractor", "--alpha", "0.9")):
+        r = run_cli(*args, "--ifs", "overlap.json", "--out", "o", cwd=workdir)
+        assert r.returncode == 3, args
+        assert "Traceback" not in r.stderr
 
 
 def test_resource_cap_exits_four(workdir):

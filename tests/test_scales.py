@@ -35,8 +35,7 @@ def test_gamma_two_sided_inequality(seed):
     chi = seq.p_rows() @ ifs.C
     for _ in range(4):
         N = float(rng.uniform(5.0, 120.0))
-        for k in range(ifs.d):
-            g = table.gamma(N, k)
+        for k, g in enumerate(table.clocks([N])[0].astype(int)):
             pre = float(np.sum(chi[: g - 1, k]))
             assert pre <= N < pre + chi[g - 1, k]
 
@@ -44,8 +43,9 @@ def test_gamma_two_sided_inequality(seed):
 def test_gamma_monotone_in_N():
     ifs, seq, _ = random_instance(11)
     table = PrefixTable(ifs, seq)
+    G = table.clocks(np.linspace(2.0, 150.0, 60))
     for k in range(ifs.d):
-        gs = [table.gamma(N, k) for N in np.linspace(2.0, 150.0, 60)]
+        gs = list(G[:, k])
         assert all(a <= b for a, b in zip(gs, gs[1:]))
 
 

@@ -14,11 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
-from spongedim.engine import d_sequences
-from spongedim.scales import PrefixTable
-
-from spongedim.variational import (_RunEvaluator, _RunSchedule,
-                                   admissible_eps_bound,
+from spongedim.scales import _RunEvaluator, _RunTable
+from spongedim.variational import (admissible_eps_bound,
                                    dim_attractor_equal_linear,
                                    optimize_mandelbrot, optimize_packing,
                                    optimize_type_ell_hausdorff,
@@ -26,6 +23,7 @@ from spongedim.variational import (_RunEvaluator, _RunSchedule,
 from spongedim.weights import WeightSequence, validate_type_ell
 
 from conftest import carpet, type_ell_lengths
+from dense_oracle import DensePrefixTable, d_sequences
 
 
 LOG2, LOG3 = math.log(2.0), math.log(3.0)
@@ -172,7 +170,7 @@ def test_type_ell_hausdorff_search_small(mcmullen):
     assert res.argument.n_letters == 3
 
 
-# === run-schedule evaluator against the dense engine ===
+# === run table with a free slot against the dense oracle ===
 
 @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
 @settings(max_examples=60, deadline=None)
@@ -185,7 +183,7 @@ def test_run_evaluator_matches_dense_engine(mcmullen, sponge3d, seed,
     vectors = rng.dirichlet(np.full(ifs.n, rng.uniform(0.3, 3.0)), size=R)
     alpha = rng.uniform(0.6, 1.0, size=ifs.n) if percolated else None
     seq = WeightSequence.from_blocks(lengths, vectors, alpha=alpha)
-    prefix = PrefixTable(ifs, seq)
+    prefix = DensePrefixTable(ifs, seq)
     N = float(rng.uniform(0.05, 0.98) * prefix.max_resolution())
     # a dense clock sum within 1e-9 of N is a tie that rounding may break
     # either way, so those draws are skipped
@@ -193,12 +191,12 @@ def test_run_evaluator_matches_dense_engine(mcmullen, sponge3d, seed,
     ref = d_sequences(seq, ifs, N, prefix=prefix)
 
     ev = _RunEvaluator(ifs, alpha)
-    whole = _RunSchedule(ev, lengths, vectors)
+    whole = _RunTable(ev, lengths, vectors)
     # the same schedule with one run free, filled in as a candidate
     j = int(rng.integers(R))
     other = vectors.copy()
     other[j] = rng.dirichlet(np.ones(ifs.n))
-    moved = _RunSchedule(ev, lengths, other, slot=j)
+    moved = _RunTable(ev, lengths, other, slot=j)
     moved.set(vectors[j])
     for sched in (whole, moved):
         assert abs(sched.d_tilde([N])[0] - ref.d_tilde) < 1e-12
