@@ -59,6 +59,8 @@ def _floats(text):
         _fail(2, "expected comma-separated numbers, got %r" % text)
     if not vals:
         _fail(2, "empty numeric list %r" % text)
+    if not all(map(math.isfinite, vals)):
+        _fail(2, "expected finite numbers, got %r" % text)
     return np.array(vals)
 
 
@@ -69,7 +71,8 @@ def _resolution(N, what):
 
 
 def _scales(text):
-    """A comma-separated list of resolutions N, each finite and positive."""
+    """A comma-separated list of resolutions N, each positive, as a
+    schedule's clocks need (box counts take any N)."""
     vals = _floats(text)
     for N in vals:
         _resolution(float(N), "scale")
@@ -501,7 +504,7 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
             _fail(2, "either --tree or both --alpha and --depth are required")
         alpha = _alpha_arg(alpha_text, ifs.n)
         tree = _compute(lambda: sample_tree(ifs, alpha, depth, seed=seed))
-    N_list = _scales(scales)
+    N_list = _floats(scales)
     fit_window = None
     if window is not None:
         ij = _ints(window)
@@ -587,7 +590,7 @@ def cmd_local_dim(ifs_path, weights_path, depth, points, seed, scales, out,
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     model = _load(io.load_weights, weights_path, "weights")
-    N_list = None if scales is None else _scales(scales)
+    N_list = None if scales is None else _floats(scales)
     rep = _compute(lambda: empirical_local_dimension(
         ifs, model, depth, points, seed=seed, N_list=N_list))
     try:

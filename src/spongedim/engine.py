@@ -17,7 +17,7 @@ from scipy.special import entr
 
 from .ifs import DiagonalIFS, build_projection_coding
 from .scales import (PrefixTable, ScaleDecomposition, TailMin, _const_gamma,
-                     certified_tail_horizon, clock_chain, decompose)
+                     _decomposition, certified_tail_horizon, clock_chain)
 from .weights import (DegenerateError, WeightModel, WeightSequence, as_prob_vector,
                       entropy, nondegeneracy_report)
 
@@ -52,15 +52,6 @@ class DSequences:
     flags: list = field(default_factory=list)
 
 
-def _scan(prefix: PrefixTable, Ns: np.ndarray, tail_horizon: int | None):
-    """d_N and d~_N for every N of a grid, in one pass over the run table.
-    Returns (clocks, d, d_tilde, tail), the tail past g_s(N) as
-    (tail horizon, tail minima, horizon-limited flags)."""
-    T = prefix.horizon if tail_horizon is None else min(int(tail_horizon), prefix.horizon)
-    G, prof, (base, low, limited) = prefix._minima(Ns, T)
-    return G, np.minimum(prof, low) / Ns, prof / Ns, (T, low - base, limited)
-
-
 def d_sequences(seq: WeightSequence, ifs: DiagonalIFS, N: float,
                 prefix: PrefixTable | None = None,
                 tail_horizon: int | None = None) -> DSequences:
@@ -71,13 +62,12 @@ def d_sequences(seq: WeightSequence, ifs: DiagonalIFS, N: float,
     consists of the tail part alone."""
     if prefix is None:
         prefix = PrefixTable(ifs, seq)
-    _, d, dt, (T, value, limited) = _scan(prefix, np.array([N], dtype=np.float64),
-                                          tail_horizon)
+    G, dt, d, (T, value, limited) = prefix.scan(
+        [N], prefix.horizon if tail_horizon is None else tail_horizon)
     tail = TailMin(value=float(value[0]), horizon=T, horizon_limited=bool(limited[0]))
     flags = ["tail-horizon-limited"] if tail.horizon_limited else []
     return DSequences(N=float(N), d=float(d[0]), d_tilde=float(dt[0]), tail=tail,
-                      decomposition=decompose(ifs, seq, N, prefix=prefix),
-                      flags=flags)
+                      decomposition=_decomposition(ifs, N, G[0]), flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +188,8 @@ def dim_imm_bounds(seq: WeightSequence, ifs: DiagonalIFS,
     N_grid = np.asarray(N_grid, dtype=np.float64)
     if N_grid.max() > maxN:
         raise ValueError("N grid exceeds the horizon resolution %g" % maxN)
-    G, d, dt, (_, _, limited) = _scan(prefix, N_grid, tail_horizon)
+    G, dt, d, (_, _, limited) = prefix.scan(
+        N_grid, prefix.horizon if tail_horizon is None else tail_horizon)
     flags = []
     if tail_horizon is None and rep.eps is not None:
         # certified cover for every tail minimizer on the grid

@@ -134,8 +134,6 @@ def _range_min(F: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     also reduces the gaps between consecutive ranges, so the ranges are
     taken in order of their starts: the gaps then add up to at most len(F)
     and the work is the ranges' total length plus len(F)."""
-    if a.size == 1:
-        return np.array([F[a[0]:b[0]].min() if a[0] < b[0] else math.inf])
     if (a[1:] < a[:-1]).any():
         order = np.argsort(a, kind="stable")
         out = np.empty(a.size)
@@ -268,16 +266,20 @@ class _RunTable:
         off = x - self.E[j]
         return j, off, self.HP[j] + off * self.H[j]
 
-    def _minima(self, Ns, T: int | None = None):
-        """Per scale: the clocks and the profile minimum over k in
-        [g_1, g_s]; with a tail horizon T also the tail past g_s, as
-        (HP(g_s), smallest prefix sum of H over [g_s, T], whether T is its
-        only minimizer)."""
+    def scan(self, Ns, T: int | None = None):
+        """d~_N and, with a tail horizon T (cut at the table's horizon),
+        d_N for every N of a grid, in one pass.  Returns (clocks, d~, d,
+        tail): d~ is the profile minimum over k in [g_1, g_s] over N, d the
+        smaller of it and the tail minimum over N, and tail = (T, smallest
+        sum of H over the generations (g_s, N'] with g_s <= N' <= T,
+        whether T is its only minimizer); d and tail are None without T."""
+        Ns = np.asarray(Ns, dtype=np.float64)
         G = self.clocks(Ns)
         m = G.shape[0]
         prof = np.empty(m)
         tail = None
         if T is not None:
+            T = min(int(T), self.horizon)
             if T < self.horizon and G.max() > T:
                 raise ValueError("need 0 <= N <= horizon")
             tail = (np.empty(m), np.empty(m), np.empty(m, dtype=bool))
@@ -307,7 +309,10 @@ class _RunTable:
                 if i:
                     above = above + (Qg[:, 1] - Qg[:, 0])
             prof[rows] = best
-        return G, prof, tail
+        if tail is None:
+            return G, prof / Ns, None, None
+        base, low, limited = tail
+        return G, prof / Ns, np.minimum(prof, low) / Ns, (T, low - base, limited)
 
     def _tail(self, j, base, T: int):
         """Per start position x <= T in run j, with HP(x) = base: (the
@@ -337,15 +342,11 @@ class _RunTable:
 
     def d_tilde(self, Ns) -> np.ndarray:
         """min_k H_{N,k} / N over k in [g_1, g_s], per scale."""
-        Ns = np.asarray(Ns, dtype=np.float64)
-        _, prof, _ = self._minima(Ns)
-        return prof / Ns
+        return self.scan(Ns)[1]
 
     def d_lower(self, Ns) -> np.ndarray:
         """min(profile minimum, tail minimum) / N, per scale."""
-        Ns = np.asarray(Ns, dtype=np.float64)
-        _, prof, (_, low, _) = self._minima(Ns, self.horizon)
-        return np.minimum(prof, low) / Ns
+        return self.scan(Ns, self.horizon)[2]
 
     def admissible(self, M0: int, rate: float) -> bool:
         """sum_{n<=M} H >= rate*M for every M in [M0, horizon]."""
@@ -430,7 +431,12 @@ def decompose(ifs: DiagonalIFS, seq, N: float,
     most contractive direction (smallest clock, largest exponent)."""
     if prefix is None:
         prefix = PrefixTable(ifs, seq)
-    gam = prefix.clocks([N])[0].astype(np.intp)
+    return _decomposition(ifs, N, prefix.clocks([N])[0])
+
+
+def _decomposition(ifs: DiagonalIFS, N: float, clocks) -> ScaleDecomposition:
+    """The decomposition at resolution N with per-axis clocks ``clocks``."""
+    gam = np.asarray(clocks).astype(np.intp)
     groups, chain = clock_chain(gam)
     g = [int(gam[grp[0]]) for grp in groups]
     coding = build_projection_coding(ifs, chain)

@@ -87,13 +87,18 @@ def test_parse_error_exits_two(workdir):
     r = run_cli("validate", "--ifs", "broken.json", "--out", "o",
                 cwd=workdir)
     assert r.returncode == 2
-    # resolutions must be finite and positive, a tail horizon at least 1
+    # numbers must be finite, resolutions also positive, a tail horizon
+    # at least 1
     seq = ("--ifs", "ifs.json", "--sequence", "sequence.json")
     for args in (("decompose", *seq, "--N", "nan"),
                  ("decompose", *seq, "--N", "-3"),
                  ("dim-imm", *seq, "--scales", "nan,100"),
                  ("dim-imm", *seq, "--scales", "20,0"),
-                 ("dim-imm", *seq, "--horizon", "-5")):
+                 ("dim-imm", *seq, "--horizon", "-5"),
+                 ("boxcount", "--ifs", "ifs.json", "--alpha", "0.8",
+                  "--depth", "3", "--scales", "nan,2"),
+                 ("optimize-packing", "--ifs", "ifs.json", "--alpha", "1",
+                  "--lengths", "4,5,inf", "--eps", "0.1", "--scales", "20")):
         r = run_cli(*args, "--out", "o", cwd=workdir)
         assert r.returncode == 2, args
 
@@ -200,6 +205,12 @@ def test_boxcount_csv(workdir):
     for line in lines[1:]:
         N, count = line.split(",")
         float(N), int(count)
+    # box counts take any finite N: at N = 0 the grid is one box
+    r = run_cli("boxcount", "--ifs", "ifs.json", "--tree", "s/tree.json",
+                "--scales", "0,2", "--out", "b0", cwd=workdir)
+    assert r.returncode == 0
+    lines = (workdir / "b0" / "boxcount.csv").read_text().splitlines()
+    assert lines[1].split(",")[1] == "1"
 
 
 def test_cascade_csv(workdir):

@@ -170,6 +170,36 @@ def test_type_ell_hausdorff_search_small(mcmullen):
     assert res.argument.n_letters == 3
 
 
+# Nelder-Mead on the type-l objective, a minimum over scales and not
+# smooth, can take another path when the objective moves by a few ulps.
+# On the input below (the packing benchmark's type-l case), twenty runs
+# with the objective summed in another order or moved by up to 4 ulps
+# gave 1.2122651051 within 1e-9 nineteen times and 1.2132672093 once, so
+# the value reproduces to about 1e-3, and only upwards.
+TYPE_ELL_VALUE = 1.212265105082
+TYPE_ELL_TOL = 2e-3
+
+
+def test_type_ell_hausdorff_reproduces_to_stated_tolerance(mcmullen,
+                                                           monkeypatch):
+    d_lower = _RunTable.d_lower
+    values = []
+    for salt in range(3):
+        def noisy(self, Ns, salt=salt):
+            v = d_lower(self, Ns)
+            if not salt:
+                return v
+            # up to 4 ulps, pseudo-random in the bits of the value
+            u = ((v.view(np.int64) * (2654435761 + 2 * salt)) >> 7) % 9 - 4
+            return v * (1.0 + u * 2.0 ** -52)
+        monkeypatch.setattr(_RunTable, "d_lower", noisy)
+        res = optimize_type_ell_hausdorff(mcmullen, np.array([0.9, 0.85, 0.8]),
+                                          type_ell_lengths(50), eps=0.05)
+        values.append(res.value)
+    assert min(values) >= TYPE_ELL_VALUE - 1e-8
+    assert max(values) <= TYPE_ELL_VALUE + TYPE_ELL_TOL
+
+
 # === run table with a free slot against the dense oracle ===
 
 @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
