@@ -14,6 +14,7 @@ import numpy as np
 
 from .engine import PeriodicSpec
 from .ifs import DiagonalIFS, DiagonalMap
+from .rng import max_code_depth
 from .simulate import PercolationTree
 from .weights import WeightModel, WeightSequence
 
@@ -129,6 +130,8 @@ def weights_from_dict(obj) -> WeightModel:
         return WeightModel.percolation(obj["p"], obj["alpha"])
     if kind == "atoms":
         _require_keys(obj, {"type", "atoms"}, ctx="weights")
+        if not isinstance(obj["atoms"], list):
+            raise ValueError("weights: atoms must be a list")
         atoms = []
         for j, at in enumerate(obj["atoms"]):
             _require_keys(at, {"prob", "c", "w"}, ctx="weights.atoms[%d]" % j)
@@ -154,15 +157,25 @@ def load_weights(path: str) -> WeightModel:
     return weights_from_dict(load_json(path))
 
 
-_BLOCK_KEYS = {"len", "p"}
+_P_BLOCK, _ATOM_BLOCK = {"len", "p"}, {"len", "atoms"}
 
 
 def sequence_from_dict(obj) -> WeightSequence:
+    """Block schedule.  {"len", "p"} blocks hold mean vectors under an
+    optional shared survival vector alpha; a schedule with {"len", "atoms"}
+    blocks has one law per block (a mean vector block is then
+    deterministic) and no shared alpha."""
     _require_keys(obj, {"blocks"}, optional={"alpha"}, ctx="sequence")
     blocks = obj["blocks"]
+    if not isinstance(blocks, list):
+        raise ValueError("sequence: blocks must be a list")
+    has_atoms = False
     for j, b in enumerate(blocks):
-        if not isinstance(b, dict) or b.keys() != _BLOCK_KEYS:
-            _require_keys(b, _BLOCK_KEYS, ctx="sequence.blocks[%d]" % j)
+        if not isinstance(b, dict) or b.keys() != _P_BLOCK:
+            if not isinstance(b, dict) or b.keys() != _ATOM_BLOCK:
+                _require_keys(b, _ATOM_BLOCK if "atoms" in b else _P_BLOCK,
+                              ctx="sequence.blocks[%d]" % j)
+            has_atoms = True
     lengths = [b["len"] for b in blocks]
     for j, L in enumerate(lengths):
         # bool is an int subclass; a JSON true is not a length
@@ -171,22 +184,36 @@ def sequence_from_dict(obj) -> WeightSequence:
                              % (j, L))
         if L < 1:
             raise ValueError("sequence.blocks[%d]: len must be >= 1" % j)
-    vectors = [b["p"] for b in blocks]
-    return WeightSequence.from_blocks(lengths, vectors, alpha=obj.get("alpha"))
+    if not has_atoms:
+        return WeightSequence.from_blocks(lengths, [b["p"] for b in blocks],
+                                          alpha=obj.get("alpha"))
+    if "alpha" in obj:
+        raise ValueError("sequence: atom blocks carry their own survival; "
+                         "a shared alpha is not allowed with them")
+    models = [weights_from_dict({"type": "atoms", "atoms": b["atoms"]}) if "atoms" in b
+              else WeightModel.deterministic(b["p"]) for b in blocks]
+    if len({m.n_letters for m in models}) != 1:
+        raise ValueError("sequence: blocks differ in their number of letters")
+    return WeightSequence.from_models(models, lengths)
+
+
+def _block_dict(L: int, model: WeightModel) -> dict:
+    if model.kind == "deterministic":
+        return {"len": L, "p": [float(x) for x in model.p]}
+    if model.kind == "atoms":
+        return {"len": L, "atoms": weights_to_dict(model)["atoms"]}
+    raise ValueError("a percolation law inside a per-block schedule has no "
+                     "file form; write it as atoms")
 
 
 def sequence_to_dict(seq: WeightSequence) -> dict:
-    if seq.mode != "rows":
-        raise ValueError("only row-mode sequences have a file form")
-    if seq.block_lengths is not None:
-        lengths = [int(x) for x in seq.block_lengths]
-        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        rows = seq.P[starts]
-    else:
-        lengths = [1] * seq.horizon
-        rows = seq.P
-    out = {"blocks": [{"len": L, "p": [float(x) for x in row]}
-                      for L, row in zip(lengths, rows)]}
+    lengths = seq.block_lengths or [1] * seq.horizon
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.intp)
+    if seq.mode == "models":
+        return {"blocks": [_block_dict(int(L), seq.models[i])
+                           for L, i in zip(lengths, seq.model_idx[starts])]}
+    out = {"blocks": [{"len": int(L), "p": row}
+                      for L, row in zip(lengths, seq.P[starts].tolist())]}
     if seq.alpha is not None:
         out["alpha"] = [float(x) for x in seq.alpha]
     return out
@@ -238,12 +265,58 @@ def _encode_runs(codes: np.ndarray) -> list:
     return [[int(c[a]), int(b - a + 1)] for a, b in zip(starts, ends)]
 
 
-def _decode_runs(runs: list) -> np.ndarray:
+def _decode_level(runs, n: int, first: int, last: int):
+    """(codes, starts, ends) of one dumped level.  Its runs are [start,
+    length] integer pairs of consecutive codes, strictly increasing and
+    inside the level's heap range [first, last]."""
+    ctx = "tree.levels[%d]" % n
+    if not isinstance(runs, list):
+        raise ValueError("%s: expected a list of runs" % ctx)
     if not runs:
-        return np.empty(0, dtype=np.uint64)
-    parts = [np.arange(start, start + length, dtype=np.uint64)
-             for start, length in runs]
-    return np.concatenate(parts)
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    try:
+        arr = np.asarray(runs)
+    except ValueError:
+        arr = None
+    # huge or mixed integers come out as object or float arrays
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind != "i":
+        raise ValueError("%s: runs must be [start, length] pairs of integers "
+                         "below 2**63" % ctx)
+    starts, lengths = arr[:, 0], arr[:, 1]
+    if lengths.min() < 1:
+        raise ValueError("%s: run lengths must be positive" % ctx)
+    if starts.min() < first or starts.max() > last or np.any(lengths - 1 > last - starts):
+        raise ValueError("%s: codes outside the level's heap range [%d, %d]"
+                         % (ctx, first, last))
+    ends = starts + (lengths - 1)
+    if np.any(starts[1:] <= ends[:-1]):
+        raise ValueError("%s: codes are not strictly increasing" % ctx)
+    offsets = starts - (np.cumsum(lengths) - lengths)
+    codes = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(offsets, lengths)
+    return codes, starts, ends
+
+
+def _orphan_runs(starts, ends, above, arity: int) -> int:
+    """Runs holding a code whose parent (c - 1) // arity is missing from the
+    sorted level above.  A run's parents are consecutive integers, all
+    present exactly when the first and last sit that far apart there."""
+    p0, p1 = (starts - 1) // arity, (ends - 1) // arity
+    if above.size == 0:
+        return int(starts.size)
+    i = np.searchsorted(above, p0)
+    j = i + (p1 - p0)
+    ok = (j < above.size) & (above[np.minimum(i, above.size - 1)] == p0)
+    ok &= above[np.minimum(j, above.size - 1)] == p1
+    return int((~ok).sum())
+
+
+def _int_field(obj, key: str, least=None) -> int:
+    x = obj[key]
+    if not isinstance(x, int) or isinstance(x, bool) or (least is not None and x < least):
+        raise ValueError("tree: %s must be an integer%s, got %r"
+                         % (key, "" if least is None else " >= %d" % least, x))
+    return x
 
 
 def tree_to_dict(tree: PercolationTree, model_descriptor: dict) -> dict:
@@ -257,14 +330,34 @@ def tree_to_dict(tree: PercolationTree, model_descriptor: dict) -> dict:
 
 
 def tree_from_dict(obj) -> PercolationTree:
+    """A dumped tree, checked to be one: depth + 1 levels, each strictly
+    increasing, inside its heap range, and with every code's parent one
+    level up."""
     _require_keys(obj, {"schema", "seed", "depth", "arity", "model_hash",
                         "counts", "levels"}, ctx="tree")
     if obj["schema"] != "spongedim.tree.v1":
         raise ValueError("tree: unsupported schema %r" % obj["schema"])
-    levels = [_decode_runs(r) for r in obj["levels"]]
-    tree = PercolationTree(arity=int(obj["arity"]), depth=int(obj["depth"]),
-                           seed=int(obj["seed"]), levels=levels)
-    if [int(x) for x in obj["counts"]] != [int(x) for x in tree.counts]:
+    arity = _int_field(obj, "arity", 1)
+    depth = _int_field(obj, "depth", 0)
+    seed = _int_field(obj, "seed")
+    if depth > max_code_depth(arity):
+        raise ValueError("tree: depth %d is past the %d levels that heap codes "
+                         "of arity %d hold" % (depth, max_code_depth(arity), arity))
+    if not isinstance(obj["levels"], list) or len(obj["levels"]) != depth + 1:
+        raise ValueError("tree: expected depth + 1 = %d levels" % (depth + 1))
+    levels, first, last = [], 1, 1
+    for n, runs in enumerate(obj["levels"]):
+        codes, starts, ends = _decode_level(runs, n, first, last)
+        if n > 0:
+            lost = _orphan_runs(starts, ends, levels[-1], arity)
+            if lost:
+                raise ValueError("tree.levels[%d]: %d runs hold codes without a "
+                                 "parent one level up" % (n, lost))
+        levels.append(codes)
+        first, last = first * arity + 1, last * arity + arity
+    tree = PercolationTree(arity=arity, depth=depth, seed=seed,
+                           levels=[c.astype(np.uint64) for c in levels])
+    if obj["counts"] != tree.counts.tolist():
         raise ValueError("tree: counts do not match level data")
     return tree
 

@@ -120,10 +120,6 @@ class PercolationTree:
     def counts(self) -> np.ndarray:
         return np.array([lvl.size for lvl in self.levels], dtype=np.int64)
 
-    def words(self, level: int) -> np.ndarray:
-        """Digit matrix (count, level) of the surviving level-``level`` cells."""
-        return codes_to_words(self.levels[level], level, self.arity)
-
     def survived(self) -> bool:
         return self.levels[-1].size > 0
 
@@ -192,16 +188,25 @@ def sample_tree_conditioned(ifs_or_arity, alpha, depth: int, seed: int = 0,
 
 
 def tree_rects(tree: PercolationTree, ifs: DiagonalIFS, level: int):
-    """(corner, side) arrays of the surviving level cells."""
-    digits = tree.words(level)
-    m = digits.shape[0]
-    lo = np.zeros((m, ifs.d))
-    scale = np.ones((m, ifs.d))
-    for pos in range(level):
-        dig = digits[:, pos]
-        lo += scale * ifs.T[dig]
-        scale *= ifs.A[dig]
-    return lo, scale
+    """(corner, side) arrays of the surviving level cells, in code order and
+    with each axis contiguous.
+
+    Each level is gathered from the one above: levels are sorted, and the
+    parent of code c is (c - 1) // arity.  The float operations are those
+    of composing the maps digit by digit, in the same order."""
+    d = ifs.d
+    lo = [np.zeros(1) for _ in range(d)]
+    scale = [np.ones(1) for _ in range(d)]
+    one, base = np.uint64(1), np.uint64(tree.arity)
+    for n in range(1, level + 1):
+        rest = tree.levels[n] - one
+        idx = np.searchsorted(tree.levels[n - 1], rest // base)
+        letter = (rest % base).astype(np.intp)
+        for t in range(d):
+            s = scale[t][idx]
+            lo[t] = lo[t][idx] + s * ifs.T[letter, t]
+            scale[t] = s * ifs.A[letter, t]
+    return np.vstack(lo).T, np.vstack(scale).T
 
 
 # ---------------------------------------------------------------------------
@@ -337,58 +342,121 @@ def box_count(source, ifs: DiagonalIFS, N_list, guard: int = MEMORY_GUARD) -> np
     return np.array(counts, dtype=np.int64)
 
 
+# grid indices, spans and packed keys stay below this, so int64 never wraps
+_INT_LIMIT = 2 ** 62
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """Distinct values of an int64 array, by sorting (np.unique hashes
+    integers, which is several times slower at these sizes)."""
+    keys = np.sort(keys)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _grid_ranges(lo: np.ndarray, size: np.ndarray, k: float):
+    """Per axis, the first index and the number of indices (at least one)
+    of the grid boxes of side 1/k that each half-open rectangle meets.
+    Sides are nonnegative."""
+    eps = 1e-12
+    first, spans = [], []
+    for t in range(lo.shape[1]):
+        a = lo[:, t] * k
+        a += eps
+        b = lo[:, t] + size[:, t]
+        b *= k
+        b -= eps
+        # written so that NaN fails it too; b >= a up to 2 eps
+        if not (a.min() > -_INT_LIMIT and b.max() < _INT_LIMIT):
+            raise ResourceCapError("grid indices at k = %.6g do not fit in "
+                                   "int64" % k)
+        i = np.floor(a, out=a).astype(np.int64)
+        n = np.ceil(b, out=b).astype(np.int64)
+        n -= i
+        first.append(i)
+        spans.append(np.maximum(n, 1, out=n))
+    return first, spans
+
+
+def _distinct_rows(cols: list) -> list:
+    """Distinct rows of equal-length int64 columns, as columns.  Rows are
+    packed into mixed-radix int64 keys; when those would not fit, the
+    columns come back as they are."""
+    low = [int(c.min()) for c in cols]
+    radix = [int(c.max()) - m + 1 for c, m in zip(cols, low)]
+    if math.prod(radix) >= _INT_LIMIT:
+        return cols
+    key = cols[0] - low[0]
+    for c, m, r in zip(cols[1:], low[1:], radix[1:]):
+        key *= r
+        key += c
+        key -= m
+    key = _sorted_distinct(key)
+    out = []
+    for m, r in zip(low[:0:-1], radix[:0:-1]):
+        key, digit = np.divmod(key, r)
+        out.append(digit + m)
+    out.append(key + low[0])
+    return out[::-1]
+
+
 def _raster_count(lo: np.ndarray, size: np.ndarray, k: float, guard: int) -> int:
-    """Distinct grid boxes of side 1/k meeting the half-open rectangles."""
+    """Distinct grid boxes of side 1/k meeting the half-open rectangles.
+
+    The boxes a rectangle meets depend only on its index ranges, so equal
+    ranges are merged before their boxes are enumerated.  The guard bounds
+    the boxes of all rectangles, counted before that merge."""
     if lo.size == 0:
         return 0
-    eps = 1e-12
-    i_lo = np.floor(lo * k + eps).astype(np.int64)
-    i_hi = np.ceil((lo + size) * k - eps).astype(np.int64) - 1
-    i_hi = np.maximum(i_hi, i_lo)
-    spans = i_hi - i_lo + 1
-    per_rect = spans.prod(axis=1)
-    total = int(per_rect.sum())
+    d = lo.shape[1]
+    first, spans = _grid_ranges(lo, size, k)
+    # in float64, which cannot wrap, and exact while the total is below 2**53
+    boxes = spans[0].astype(np.float64)
+    for n in spans[1:]:
+        boxes *= n
+    total = float(boxes.sum())
     if total > guard:
         raise ResourceCapError("rasterizing %d boxes exceeds guard %d"
                                % (total, guard))
-    kk = int(math.ceil(k)) + 2
-    d = lo.shape[1]
+    rows = _distinct_rows(first + spans)
+    first, spans = rows[:d], rows[d:]
+
+    # boxes get mixed-radix keys over the extent of the met boxes
+    low = [int(i.min()) for i in first]
+    radix = [int((i + n).max()) - m for i, n, m in zip(first, spans, low)]
+    if math.prod(radix) >= _INT_LIMIT:
+        raise ResourceCapError("box keys at k = %.6g do not fit in int64" % k)
+    strides = [math.prod(radix[t + 1:]) for t in range(d)]
+    base = sum((i - m) * st for i, m, st in zip(first, low, strides))
     chunks, pending = [], 0
 
-    def _compact():
+    def _add(keys):
         nonlocal chunks, pending
-        chunks = [np.unique(np.concatenate(chunks))]
-        pending = chunks[0].size
+        chunks.append(keys)
+        pending += keys.size
+        if pending > 1 << 24:
+            chunks = [_sorted_distinct(np.concatenate(chunks))]
+            pending = chunks[0].size
 
-    # rects spanning few boxes are enumerated by offset, vectorized over rects
-    small = per_rect <= 64
+    # ranges of few boxes are enumerated by offset, vectorized over ranges
+    per_range = math.prod(spans)
+    small = per_range <= 64
     if small.any():
-        lo_s, sp_s = i_lo[small], spans[small]
-        for off in itertools.product(*(range(int(m)) for m in sp_s.max(axis=0))):
-            off = np.array(off, dtype=np.int64)
-            mask = np.all(off[None, :] < sp_s, axis=1)
-            if not mask.any():
-                continue
-            pts = lo_s[mask] + off[None, :]
-            flat = pts[:, 0].copy()
-            for t in range(1, d):
-                flat = flat * kk + pts[:, t]
-            chunks.append(flat)
-            pending += flat.size
-            if pending > 1 << 24:
-                _compact()
-    # rects spanning many boxes get an explicit grid each (these are few
+        base_s, sp_s = base[small], [n[small] for n in spans]
+        for off in itertools.product(*(range(int(n.max())) for n in sp_s)):
+            mask = np.logical_and.reduce([n > o for n, o in zip(sp_s, off)])
+            if mask.any():
+                _add(base_s[mask] + sum(o * st for o, st in zip(off, strides)))
+    # ranges of many boxes get an explicit grid each (these are few
     # relative to their box count, which the guard already bounds)
     for r in np.nonzero(~small)[0]:
-        ranges = [np.arange(i_lo[r, t], i_hi[r, t] + 1) for t in range(d)]
-        flat = ranges[0].copy()
-        for t in range(1, d):
-            flat = (flat[:, None] * kk + ranges[t][None, :]).ravel()
-        chunks.append(flat)
-        pending += flat.size
-        if pending > 1 << 24:
-            _compact()
-    return int(np.unique(np.concatenate(chunks)).size)
+        flat = base[r:r + 1]
+        for n, st in zip(spans, strides):
+            flat = (flat[:, None] + np.arange(n[r]) * st).ravel()
+        _add(flat)
+    return int(_sorted_distinct(np.concatenate(chunks)).size)
 
 
 def box_count_fit(source, ifs: DiagonalIFS, N_list, fit_window=None,

@@ -1,10 +1,13 @@
-"""Dense reference path for the run table: one row per generation.
+"""Dense reference paths: one row per generation, one digit per letter.
 
 Compensated (Kahan) prefix sums of chi_k and H over every row, per-row band
 entropies for the profile, and argmin scans for the tail: the oracle that
 ``spongedim.scales.PrefixTable`` and the engine functions built on it are
 checked against.  It costs O(horizon) Python work per table, so use it on
 small schedules only.
+
+``tree_rects`` composes the maps along each cell's digit word, the oracle
+for the level gather of ``spongedim.simulate.tree_rects``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from scipy.special import entr
 from spongedim.ifs import build_projection_coding
 from spongedim.scales import (ScaleDecomposition, TailMin, clock_chain,
                               kahan_cumsum)
+from spongedim.simulate import codes_to_words
 
 
 class DensePrefixTable:
@@ -119,3 +123,17 @@ def d_sequences(seq, ifs, N: float, prefix: DensePrefixTable | None = None,
     return DenseSequences(N=float(N), d=min(inner, tail_part) / N,
                           d_tilde=float(Hk.min() / N), tail=tail,
                           decomposition=dec)
+
+
+def tree_rects(tree, ifs, level: int):
+    """(corner, side) arrays of the surviving level cells, composing the
+    maps digit by digit along each cell's word."""
+    digits = codes_to_words(tree.levels[level], level, tree.arity)
+    m = digits.shape[0]
+    lo = np.zeros((m, ifs.d))
+    scale = np.ones((m, ifs.d))
+    for pos in range(level):
+        dig = digits[:, pos]
+        lo += scale * ifs.T[dig]
+        scale *= ifs.A[dig]
+    return lo, scale

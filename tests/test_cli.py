@@ -5,14 +5,22 @@ Each run must leave a manifest plus versioned JSON results; rerun must
 reproduce the artifacts byte for byte.
 """
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import spongedim
+from spongedim import io
+from spongedim.engine import d_sequences, three_weight_gap_sequence
+from spongedim.simulate import sample_cascade
+
+from conftest import carpet
 
 # Absolute path of the source tree the tests import, so the child process
 # runs the same code from any working directory.
@@ -211,6 +219,71 @@ def test_boxcount_csv(workdir):
     assert r.returncode == 0
     lines = (workdir / "b0" / "boxcount.csv").read_text().splitlines()
     assert lines[1].split(",")[1] == "1"
+
+
+def test_boxcount_past_int64_exits_four(workdir):
+    # at N = 40 the box total passes 2**63; at N = 50 the indices do
+    for N in ("40", "50"):
+        r = run_cli("boxcount", "--ifs", "ifs.json", "--alpha", "1",
+                    "--depth", "3", "--scales", N, "--out", "o", cwd=workdir)
+        assert r.returncode == 4, (N, r.stderr)
+        assert "Traceback" not in r.stderr
+
+
+def test_malformed_tree_dump_exits_two(workdir):
+    r = run_cli("simulate", "--ifs", "ifs.json", "--alpha", "1",
+                "--depth", "2", "--seed", "0", "--out", "s", cwd=workdir)
+    assert r.returncode == 0
+    good = read_json(workdir / "s" / "tree.json")
+    assert good["levels"] == [[[1, 1]], [[4, 3]], [[13, 9]]]
+    cases = {
+        "orphans": (1, [[4, 1]]),
+        "duplicates": (1, [[4, 1], [4, 1]]),
+        "decreasing": (1, [[5, 2], [4, 1]]),
+        "outside heap range": (2, [[13, 9], [40, 1]]),
+        "negative start": (1, [[-1, 1]]),
+        "start past 2**64": (1, [[2 ** 64, 1]]),
+    }
+    for name, (level, runs) in cases.items():
+        doc = copy.deepcopy(good)
+        doc["levels"][level] = runs
+        doc["counts"][level] = sum(length for _, length in runs)
+        path = "bad-%s.json" % name.replace(" ", "-")
+        with open(workdir / path, "w") as fh:
+            json.dump(doc, fh)
+        r = run_cli("boxcount", "--ifs", "ifs.json", "--tree", path,
+                    "--scales", "2", "--out", "b", cwd=workdir)
+        assert r.returncode == 2, (name, r.stderr)
+        assert "tree" in r.stderr and "Traceback" not in r.stderr, name
+
+
+def test_atom_block_schedule_from_file(workdir):
+    # criterion 5's three-weight gap schedule, written as atom blocks
+    ifs = carpet((1 / 3, 1 / 2), [(0, 0), (2 / 3, 0), (1 / 3, 1 / 2)])
+    sched = three_weight_gap_sequence(ifs, np.array((0.4, 0.35, 0.25)),
+                                      H1=0.82, H3=-0.85, horizon=3000)
+    doc = io.sequence_to_dict(sched.seq)
+    assert any("atoms" in b for b in doc["blocks"]) and "alpha" not in doc
+    with open(workdir / "gap.json", "w") as fh:
+        json.dump(doc, fh)
+    rnd = sched.rounds[1]
+    N = [rnd["M2"] * math.log(2.0) * f for f in (0.8, 0.95, 1.05)]
+    r = run_cli("dim-imm", "--ifs", "ifs.json", "--sequence", "gap.json",
+                "--scales", ",".join(repr(x) for x in N), "--out", "d",
+                cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    rows = (workdir / "d" / "dim-imm.csv").read_text().splitlines()[1:]
+    for N_j, row in zip(N, rows):
+        want = d_sequences(sched.seq, ifs, N_j)
+        _, d, d_tilde = (float(x) for x in row.split(","))
+        assert (d, d_tilde) == (want.d, want.d_tilde)
+    assert any(float(row.split(",")[1]) < float(row.split(",")[2]) - 1e-3
+               for row in rows)
+    r = run_cli("cascade", "--sequence", "gap.json", "--depth", "6",
+                "--seed", "3", "--out", "c", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    Y = read_json(workdir / "c" / "cascade.json")["Y"]
+    assert Y == sample_cascade(sched.seq, 6, seed=3).Y.tolist()
 
 
 def test_cascade_csv(workdir):

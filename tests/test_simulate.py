@@ -2,10 +2,12 @@
 box counts and the empirical local dimension.
 
 The extinction probability is pinned against an independent root finder,
-tree sampling against determinism and prefix-stability properties, and
-the cascade against its exact mass recursion.
+tree sampling against determinism and prefix-stability properties, the
+cascade against its exact mass recursion, tree rectangles against the
+digit-word composition, and box counts against a set of enumerated boxes.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import dense_oracle
 from spongedim import io
 from spongedim.simulate import (PercolationTree, ResourceCapError,
+                                _raster_count,
                                 box_count, box_count_fit, codes_to_words,
                                 empirical_local_dimension, gw_extinction,
                                 gw_survival_frequency,
@@ -25,6 +29,17 @@ from spongedim.simulate import (PercolationTree, ResourceCapError,
 from spongedim.weights import WeightModel, WeightSequence
 
 from conftest import carpet
+
+SYSTEMS = {
+    "3x2": carpet((1 / 3, 1 / 2), [(0, 0), (2 / 3, 0), (1 / 3, 1 / 2)]),
+    "3x3": carpet((1 / 3, 1 / 3), [(i / 3, j / 3) for j in range(3)
+                                   for i in range(3) if (i, j) != (1, 1)]),
+    "4x2": carpet((1 / 4, 1 / 2), [(0, 0), (1 / 4, 0), (1 / 2, 1 / 2),
+                                   (3 / 4, 1 / 2)]),
+    "4x3x2": carpet((1 / 4, 1 / 3, 1 / 2), [(0, 0, 0), (1 / 4, 1 / 3, 0),
+                                            (1 / 2, 2 / 3, 1 / 2),
+                                            (3 / 4, 0, 1 / 2)]),
+}
 
 
 # === branching survival ===
@@ -122,6 +137,20 @@ def test_tree_rects_nested(mcmullen):
         assert inside.any()
 
 
+@given(st.sampled_from(sorted(SYSTEMS)), st.floats(0.55, 1.0),
+       st.integers(0, 7), st.integers(0, 2 ** 31), st.data())
+@settings(max_examples=60, deadline=None)
+def test_tree_rects_gather_matches_word_oracle(name, alpha, depth, seed, data):
+    ifs = SYSTEMS[name]
+    tree = sample_tree(ifs, np.full(ifs.n, alpha), depth=depth, seed=seed)
+    level = data.draw(st.integers(0, depth))
+    lo, size = tree_rects(tree, ifs, level)
+    want_lo, want_size = dense_oracle.tree_rects(tree, ifs, level)
+    assert lo.shape == want_lo.shape == (tree.counts[level], ifs.d)
+    # bitwise: the same float operations in the same order
+    assert np.array_equal(lo, want_lo) and np.array_equal(size, want_size)
+
+
 def test_resource_cap_raises(mcmullen):
     with pytest.raises(ResourceCapError):
         sample_tree(mcmullen, np.ones(3), depth=30, seed=0, guard=10 ** 5)
@@ -216,6 +245,78 @@ def test_percolation_box_count_monotone(mcmullen):
     N_list = [math.log(2.0 ** j) for j in (2, 3, 4, 5)]
     counts = box_count(tree, mcmullen, N_list)
     assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+def _boxes_met(lo, size, k):
+    """The set of grid boxes of side 1/k that the half-open rectangles meet,
+    one rectangle and one box at a time."""
+    eps = 1e-12
+    boxes = set()
+    for corner, side in zip(lo.tolist(), size.tolist()):
+        ranges = []
+        for x, w in zip(corner, side):
+            first = math.floor(x * k + eps)
+            stop = max(math.ceil((x + w) * k - eps), first + 1)
+            ranges.append(range(first, stop))
+        boxes.update(itertools.product(*ranges))
+    return boxes
+
+
+def _rectangles(d):
+    corner = st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)
+    side = st.lists(st.floats(0.0, 0.4), min_size=d, max_size=d)
+    return st.lists(st.tuples(corner, side), min_size=1, max_size=12)
+
+
+@given(st.integers(2, 3).flatmap(_rectangles), st.floats(1.5, 40.0))
+@settings(max_examples=150, deadline=None)
+def test_raster_count_matches_enumerated_boxes(rects, k):
+    if k == round(k):
+        k += 0.37
+    lo = np.array([c for c, _ in rects])
+    size = np.array([w for _, w in rects])
+    assert _raster_count(lo, size, k, 10 ** 8) == len(_boxes_met(lo, size, k))
+
+
+@given(st.integers(2, 3).flatmap(_rectangles), st.floats(1.5, 40.0))
+@settings(max_examples=60, deadline=None)
+def test_raster_guard_counts_every_rectangle(rects, k):
+    # the guard bounds the boxes of all rectangles, duplicates included,
+    # exactly as the int64 span products sum them
+    lo = np.array([c for c, _ in rects])
+    size = np.array([w for _, w in rects])
+    eps = 1e-12
+    i_lo = np.floor(lo * k + eps).astype(np.int64)
+    i_hi = np.maximum(np.ceil((lo + size) * k - eps).astype(np.int64) - 1, i_lo)
+    total = int((i_hi - i_lo + 1).prod(axis=1).sum())
+    assert _raster_count(lo, size, k, total) >= 1
+    with pytest.raises(ResourceCapError):
+        _raster_count(lo, size, k, total - 1)
+
+
+def test_raster_count_box_keys_do_not_collide():
+    # at k = 2**50, keys x * (k + 2) + y of these two boxes agree mod 2**64
+    k = 2.0 ** 50
+    lo = np.array([[1000.25, 40000.25], [17384.25, 7232.25]]) / k
+    size = np.full((2, 2), 0.5 / k)
+    assert _raster_count(lo, size, k, 10 ** 8) == 2
+
+
+def test_raster_count_refuses_what_int64_cannot_hold():
+    # box indices past 2**62
+    with pytest.raises(ResourceCapError):
+        _raster_count(np.array([[0.5, 0.5]]), np.array([[1e-30, 1e-30]]),
+                      math.exp(50.0), 10 ** 8)
+    # indices that fit, spread too wide for a mixed-radix box key
+    k = 2.0 ** 40
+    lo = np.array([[0.0, 0.0, 0.0], [0.75, 0.75, 0.75]])
+    size = np.full((2, 3), 0.5 / k)
+    with pytest.raises(ResourceCapError):
+        _raster_count(lo, size, k, 10 ** 8)
+    # a box total past int64 is compared with the guard, not wrapped
+    with pytest.raises(ResourceCapError):
+        _raster_count(np.zeros((27, 2)), np.full((27, 2), 0.5),
+                      math.exp(40.0), 10 ** 8)
 
 
 # === localized frequencies and local dimension ===
