@@ -346,54 +346,56 @@ def box_count(source, ifs: DiagonalIFS, N_list, guard: int = MEMORY_GUARD) -> np
 _INT_LIMIT = 2 ** 62
 
 
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """Distinct values of an int64 array, by sorting (np.unique hashes
-    integers, which is several times slower at these sizes)."""
-    keys = np.sort(keys)
+def _drop_repeats(keys: np.ndarray) -> np.ndarray:
+    """keys without the entries equal to their predecessor."""
     keep = np.empty(keys.size, dtype=bool)
     keep[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
 
 
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """Distinct values of a numeric array, by sorting (np.unique hashes
+    integers, which is several times slower at these sizes)."""
+    return _drop_repeats(np.sort(keys))
+
+
 def _grid_ranges(lo: np.ndarray, size: np.ndarray, k: float):
     """Per axis, the first index and the number of indices (at least one)
-    of the grid boxes of side 1/k that each half-open rectangle meets.
-    Sides are nonnegative."""
+    of the grid boxes of side 1/k that each half-open rectangle meets, as
+    integer-valued float64 arrays.  Sides are nonnegative."""
     eps = 1e-12
     first, spans = [], []
     for t in range(lo.shape[1]):
-        a = lo[:, t] * k
-        a += eps
-        b = lo[:, t] + size[:, t]
-        b *= k
-        b -= eps
-        # written so that NaN fails it too; b >= a up to 2 eps
-        if not (a.min() > -_INT_LIMIT and b.max() < _INT_LIMIT):
-            raise ResourceCapError("grid indices at k = %.6g do not fit in "
-                                   "int64" % k)
-        i = np.floor(a, out=a).astype(np.int64)
-        n = np.ceil(b, out=b).astype(np.int64)
+        i = lo[:, t] * k
+        i += eps
+        np.floor(i, out=i)
+        n = lo[:, t] + size[:, t]
+        n *= k
+        n -= eps
+        np.ceil(n, out=n)
+        # exact: the difference of two integers is rounded only when it
+        # is past 2**53, and then the guard refuses it anyway
         n -= i
         first.append(i)
-        spans.append(np.maximum(n, 1, out=n))
+        spans.append(np.maximum(n, 1.0, out=n))
     return first, spans
 
 
 def _distinct_rows(cols: list) -> list:
-    """Distinct rows of equal-length int64 columns, as columns.  Rows are
-    packed into mixed-radix int64 keys; when those would not fit, the
-    columns come back as they are."""
+    """Distinct rows of equal-length integer-valued float64 columns, as
+    int64 columns.  Rows are packed into mixed-radix keys, exact in
+    float64; when those would pass 2**53 every row is kept."""
     low = [int(c.min()) for c in cols]
     radix = [int(c.max()) - m + 1 for c, m in zip(cols, low)]
-    if math.prod(radix) >= _INT_LIMIT:
-        return cols
+    if math.prod(radix) > 2 ** 53:
+        return [c.astype(np.int64) for c in cols]
     key = cols[0] - low[0]
     for c, m, r in zip(cols[1:], low[1:], radix[1:]):
         key *= r
-        key += c
-        key -= m
-    key = _sorted_distinct(key)
+        key += c - m
+    # neighbouring cells of a tree often share ranges: drop those first
+    key = _sorted_distinct(_drop_repeats(key)).astype(np.int64)
     out = []
     for m, r in zip(low[:0:-1], radix[:0:-1]):
         key, digit = np.divmod(key, r)
@@ -412,10 +414,12 @@ def _raster_count(lo: np.ndarray, size: np.ndarray, k: float, guard: int) -> int
         return 0
     d = lo.shape[1]
     first, spans = _grid_ranges(lo, size, k)
-    # in float64, which cannot wrap, and exact while the total is below 2**53
-    boxes = spans[0].astype(np.float64)
-    for n in spans[1:]:
-        boxes *= n
+    # written so that NaN fails it too
+    if not all(i.min() > -_INT_LIMIT and i.max() + n.max() < _INT_LIMIT
+               for i, n in zip(first, spans)):
+        raise ResourceCapError("grid indices at k = %.6g do not fit in int64" % k)
+    # exact while the total is below 2**53, and it cannot wrap
+    boxes = math.prod(spans)
     total = float(boxes.sum())
     if total > guard:
         raise ResourceCapError("rasterizing %d boxes exceeds guard %d"

@@ -236,15 +236,16 @@ def test_malformed_tree_dump_exits_two(workdir):
     assert r.returncode == 0
     good = read_json(workdir / "s" / "tree.json")
     assert good["levels"] == [[[1, 1]], [[4, 3]], [[13, 9]]]
+    # (level, its runs, what the message names)
     cases = {
-        "orphans": (1, [[4, 1]]),
-        "duplicates": (1, [[4, 1], [4, 1]]),
-        "decreasing": (1, [[5, 2], [4, 1]]),
-        "outside heap range": (2, [[13, 9], [40, 1]]),
-        "negative start": (1, [[-1, 1]]),
-        "start past 2**64": (1, [[2 ** 64, 1]]),
+        "orphans": (1, [[4, 1]], "parent"),
+        "duplicates": (2, [[13, 9], [21, 1]], "strictly increasing"),
+        "decreasing": (2, [[16, 6], [13, 3]], "strictly increasing"),
+        "outside heap range": (2, [[13, 9], [40, 1]], "heap range"),
+        "negative start": (1, [[-1, 1]], "heap range"),
+        "start past 2**64": (1, [[2 ** 64, 1]], "integers"),
     }
-    for name, (level, runs) in cases.items():
+    for name, (level, runs, why) in cases.items():
         doc = copy.deepcopy(good)
         doc["levels"][level] = runs
         doc["counts"][level] = sum(length for _, length in runs)
@@ -254,7 +255,7 @@ def test_malformed_tree_dump_exits_two(workdir):
         r = run_cli("boxcount", "--ifs", "ifs.json", "--tree", path,
                     "--scales", "2", "--out", "b", cwd=workdir)
         assert r.returncode == 2, (name, r.stderr)
-        assert "tree" in r.stderr and "Traceback" not in r.stderr, name
+        assert why in r.stderr and "Traceback" not in r.stderr, (name, r.stderr)
 
 
 def test_atom_block_schedule_from_file(workdir):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spongedim import io
+from spongedim.engine import three_weight_gap_sequence
 from spongedim.simulate import sample_tree
 from spongedim.weights import WeightModel, WeightSequence
 
@@ -87,6 +88,26 @@ def test_sequence_roundtrip():
     assert np.array_equal(back.p_rows(), seq.p_rows())
     assert np.array_equal(back.alpha, seq.alpha)
     assert back.block_lengths == seq.block_lengths
+
+
+def test_atom_block_sequence_roundtrip(mcmullen):
+    sched = three_weight_gap_sequence(mcmullen, np.array((0.4, 0.35, 0.25)),
+                                      H1=0.82, H3=-0.85, horizon=2000)
+    seq = sched.seq
+    doc = io.sequence_to_dict(seq)
+    text = io.canonical_json(doc)
+    back = io.sequence_from_dict(io.strict_loads(text))
+    assert back.mode == "models"
+    assert back.block_lengths == seq.block_lengths
+    assert np.array_equal(back.p_rows(), seq.p_rows())
+    assert np.array_equal(back.H_array(), seq.H_array())
+    assert io.canonical_json(io.sequence_to_dict(back)) == text
+    # atom blocks bring their own survival: no shared alpha beside them
+    with pytest.raises(ValueError, match="alpha"):
+        io.sequence_from_dict(dict(doc, alpha=[0.9, 0.9, 0.9]))
+    mixed = {"blocks": [doc["blocks"][0], {"len": 2, "p": [0.5, 0.5]}]}
+    with pytest.raises(ValueError, match="letters"):
+        io.sequence_from_dict(mixed)
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5))

@@ -294,6 +294,18 @@ def test_raster_guard_counts_every_rectangle(rects, k):
         _raster_count(lo, size, k, total - 1)
 
 
+@given(st.integers(2, 3), st.floats(2.0 ** 19, 2.0 ** 20), st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_raster_count_on_wide_grids(d, k, seed):
+    # at d = 3 the range keys pass 2**53, so ranges are not merged; the
+    # box keys still fit in int64
+    rng = np.random.default_rng(seed)
+    lo = rng.random((20, d))
+    lo[10:] = lo[:10]
+    size = rng.uniform(0.0, 3.0 / k, (20, d))
+    assert _raster_count(lo, size, k, 10 ** 8) == len(_boxes_met(lo, size, k))
+
+
 def test_raster_count_box_keys_do_not_collide():
     # at k = 2**50, keys x * (k + 2) + y of these two boxes agree mod 2**64
     k = 2.0 ** 50
