@@ -171,11 +171,13 @@ def sequence_from_dict(obj) -> WeightSequence:
         raise ValueError("sequence: blocks must be a list")
     has_atoms = False
     for j, b in enumerate(blocks):
-        if not isinstance(b, dict) or b.keys() != _P_BLOCK:
-            if not isinstance(b, dict) or b.keys() != _ATOM_BLOCK:
-                _require_keys(b, _ATOM_BLOCK if "atoms" in b else _P_BLOCK,
-                              ctx="sequence.blocks[%d]" % j)
-            has_atoms = True
+        keys = b.keys() if isinstance(b, dict) else None
+        if keys == _P_BLOCK:
+            continue
+        if keys != _ATOM_BLOCK:
+            _require_keys(b, _ATOM_BLOCK if keys and "atoms" in keys else _P_BLOCK,
+                          ctx="sequence.blocks[%d]" % j)
+        has_atoms = True
     lengths = [b["len"] for b in blocks]
     for j, L in enumerate(lengths):
         # bool is an int subclass; a JSON true is not a length
@@ -301,9 +303,9 @@ def _orphan_runs(starts, ends, above, arity: int) -> int:
     """Runs holding a code whose parent (c - 1) // arity is missing from the
     sorted level above.  A run's parents are consecutive integers, all
     present exactly when the first and last sit that far apart there."""
-    p0, p1 = (starts - 1) // arity, (ends - 1) // arity
     if above.size == 0:
         return int(starts.size)
+    p0, p1 = (starts - 1) // arity, (ends - 1) // arity
     i = np.searchsorted(above, p0)
     j = i + (p1 - p0)
     ok = (j < above.size) & (above[np.minimum(i, above.size - 1)] == p0)

@@ -18,7 +18,7 @@ import pytest
 import spongedim
 from spongedim import io
 from spongedim.engine import d_sequences, three_weight_gap_sequence
-from spongedim.simulate import sample_cascade
+from spongedim.simulate import sample_cascade, sample_tree
 
 from conftest import carpet
 
@@ -231,10 +231,7 @@ def test_boxcount_past_int64_exits_four(workdir):
 
 
 def test_malformed_tree_dump_exits_two(workdir):
-    r = run_cli("simulate", "--ifs", "ifs.json", "--alpha", "1",
-                "--depth", "2", "--seed", "0", "--out", "s", cwd=workdir)
-    assert r.returncode == 0
-    good = read_json(workdir / "s" / "tree.json")
+    good = io.tree_to_dict(sample_tree(3, [1.0] * 3, depth=2), {})
     assert good["levels"] == [[[1, 1]], [[4, 3]], [[13, 9]]]
     # (level, its runs, what the message names)
     cases = {
