@@ -330,8 +330,11 @@ def cmd_dim_periodic(ifs_path, periodic_path, quad_step, out, json_mode):
 
 
 def _trace_summary(res):
-    return {"n_starts": res.n_starts, "iterations": res.iterations,
-            "residual": res.residual, "flags": res.flags}
+    out = {"n_starts": res.n_starts, "iterations": res.iterations,
+           "residual": res.residual, "flags": res.flags}
+    if "solver" in res.extras:
+        out["solver"] = res.extras["solver"]
+    return out
 
 
 @cli.command("optimize-hausdorff")
@@ -365,7 +368,7 @@ def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, seed, starts,
             _fail(2, "--eps is required with --lengths")
         blocks = _ints(lengths)
         res = _compute(lambda: optimize_type_ell_hausdorff(
-            ifs, alpha, blocks, eps, seed=seed))
+            ifs, alpha, blocks, eps))
         argument = io.sequence_to_dict(res.argument)
         certificate = {k: res.extras[k]
                        for k in ("eps", "eta", "grid_value", "grid_certificate")}
@@ -386,19 +389,16 @@ def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, seed, starts,
 @click.option("--lengths", required=True, help="Block lengths of the schedule.")
 @click.option("--eps", type=float, required=True)
 @click.option("--scales", required=True, help="Comma-separated N grid.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--passes", type=int, default=6, show_default=True)
 @common_options
-def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, seed,
-                         passes, out, json_mode):
+def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, out,
+                         json_mode):
     """Largest at-horizon packing dimension over admissible schedules."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = _alpha_arg(alpha_text, ifs.n)
     blocks = _ints(lengths)
     N_grid = _scales(scales)
-    res = _compute(lambda: optimize_packing(ifs, alpha, blocks, eps, N_grid,
-                                            seed=seed, max_passes=passes))
+    res = _compute(lambda: optimize_packing(ifs, alpha, blocks, eps, N_grid))
     if isinstance(res.argument, WeightSequence):
         argument = io.sequence_to_dict(res.argument)
     elif isinstance(res.argument, np.ndarray):
@@ -411,10 +411,8 @@ def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, seed,
                               "windows": res.extras.get("windows")},
               "trace": _trace_summary(res)}
     params = {"ifs": ifs_path, "alpha": alpha_text, "lengths": lengths,
-              "eps": eps, "scales": scales, "seed": seed, "passes": passes,
-              "out": out}
-    _finish("optimize-packing", params, [ifs_path], result, out, json_mode,
-            seed=seed)
+              "eps": eps, "scales": scales, "out": out}
+    _finish("optimize-packing", params, [ifs_path], result, out, json_mode)
     if not json_mode:
         click.echo("sup dim_P %.6f" % res.value)
 

@@ -162,12 +162,9 @@ class _RunTable:
     checking the boundaries and the scan start is exact.
 
     ``H`` gives the entropy of each run (default: that of its vector under
-    the evaluator's survival law).  With ``slot`` given, that run is free:
-    the fixed runs' sums are built once with the slot left out, and
-    ``set(v)`` adds v's contribution, (rows of the slot up to a position) x
-    (its value per row), as a delta."""
+    the evaluator's survival law)."""
 
-    def __init__(self, ev: _RunEvaluator, lengths, vectors, slot=None, H=None):
+    def __init__(self, ev: _RunEvaluator, lengths, vectors, H=None):
         self.ev = ev
         self.L = np.asarray(lengths, dtype=np.float64)
         self.V = np.asarray(vectors, dtype=np.float64)
@@ -176,35 +173,11 @@ class _RunTable:
         self.horizon = int(self.E[-1])
         # per-run values are padded with a zero run at E_R, so a position
         # m in [0, horizon] reads run searchsorted(E, m, "right") - 1
-        H = np.append(ev.entropies(self.V) if H is None else H, 0.0)
-        chi = np.vstack([self.V @ ev.ifs.C, np.zeros(ev.ifs.d)])
-        self._mask = np.zeros(R + 1, dtype=bool)
-        self._step = np.zeros(R + 1)
-        self.slot = slot
-        if slot is not None:
-            self._mask[slot] = True
-            self._step[slot + 1:] = self.L[slot]
-            H[slot] = 0.0
-            chi[slot] = 0.0
-        self._H0, self._chi0 = H, chi
-        self._HP0 = np.concatenate([[0.0], np.cumsum(self.L * H[:R])])
-        self._CP0 = np.vstack([np.zeros(ev.ifs.d),
-                               np.cumsum(self.L[:, None] * chi[:R], axis=0)])
-        self._proj0 = {}
-        self._scans = {}
-        if slot is None:
-            self._set(None, 0.0, np.zeros(ev.ifs.d))
-
-    def set(self, v: np.ndarray) -> None:
-        """Put vector v in the free run."""
-        self._set(v, float(self.ev.entropies(v)), v @ self.ev.ifs.C)
-
-    def _set(self, v, Hv, chiv):
-        self.v, self.Hv = v, Hv
-        self.H = np.where(self._mask, Hv, self._H0)
-        self.chi = np.where(self._mask[:, None], chiv, self._chi0)
-        self.HP = self._HP0 + self._step * Hv
-        self.CP = self._CP0 + self._step[:, None] * chiv
+        self.H = np.append(ev.entropies(self.V) if H is None else H, 0.0)
+        self.chi = np.vstack([self.V @ ev.ifs.C, np.zeros(ev.ifs.d)])
+        self.HP = np.concatenate([[0.0], np.cumsum(self.L * self.H[:R])])
+        self.CP = np.vstack([np.zeros(ev.ifs.d),
+                             np.cumsum(self.L[:, None] * self.chi[:R], axis=0)])
         self._proj = {}
 
     def max_resolution(self) -> float:
@@ -217,22 +190,12 @@ class _RunTable:
         key = (coding, first)
         out = self._proj.get(key)
         if out is None:
-            mats = coding.indicators[first - 1:]
-            base = self._proj0.get(key)
-            if base is None:
-                h = np.array([entr(self.V @ M).sum(axis=1) for M in mats])
-                h = np.concatenate([h, np.zeros((len(mats), 1))], axis=1)
-                h[:, self._mask] = 0.0
-                Q = np.concatenate([np.zeros((len(mats), 1)),
-                                    np.cumsum(h[:, :-1] * self.L, axis=1)], axis=1)
-                base = self._proj0[key] = (h, Q)
-            if self.v is None:
-                out = base
-            else:
-                hv = np.array([entr(self.v @ M).sum() for M in mats])[:, None]
-                out = (np.where(self._mask, hv, base[0]),
-                       base[1] + hv * self._step)
-            self._proj[key] = out
+            h = np.array([entr(self.V @ M).sum(axis=1)
+                          for M in coding.indicators[first - 1:]])
+            zero = np.zeros((h.shape[0], 1))
+            out = self._proj[key] = (
+                np.concatenate([h, zero], axis=1),
+                np.concatenate([zero, np.cumsum(h * self.L, axis=1)], axis=1))
         return out
 
     def clocks(self, Ns) -> np.ndarray:
@@ -352,25 +315,11 @@ class _RunTable:
         """sum_{n<=M} H >= rate*M for every M in [M0, horizon]."""
         if M0 > self.horizon:
             return True
-        scan = self._scans.get((M0, rate))
-        if scan is None:
-            # margins without the slot, before and after it, and at M0
-            E, keep = self.E, self.E >= M0
-            margin = self._HP0 - rate * E
-            moved = self._step > 0
-            j = int(E.searchsorted(M0, side="right")) - 1
-            at_M0 = self._HP0[j] + (M0 - E[j]) * self._H0[j] - rate * M0
-            rows_M0 = 0.0
-            if self.slot is not None:
-                rows_M0 = min(max(M0 - E[self.slot], 0.0), self.L[self.slot])
-            scan = (float(margin[keep & ~moved].min(initial=math.inf)),
-                    float(margin[keep & moved].min(initial=math.inf)),
-                    float(self._step[-1]), float(at_M0), float(rows_M0))
-            self._scans[(M0, rate)] = scan
-        fixed, moved, rows_after, at_M0, rows_M0 = scan
-        Hv = self.Hv
-        return (fixed >= 0.0 and moved + rows_after * Hv >= 0.0
-                and at_M0 + rows_M0 * Hv >= 0.0)
+        # linear inside runs: the boundaries past M0 and M0 itself
+        E = self.E
+        _, _, at_M0 = self._locate(float(M0))
+        return bool(at_M0 - rate * M0 >= 0.0
+                    and (self.HP - rate * E)[E >= M0].min(initial=math.inf) >= 0.0)
 
 
 class PrefixTable(_RunTable):

@@ -325,7 +325,11 @@ def box_count(source, ifs: DiagonalIFS, N_list, guard: int = MEMORY_GUARD) -> np
     m_grid = _integer_grid(ifs) if tree is not None else None
     counts = []
     for N in np.asarray(N_list, dtype=np.float64):
-        k_real = math.exp(N)
+        try:
+            k_real = math.exp(N)
+        except OverflowError:
+            raise ResourceCapError("grid e^N at N = %g exceeds the float range"
+                                   % N) from None
         k = round(k_real)
         aligned = abs(k_real - k) <= 1e-9 * max(1.0, k_real)
         if tree is not None and aligned and m_grid is not None and k >= 1:

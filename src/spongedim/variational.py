@@ -3,8 +3,9 @@
 Four layers: a generic multistart maximizer on the simplex, the closed-form
 weighted pressure for equal linear parts (a log-sum-exp recursion along the
 projection chain), the attractor dimension as an infimum of pressures, and
-coordinate-ascent optimizers over block schedules (Hausdorff side with an
-entropy-drift class, packing side with per-scale profile maxima).
+schedule optimizers, each one concave program solved by SLSQP with exact
+gradients (Hausdorff side with an entropy-drift class, packing side with
+per-scale profile maxima).
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import entr
 
 from .engine import mandelbrot_value, dim_mandelbrot
 from .ifs import DiagonalIFS, build_projection_coding, RECT_TOL
-from .scales import PrefixTable, _RunEvaluator, _RunTable, clock_chain
+from .scales import _RunEvaluator, _RunTable, _chain_groups, clock_chain
 from .weights import (DegenerateError, WeightModel, WeightSequence,
                       as_survival_vector, entropy, p_max_vector, validate_type_ell)
 
@@ -383,103 +385,231 @@ def perturb_sequence(seq: WeightSequence, eps: float, N: int,
 
 
 # ---------------------------------------------------------------------------
-# coordinate ascent over block schedules
+# schedule optimizers: one concave program per clock pattern
+
+# lower bound on every letter's mass during a solve: it keeps the entropy
+# gradients -log p finite, and optima stay off it, where those are +inf
+_P_FLOOR = 1e-12
+# solves per search while the clocks move with the vectors (unequal
+# linear parts); the last solution is kept when they still move
+_CLOCK_ROUNDS = 8
 
 
-def _blocks_covering(lengths, budget: int):
-    """Block (start, end) index pairs (0-based, half-open) truncated to
-    cover exactly ``budget`` rows."""
-    spans = []
-    acc = 0
-    for L in lengths:
-        if acc >= budget:
+def _block_ends(lengths, budget: int) -> np.ndarray:
+    """Ends of the blocks that cover the first ``budget`` rows, the last
+    one cut at the budget."""
+    ends = np.cumsum(lengths)
+    if ends[-1] < budget:
+        raise ValueError("schedule covers %d rows, budget needs %d"
+                         % (ends[-1], budget))
+    return np.minimum(ends[:int(ends.searchsorted(budget)) + 1], budget)
+
+
+def _cut_runs(L, V, cuts):
+    """Split the runs (lengths L, vectors V) at the positions ``cuts``;
+    each piece keeps the vector of its run."""
+    E = np.concatenate([[0.0], np.cumsum(L)])
+    cuts = np.asarray(cuts, dtype=np.float64)
+    bounds = np.union1d(E, cuts[(cuts > 0.0) & (cuts < E[-1])])
+    owner = E.searchsorted(bounds[:-1], side="right") - 1
+    return np.diff(bounds), np.asarray(V)[owner]
+
+
+def _rows_in(E, x):
+    """Rows of each run inside the generations (0, x], one line per
+    position x: the coefficients of a prefix sum on per-run values."""
+    x = np.asarray(x, dtype=np.float64)[:, None]
+    return np.clip(x - E[:-1], 0.0, E[1:] - E[:-1])
+
+
+def _program_rows(table: _RunTable, Ns, tail: bool):
+    """Every candidate of the minima behind min_N d~_N (min_N d_N with
+    ``tail``) as a row of coefficients on the per-run values.  Returns
+    (C, mats): C[j, f, i] is the coefficient of run i's value of feature f
+    in candidate j, divided by the candidate's N; feature 0 is the entropy
+    H and feature f >= 1 the projected entropy through the indicator
+    matrix mats[f - 1].
+
+    At a scale with distinct clocks g_1 < ... < g_s, H_{N,k} is the sum of
+    H over (0, k] plus, per level r >= 2, the level-r projected entropy
+    over (clip(k, g_{r-1}, g_r), g_r].  It is linear between the clocks and
+    the run boundaries, so those are the candidates for k in [g_1, g_s];
+    the tail adds the prefix sums of H at the boundaries inside (g_s, T)
+    and at T, the horizon.  Every coefficient is nonnegative."""
+    E, T = table.E, float(table.horizon)
+    Ns = np.asarray(Ns, dtype=np.float64)
+    groups = list(_chain_groups(table.clocks(Ns), table.ev))
+    feats = {key: f for f, key in enumerate(dict.fromkeys(
+        (coding, r) for coding, _, g in groups for r in range(2, g.shape[1] + 1)), 1)}
+    blocks = []
+    for coding, rows, g in groups:
+        for N, gi in zip(Ns[rows], g):
+            ks = np.union1d(gi, E[(E > gi[0]) & (E < gi[-1])])
+            if tail:
+                # past g_s every level's interval is empty: H alone
+                ks = np.concatenate([ks, E[(E > gi[-1]) & (E < T)], [T]])
+            c = np.zeros((ks.size, len(feats) + 1, E.size - 1))
+            c[:, 0] = _rows_in(E, ks)
+            for r in range(2, gi.size + 1):
+                lo = np.clip(ks, gi[r - 2], gi[r - 1])
+                c[:, feats[coding, r]] = _rows_in(E, gi[r - 1:r]) - _rows_in(E, lo)
+            blocks.append(c / N)
+    return np.concatenate(blocks), [coding.indicators[r - 1] for coding, r in feats]
+
+
+def _drift_rows(table: _RunTable, M0: int) -> np.ndarray:
+    """The drift class sum_{n<=M} H >= rate*M on [M0, horizon] as rows D on
+    the per-run entropies, each divided by its M: D @ H >= rate.  The sums
+    are linear inside runs, so M0 and the boundaries past it suffice."""
+    E = table.E
+    Ms = np.union1d([float(M0)], E[E > M0])
+    Ms = Ms[Ms <= table.horizon]
+    return _rows_in(E, Ms) / Ms[:, None]
+
+
+def _solve_program(table: _RunTable, Ns, tail: bool, M0: int, rate: float):
+    """An SLSQP solve, from the table's vectors, of the epigraph program
+    max t subject to t <= every candidate row, the drift rows and sum p = 1
+    per run, with the clocks of the table.  Returns the vectors and the
+    solve's status, iterations, evaluations and KKT residual (sup norm of
+    the Lagrangian's gradient)."""
+    C, mats = _program_rows(table, Ns, tail)
+    D = _drift_rows(table, M0)
+    # one block of inequality rows C.F - a*t - b >= 0: the candidates
+    # (a = 1, b = 0), then the drift rows on H (a = 0, b = rate)
+    a = np.concatenate([np.ones(C.shape[0]), np.zeros(D.shape[0])])
+    b = (1.0 - a) * rate
+    C = np.concatenate([C, np.zeros((D.shape[0],) + C.shape[1:])])
+    C[a == 0.0, 0] = D
+    R, n = table.V.shape
+    la = np.zeros(n) if table.ev.log_alpha is None else table.ev.log_alpha
+    last = {}
+
+    def features(z):
+        """Per-run values (features x runs) and their gradients (features
+        x runs x letters) at z."""
+        if last.get("z") is None or not np.array_equal(last["z"], z):
+            V = np.maximum(z[:-1].reshape(R, n), _P_FLOOR)
+            F = [entr(V).sum(axis=1) + V @ la]
+            J = [-np.log(V) - 1.0 + la]
+            for M in mats:
+                q = V @ M
+                F.append(entr(q).sum(axis=1))
+                J.append((-np.log(q) - 1.0) @ M.T)
+            last.update(z=z.copy(), F=np.array(F), J=np.array(J))
+        return last["F"], last["J"]
+
+    def rows(z):
+        return np.einsum("jfr,fr->j", C, features(z)[0]) - a * z[-1] - b
+
+    def rows_jac(z):
+        grad_v = np.einsum("jfr,frn->jrn", C, features(z)[1])
+        return np.hstack([grad_v.reshape(C.shape[0], -1), -a[:, None]])
+
+    sums = np.hstack([np.kron(np.eye(R), np.ones(n)), np.zeros((R, 1))])
+    grad = np.zeros(R * n + 1)
+    grad[-1] = -1.0
+    V, nit, nfev = table.V, 0, 0
+    for _ in range(2):
+        z = np.append(np.maximum(V, _P_FLOOR).ravel(), 0.0)
+        z[-1] = rows(z)[a == 1.0].min()
+        res = minimize(lambda x: -x[-1], z, jac=lambda x: grad, method="SLSQP",
+                       bounds=[(_P_FLOOR, None)] * (R * n) + [(None, None)],
+                       constraints=[{"type": "eq", "fun": lambda x: sums @ x - 1.0,
+                                     "jac": lambda x: sums},
+                                    {"type": "ineq", "fun": rows, "jac": rows_jac}],
+                       options={"ftol": 1e-14, "maxiter": 400})
+        z, nit, nfev = res.x, nit + int(res.nit), nfev + int(res.nfev)
+        V = np.maximum(z[:-1].reshape(R, n), 0.0)
+        V /= V.sum(axis=1, keepdims=True)
+        # status 8 (no descent along the search direction) is how SLSQP
+        # stalls at an optimum reached to rounding; one restart from there,
+        # on the simplex and with a fresh quasi-Newton matrix, ends it
+        if res.status != 8:
             break
-        end = min(acc + L, budget)
-        spans.append((acc, end))
-        acc = end
-    if acc < budget:
-        raise ValueError("schedule covers %d rows, budget needs %d" % (acc, budget))
-    return spans
+    residual = math.nan
+    lam = getattr(res, "multipliers", None)
+    if lam is not None:
+        g = grad - np.vstack([sums, rows_jac(z)]).T @ lam
+        # a mass on its lower bound may keep a gradient pointing below it
+        g[:-1] = np.where(z[:-1] <= _P_FLOOR, np.minimum(g[:-1], 0.0), g[:-1])
+        residual = float(np.abs(g).max())
+    return V, {"status": int(res.status), "nit": nit, "nfev": nfev,
+               "residual": residual}
 
 
-def _block_runs(runs, spans):
-    """Cut runs (length, vector) at the block boundaries: one run list per
-    span."""
-    blocks, i, used = [], 0, 0
-    for a, b in spans:
-        block, need = [], b - a
-        while need:
-            L, v = runs[i]
-            take = min(L - used, need)
-            block.append((take, v))
-            need -= take
-            used += take
-            if used == L:
-                i, used = i + 1, 0
-        blocks.append(block)
-    return blocks
+def _solve_schedule(ev: _RunEvaluator, lengths, vectors, Ns, M0: int,
+                    rate: float, tail: bool = False, cut: bool = False):
+    """Maximize min_N d~_N (min_N d_N with ``tail``) over the vectors of
+    the runs (lengths, vectors), inside the drift class sum_{n<=M} H >=
+    rate*M on [M0, horizon], which the start must satisfy.
 
+    With the clocks fixed this is a concave program: each candidate of the
+    minima and each drift margin is a nonnegative combination of per-run
+    entropies and projected entropies, concave in the run's vector.  With
+    ``cut`` the runs are first split at the clocks.  Where the linear parts
+    differ the clocks move with the vectors, so the program is solved
+    again, from its solution and with its clocks, while they change, at
+    most _CLOCK_ROUNDS times.  A solution just outside the drift class is
+    blended toward the admissible point it started from until it is in.
 
-def _flat_runs(blocks):
-    """(lengths, vectors) of the runs of all blocks, in order."""
-    return zip(*[run for block in blocks for run in block])
+    Returns (table, value, solves, settled): the best schedule met, the
+    start included, its value re-evaluated on the run table, the report of
+    each solve, and whether the clocks stopped moving."""
+    Ns = np.asarray(Ns, dtype=np.float64)
 
+    def value(t):
+        return float((t.d_lower(Ns) if tail else t.d_tilde(Ns)).min())
 
-def _blocks_to_rows(blocks) -> np.ndarray:
-    lengths, vectors = _flat_runs(blocks)
-    return np.repeat(np.array(vectors), lengths, axis=0)
-
-
-def _ascend_blocks(ev: _RunEvaluator, blocks, objective, feasible,
-                   max_passes: int = 8, nm_iter: int = 120):
-    """Coordinate ascent over block vectors: per block, Nelder-Mead in
-    softmax coordinates with infeasible candidates rejected.
-
-    ``blocks`` holds each block's runs (length, vector).  A start that is
-    not constant on a block keeps its runs until the block is optimized,
-    which collapses them into one.  While block j moves, every other run
-    is fixed, so a candidate costs one vector's entropies plus O(#runs)."""
-    blocks = [list(block) for block in blocks]
-    full = _RunTable(ev, *_flat_runs(blocks))
-    best = objective(full) if feasible(full) else -math.inf
-    for _ in range(max_passes):
-        improved = False
-        for j, block in enumerate(blocks):
-            runs = [run for b in blocks[:j] for run in b]
-            slot = len(runs)
-            runs.append((sum(L for L, _ in block), block[0][1]))
-            runs += [run for b in blocks[j + 1:] for run in b]
-            lengths, vectors = zip(*runs)
-            sched = _RunTable(ev, lengths, vectors, slot=slot)
-            x0 = np.log(np.maximum(block[0][1], 1e-12))
-
-            def f(x):
-                sched.set(softmax(x))
-                if not feasible(sched):
-                    return math.inf
-                return -objective(sched)
-
-            res = minimize(f, x0, method="Nelder-Mead",
-                           options={"maxiter": nm_iter, "fatol": 1e-12,
-                                    "xatol": 1e-8})
-            if -res.fun > best + 1e-12:
-                best = -res.fun
-                blocks[j] = [(lengths[slot], softmax(res.x))]
-                improved = True
-        if not improved:
+    table = _RunTable(ev, lengths, vectors)
+    best, best_value = table, value(table)
+    solves, settled = [], False
+    G = table.clocks(Ns)
+    for _ in range(_CLOCK_ROUNDS):
+        if cut:
+            table = _RunTable(ev, *_cut_runs(table.L, table.V, np.unique(G)))
+        V, solve = _solve_program(table, Ns, tail, M0, rate)
+        solves.append(solve)
+        for lam in (0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0):
+            moved = _RunTable(ev, table.L, (1.0 - lam) * V + lam * table.V)
+            if moved.admissible(M0, rate):
+                break
+        table = moved
+        v = value(table)
+        if v > best_value:
+            best, best_value = table, v
+        G_next = table.clocks(Ns)
+        if np.array_equal(G_next, G):
+            settled = True
             break
-    return blocks, best
+        G = G_next
+    return best, best_value, solves, settled
+
+
+def _solver_report(solves, settled: bool):
+    """(flags, extras entry, iterations, largest KKT residual) of a
+    search's solves."""
+    status = [s["status"] for s in solves]
+    flags = [] if not any(status) else ["solver-not-converged"]
+    if not settled:
+        flags.append("clock-pattern-unsettled")
+    solver = {"method": "SLSQP", "status": status,
+              "nfev": sum(s["nfev"] for s in solves)}
+    return (flags, solver, sum(s["nit"] for s in solves),
+            float(np.max([s["residual"] for s in solves])))
 
 
 def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
-                     N_grid, seed: int = 0, max_passes: int = 6) -> OptimizationResult:
+                     N_grid, seed: int = 0) -> OptimizationResult:
     """Packing-side variational sweep: per scale N, maximize the profile
-    minimum d~_N over block schedules in the admissible class (partial
-    entropy sums above -M*eps up to the budget), then report the tail
-    maximum over the scale grid.
+    minimum d~_N over schedules in the admissible class (partial entropy
+    sums above -M*eps up to the budget), then report the tail maximum over
+    the scale grid.
 
-    The search is deterministic; ``seed`` is accepted for the common
-    optimizer interface.  The witness concatenates entropy-lifted
+    Per N the variables are the blocks cut at the scale's clocks and at
+    floor(N*eps), one concave solve each (``_solve_schedule``).  The search
+    is deterministic; ``seed`` is accepted for the common optimizer
+    interface and ignored.  The witness concatenates entropy-lifted
     maximizers on exponentially separated windows; it is reported, with its
     admissibility scan, rather than certified optimal."""
     alpha = as_survival_vector(alpha, ifs.n)
@@ -495,72 +625,37 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     _, lam_hi = ifs.contraction_span()
     pm = p_max_vector(alpha)
     ev = _RunEvaluator(ifs, alpha)
-    try:
-        ctx = PressureContext(ifs, alpha)
-    except ValueError:
-        ctx = None
-    per_N = []
-    best_rows = {}
+    per_N, runs, solves, settled = [], {}, [], True
     for N in N_grid:
         budget = int(math.floor(lam_hi * N)) + 2
-        spans = _blocks_covering(lengths, budget)
         M_lo = max(1, int(math.floor(N * eps)))
-        Ns = np.array([N])
-
-        def feasible(sched):
-            return sched.admissible(M_lo, -eps)
-
-        def objective(sched):
-            return float(sched.d_tilde(Ns)[0])
-
-        starts = [[(budget, pm)]]
-        spread = _band_spread_start(ctx, pm, float(N), budget)
-        if spread is not None:
-            starts.append(spread)
-        best_blocks, bestv = None, -math.inf
-        for runs in starts:
-            blocks, v1 = _ascend_blocks(ev, _block_runs(runs, spans),
-                                        objective, feasible,
-                                        max_passes=max_passes)
-            if best_blocks is None or v1 > bestv:
-                best_blocks, bestv = blocks, v1
-        per_N.append({"N": float(N), "value": float(bestv)})
-        best_rows[float(N)] = _blocks_to_rows(best_blocks)
+        L, V = _cut_runs([budget], [pm], np.append(_block_ends(lengths, budget), M_lo))
+        table, value, solved, done = _solve_schedule(ev, L, V, [N], M_lo, -eps,
+                                                     cut=True)
+        solves += solved
+        settled &= done
+        per_N.append({"N": float(N), "value": value})
+        runs[float(N)] = (table.L, table.V)
     vals = np.array([row["value"] for row in per_N])
     w0 = len(vals) // 2
     value = float(vals[w0:].max())
 
     # witness on exponentially separated windows
     witness, windows, wit_flags = _packing_witness(ifs, alpha, lengths, eps,
-                                                   N_grid, best_rows, lam_hi)
-    flags = ["at-horizon"] + wit_flags
-    return OptimizationResult(value=value, argument=witness, residual=math.nan,
-                              iterations=len(per_N), n_starts=2,
-                              trace=per_N,
-                              flags=flags,
+                                                   N_grid, runs, lam_hi)
+    solver_flags, solver, nit, residual = _solver_report(solves, settled)
+    return OptimizationResult(value=value, argument=witness, residual=residual,
+                              iterations=nit, n_starts=1, trace=per_N,
+                              flags=["at-horizon"] + solver_flags + wit_flags,
                               extras={"per_N": per_N, "windows": windows,
-                                      "eps": eps})
+                                      "eps": eps, "runs": runs,
+                                      "solver": solver})
 
 
-def _band_spread_start(ctx, pm, N, budget):
-    """Start that spends the coarse band on projected entropy: runs of the
-    entropy maximizer pm up to the fast clock, then of the level-2
-    class-uniform lift.  None without a two-level chain (``ctx`` is None
-    when the linear parts differ)."""
-    if ctx is None or ctx.s < 2:
-        return None
-    g1 = min(int(N / ctx.chi_tilde[0]) + 1, budget)
-    m2 = ctx.coding.n_classes(2)
-    u = np.full(m2, 1.0 / m2)
-    runs = [(g1, pm)]
-    if g1 < budget:
-        runs.append((budget - g1, ctx.lift_to_letters(u, 2)))
-    return runs
-
-
-def _packing_witness(ifs, alpha, lengths, eps, N_grid, best_rows, lam_hi):
-    """Concatenate entropy-lifted per-scale maximizers on windows
-    (L_{m_{j-1}}, L_{m_j}] with L_{m_{j-1}} below floor(eps*N_j)."""
+def _packing_witness(ifs, alpha, lengths, eps, N_grid, runs, lam_hi):
+    """Concatenate entropy-lifted per-scale maximizers, given as runs
+    (lengths, vectors) per N, on windows (L_{m_{j-1}}, L_{m_j}] with
+    L_{m_{j-1}} below floor(eps*N_j)."""
     bounds = np.cumsum(lengths)
     horizon = int(bounds[-1])
     pm = p_max_vector(alpha)
@@ -577,9 +672,11 @@ def _packing_witness(ifs, alpha, lengths, eps, N_grid, best_rows, lam_hi):
         j = int(np.searchsorted(bounds, budget))
         end = int(bounds[min(j, len(bounds) - 1)])
         end = min(end, horizon)
-        base = WeightSequence(P=_pad_rows(best_rows[float(N)], end, pm),
+        L, V = runs[float(N)]
+        base = WeightSequence(P=_pad_rows(np.repeat(V, L.astype(np.intp), axis=0),
+                                          end, pm),
                               alpha=alpha,
-                              block_lengths=_truncate_lengths(lengths, end))
+                              block_lengths=np.diff(_block_ends(lengths, end), prepend=0))
         try:
             pert = perturb_sequence(base, eps, int(N), ifs)
         except ValueError:
@@ -609,33 +706,17 @@ def _pad_rows(P, rows, fill):
     return np.vstack([P, pad])
 
 
-def _truncate_lengths(lengths, total):
-    out, acc = [], 0
-    for L in lengths:
-        if acc + L >= total:
-            out.append(total - acc)
-            break
-        out.append(L)
-        acc += L
-    return out
-
-
 def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
                                 horizon: int | None = None,
-                                N_points: int = 24, seed: int = 0,
-                                seeds=(), max_passes: int = 4) -> OptimizationResult:
+                                N_points: int = 24) -> OptimizationResult:
     """Hausdorff-side schedule search: maximize the at-horizon lower
     dimension estimate (minimum of d_N over a scale grid) over block
     schedules with certified entropy drift sum_{n<=N} H >= N*eps.
 
-    The certificate re-scans the returned schedule after projecting each
-    block vector to the eps^2 grid; both the continuous and the projected
-    values are reported.
-
-    The value reproduces only to about 1e-3 across summation orders or
-    platforms: the objective, a minimum over scales, is not smooth, so a
-    rounding-level change of it can send Nelder-Mead down another path
-    (seen as 1.21227 against 1.21327 on one type-ell input)."""
+    One vector per block, one concave solve (``_solve_schedule``) from the
+    entropy maximizer.  The certificate re-scans the returned schedule
+    after projecting each block vector to the eps^2 grid; both the
+    continuous and the projected values are reported."""
     alpha = None if alpha is None else as_survival_vector(alpha, ifs.n)
     bad = validate_type_ell(lengths)
     if bad:
@@ -652,57 +733,35 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
         if eps >= math.log(ifs.n):
             raise ValueError("eps = %g not below log #letters" % eps)
     ev = _RunEvaluator(ifs, alpha)
-    spans = _blocks_covering(lengths, horizon)
     _, lam_hi = ifs.contraction_span()
     maxN = horizon / lam_hi * 0.98
     N_grid = np.geomspace(max(4.0, maxN / 16.0), maxN, N_points)
     burn = int(math.ceil(1.0 / eps))
-
-    def feasible(sched):
-        return sched.admissible(burn, eps)
-
-    def objective(sched):
-        return float(sched.d_lower(N_grid).min())
-
-    starts = [[(horizon, pm)]]
-    mm = optimize_mandelbrot(ifs, alpha, starts=8, seed=seed)
-    starts.append([(horizon, mm.argument)])
-    for s in seeds:
-        rows = s.p_rows() if hasattr(s, "p_rows") else np.asarray(s)
-        runs = PrefixTable(ifs, WeightSequence(P=_pad_rows(rows, horizon, pm),
-                                               alpha=alpha))
-        starts.append(list(zip(runs.L.astype(int).tolist(), runs.V)))
-    best_blocks, bestv = None, -math.inf
-    for runs in starts:
-        if not feasible(_RunTable(ev, *zip(*runs))):
-            continue
-        blocks, v1 = _ascend_blocks(ev, _block_runs(runs, spans), objective,
-                                    feasible, max_passes=max_passes)
-        if v1 > bestv:
-            best_blocks, bestv = blocks, v1
-    if best_blocks is None:
-        raise ValueError("no feasible start for eps = %g" % eps)
+    block_lengths = np.diff(_block_ends(lengths, horizon), prepend=0).tolist()
+    # the entropy maximizer has the largest sums, so it lies in the class
+    start = np.repeat(pm[None, :], len(block_lengths), axis=0)
+    table, value, solves, settled = _solve_schedule(ev, block_lengths, start,
+                                                    N_grid, burn, eps, tail=True)
+    vectors = table.V
 
     # certificate on the eta = eps^2 grid
     eta = eps * eps
-    block_lengths = [b - a for (a, b) in spans]
-    vectors = [block[0][1] for block in best_blocks]
     snapped = _RunTable(ev, block_lengths,
                            [_grid_project(v, eta) for v in vectors])
     grid_ok = snapped.admissible(burn, eps)
     grid_val = float(snapped.d_lower(N_grid).min()) if grid_ok else None
     seq = WeightSequence.from_blocks(block_lengths, vectors, alpha=alpha)
-    flags = ["at-horizon"]
+    solver_flags, solver, nit, residual = _solver_report(solves, settled)
+    flags = ["at-horizon"] + solver_flags
     if not grid_ok:
         flags.append("grid-certificate-failed")
-    return OptimizationResult(value=float(bestv), argument=seq,
-                              residual=math.nan, iterations=len(spans),
-                              n_starts=len(starts), trace=[],
+    return OptimizationResult(value=value, argument=seq, residual=residual,
+                              iterations=nit, n_starts=1, trace=[],
                               flags=flags,
                               extras={"eps": eps, "eta": eta,
                                       "grid_value": grid_val,
                                       "grid_certificate": grid_ok,
-                                      "N_grid": N_grid})
+                                      "N_grid": N_grid, "solver": solver})
 
 
 def _grid_project(v, eta):

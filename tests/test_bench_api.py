@@ -3,7 +3,7 @@
 `bench/workloads.py` and `bench/reference.py` call these functions directly,
 and the traced run (`bench/run.py --trace 1`) patches
 `variational.minimize` and `simulate._raster_count` by name to count
-Nelder-Mead solves and rasterized boxes.  The benchmark is not part of this
+solves and rasterized boxes.  The benchmark is not part of this
 suite, so these small calls are what catches a rename or a changed signature.
 """
 
@@ -58,8 +58,7 @@ def test_optimize_packing_solves_through_module_minimize(monkeypatch):
 
     monkeypatch.setattr(variational, "minimize", counted)
     res = variational.optimize_packing(ifs, np.ones(3), type_ell_lengths(200),
-                                       eps=0.1, N_grid=[16.0], seed=0,
-                                       max_passes=1)
+                                       eps=0.1, N_grid=[16.0], seed=0)
     assert solves and sum(solves) > 0
     assert 0 < res.value < 2
 

@@ -222,8 +222,9 @@ def test_boxcount_csv(workdir):
 
 
 def test_boxcount_past_int64_exits_four(workdir):
-    # at N = 40 the box total passes 2**63; at N = 50 the indices do
-    for N in ("40", "50"):
+    # at N = 40 the box total passes 2**63; at N = 50 the indices do;
+    # past N of about 709.78 e^N itself leaves the float range
+    for N in ("40", "50", "800", "1e6"):
         r = run_cli("boxcount", "--ifs", "ifs.json", "--alpha", "1",
                     "--depth", "3", "--scales", N, "--out", "o", cwd=workdir)
         assert r.returncode == 4, (N, r.stderr)

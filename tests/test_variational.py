@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
+from spongedim import variational
 from spongedim.scales import _RunEvaluator, _RunTable
 from spongedim.variational import (admissible_eps_bound,
                                    dim_attractor_equal_linear,
@@ -149,8 +150,7 @@ def test_packing_rejects_bad_schedule(mcmullen):
 def test_packing_search_small(mcmullen):
     lengths = type_ell_lengths(700)
     res = optimize_packing(mcmullen, np.ones(3), lengths, eps=0.1,
-                           N_grid=[64.0, 128.0, 256.0], seed=2,
-                           max_passes=3)
+                           N_grid=[64.0, 128.0, 256.0], seed=2)
     assert "at-horizon" in res.flags
     assert MCMULLEN_H - 5e-2 < res.value < 2.0
     per_N = res.extras["per_N"]
@@ -161,7 +161,7 @@ def test_type_ell_hausdorff_search_small(mcmullen):
     lengths = type_ell_lengths(700)
     alpha = np.array([0.9, 0.85, 0.8])
     res = optimize_type_ell_hausdorff(mcmullen, alpha, lengths, eps=0.05,
-                                      N_points=8, seed=3, max_passes=2)
+                                      N_points=8)
     const = optimize_mandelbrot(mcmullen, alpha=alpha, starts=8, seed=0)
     assert res.value <= const.value + 2e-2
     assert res.value >= 0.5 * const.value
@@ -170,20 +170,26 @@ def test_type_ell_hausdorff_search_small(mcmullen):
     assert res.argument.n_letters == 3
 
 
-# Nelder-Mead on the type-l objective, a minimum over scales and not
-# smooth, can take another path when the objective moves by a few ulps.
-# On the input below (the packing benchmark's type-l case), twenty runs
-# with the objective summed in another order or moved by up to 4 ulps
-# gave 1.2122651051 within 1e-9 nineteen times and 1.2132672093 once, so
-# the value reproduces to about 1e-3, and only upwards.
-TYPE_ELL_VALUE = 1.212265105082
-TYPE_ELL_TOL = 2e-3
+# The type-l search is one concave solve, so its value does not depend on
+# the path the solver takes.  On the input below (the packing benchmark's
+# type-l case) it is pinned to 1e-9 under two kinds of rounding-level
+# change: the reported objective moved by up to 4 ulps, and the candidate
+# and drift rows of the program built in the reverse order.
+TYPE_ELL_VALUE = 1.2217554299724
+TYPE_ELL_TOL = 1e-9
 
 
 def test_type_ell_hausdorff_reproduces_to_stated_tolerance(mcmullen,
                                                            monkeypatch):
     d_lower = _RunTable.d_lower
+    program_rows, drift_rows = variational._program_rows, variational._drift_rows
     values = []
+
+    def solve():
+        res = optimize_type_ell_hausdorff(mcmullen, np.array([0.9, 0.85, 0.8]),
+                                          type_ell_lengths(50), eps=0.05)
+        values.append(res.value)
+
     for salt in range(3):
         def noisy(self, Ns, salt=salt):
             v = d_lower(self, Ns)
@@ -193,14 +199,19 @@ def test_type_ell_hausdorff_reproduces_to_stated_tolerance(mcmullen,
             u = ((v.view(np.int64) * (2654435761 + 2 * salt)) >> 7) % 9 - 4
             return v * (1.0 + u * 2.0 ** -52)
         monkeypatch.setattr(_RunTable, "d_lower", noisy)
-        res = optimize_type_ell_hausdorff(mcmullen, np.array([0.9, 0.85, 0.8]),
-                                          type_ell_lengths(50), eps=0.05)
-        values.append(res.value)
-    assert min(values) >= TYPE_ELL_VALUE - 1e-8
-    assert max(values) <= TYPE_ELL_VALUE + TYPE_ELL_TOL
+        solve()
+    def reversed_rows(*args):
+        C, mats = program_rows(*args)
+        return C[::-1], mats
+
+    monkeypatch.setattr(_RunTable, "d_lower", d_lower)
+    monkeypatch.setattr(variational, "_program_rows", reversed_rows)
+    monkeypatch.setattr(variational, "_drift_rows", lambda *a: drift_rows(*a)[::-1])
+    solve()
+    assert max(abs(v - TYPE_ELL_VALUE) for v in values) <= TYPE_ELL_TOL
 
 
-# === run table with a free slot against the dense oracle ===
+# === run table against the dense oracle ===
 
 @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
 @settings(max_examples=60, deadline=None)
@@ -220,17 +231,9 @@ def test_run_evaluator_matches_dense_engine(mcmullen, sponge3d, seed,
     assume(np.abs(prefix.chi_prefix - N).min() > 1e-9)
     ref = d_sequences(seq, ifs, N, prefix=prefix)
 
-    ev = _RunEvaluator(ifs, alpha)
-    whole = _RunTable(ev, lengths, vectors)
-    # the same schedule with one run free, filled in as a candidate
-    j = int(rng.integers(R))
-    other = vectors.copy()
-    other[j] = rng.dirichlet(np.ones(ifs.n))
-    moved = _RunTable(ev, lengths, other, slot=j)
-    moved.set(vectors[j])
-    for sched in (whole, moved):
-        assert abs(sched.d_tilde([N])[0] - ref.d_tilde) < 1e-12
-        assert abs(sched.d_lower([N])[0] - ref.d) < 1e-12
+    whole = _RunTable(_RunEvaluator(ifs, alpha), lengths, vectors)
+    assert abs(whole.d_tilde([N])[0] - ref.d_tilde) < 1e-12
+    assert abs(whole.d_lower([N])[0] - ref.d) < 1e-12
 
     # admissibility scans against a dense row-wise prefix scan; margins
     # within 1e-9 of zero are left out for the same reason
@@ -244,4 +247,3 @@ def test_run_evaluator_matches_dense_engine(mcmullen, sponge3d, seed,
             continue
         dense = bool(np.all(margin >= 0.0))
         assert whole.admissible(M0, rate) is dense
-        assert moved.admissible(M0, rate) is dense
