@@ -345,8 +345,13 @@ def _trace_summary(res):
               help="Block lengths of a slowly varying schedule; constant law if omitted.")
 @click.option("--eps", type=float, default=None,
               help="Admissibility margin for the schedule search.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--starts", type=int, default=32, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of the random multistart; used only for constant "
+                   "laws on systems with unequal linear parts.")
+@click.option("--starts", type=int, default=32, show_default=True,
+              help="Multistart size; used only for constant laws on systems "
+                   "with unequal linear parts (equal linear parts take one "
+                   "concave solve).")
 @common_options
 def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, seed, starts,
                            out, json_mode):
@@ -559,8 +564,7 @@ def cmd_cascade(weights_path, seq_path, depth, seed, out, json_mode):
     words = codes_to_words(codes, depth, arity)
     csv_path = os.path.join(out, "cascade.csv")
     io.write_csv(csv_path, ["word", "Q"],
-                 ((io.word_string(words[i], arity), float(masses[i]))
-                  for i in range(codes.size)))
+                 zip(io.word_strings(words, arity), masses.tolist()))
     result = {"Y": cas.Y, "counts": [int(l.size) for l in cas.levels],
               "model_hash": io.model_hash(descriptor), "csv": csv_path}
     params = {"depth": depth, "seed": seed, "out": out}

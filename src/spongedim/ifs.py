@@ -96,6 +96,10 @@ class DiagonalIFS:
         p = np.asarray(p, dtype=np.float64)
         return p @ self.C
 
+    def equal_linear_parts(self, tol: float = RECT_TOL) -> bool:
+        """Whether every map has the same contraction ratios, within tol."""
+        return bool(np.all(np.abs(self.A - self.A[0]) <= tol))
+
     def contraction_span(self):
         """(Lambda', Lambda): min over (i,k) of 1/|log a| and 1 + its max.
 
@@ -308,7 +312,7 @@ def classify(ifs: DiagonalIFS, tol: float = RECT_TOL, slack: float = LP_SLACK) -
             failures.append("baranski: pair %s on axis %d" % (bad, k))
             break
 
-    equal_linear = bool(np.all(np.abs(ifs.A - ifs.A[0]) <= tol))
+    equal_linear = ifs.equal_linear_parts(tol)
     conformal = bool(np.all(np.abs(ifs.A - ifs.A[:, :1]) <= tol))
 
     sierpinski = False

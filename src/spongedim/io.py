@@ -57,10 +57,10 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
+    lines = [",".join(str(h) for h in header)]
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(str(h) for h in header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(x) for x in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _csv_cell(x) -> str:
@@ -392,7 +392,15 @@ def verify_hashes(recorded: dict) -> list:
     return bad
 
 
-def word_string(digits, arity: int) -> str:
-    if arity <= 10:
-        return "".join(str(int(x)) for x in digits)
-    return "-".join(str(int(x)) for x in digits)
+def word_strings(words, arity: int) -> list:
+    """The word of each row of a digit matrix: the digits run together for
+    arity <= 10, joined by '-' otherwise."""
+    words = np.asarray(words, dtype=np.int64)
+    count, level = words.shape
+    if arity > 10:
+        return ["-".join(map(str, row)) for row in words.tolist()]
+    if level == 0:
+        return [""] * count
+    # each digit as one UCS4 code point, each row as one fixed-width string
+    chars = (words + ord("0")).astype(np.uint32)
+    return chars.view(np.dtype(("U", level))).ravel().tolist()

@@ -1,15 +1,19 @@
 """Variational principles over probability vectors and block schedules.
 
-Four layers: a generic multistart maximizer on the simplex, the closed-form
-weighted pressure for equal linear parts (a log-sum-exp recursion along the
-projection chain), the attractor dimension as an infimum of pressures, and
-schedule optimizers, each one concave program solved by SLSQP with exact
-gradients (Hausdorff side with an entropy-drift class, packing side with
-per-scale profile maxima).
+Four layers: the sup over constant laws, the closed-form weighted pressure
+for equal linear parts (a log-sum-exp recursion along the projection
+chain), the attractor dimension as an infimum of pressures, and schedule
+optimizers (Hausdorff side with an entropy-drift class, packing side with
+per-scale profile maxima).  The constant-law sup on equal linear parts and
+both schedule optimizers are concave programs in epigraph form, solved by
+one SLSQP core with exact gradients (``_solve_epigraph``); only constant
+laws on unequal linear parts, where the clocks move with the law, keep a
+multistart Nelder-Mead search on the simplex (``maximize_on_simplex``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,8 +21,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import entr
 
-from .engine import mandelbrot_value, dim_mandelbrot
-from .ifs import DiagonalIFS, build_projection_coding, RECT_TOL
+from .engine import DEGENERATE_TOL, mandelbrot_value, dim_mandelbrot
+from .ifs import DiagonalIFS, build_projection_coding
 from .scales import _RunEvaluator, _RunTable, _chain_groups, clock_chain
 from .weights import (DegenerateError, WeightModel, WeightSequence,
                       as_survival_vector, entropy, p_max_vector, validate_type_ell)
@@ -114,37 +118,63 @@ def optimize_mandelbrot(ifs: DiagonalIFS, alpha=None, starts: int = 32,
     """Largest dimension among fixed weight laws: deterministic laws when
     alpha is None, percolation laws W_i = p_i 1{c_i}/alpha_i otherwise.
 
-    The objective is concave (minimum of concave entropy terms), so the
-    multistart is belt and braces; a nonpositive maximum is reported as
-    dimension zero with a degenerate-sup flag."""
-    if alpha is not None:
-        alpha = as_survival_vector(alpha, ifs.n)
-        log_alpha = np.log(alpha)
-
-        def f(p):
-            H = entropy(p) + float(p @ log_alpha)
-            return mandelbrot_value(ifs, p, H)
-
-        extra = [p_max_vector(alpha)]
+    With equal linear parts the clocks do not move with p, and the
+    objective is one concave program (``_constant_law_rows``), solved once
+    from the entropy maximizer.  Elsewhere chi(p) moves the chain, so the
+    multistart ``maximize_on_simplex`` (``starts``, ``seed``) searches it.
+    The value is the objective at the returned law; a maximum that is not
+    above DEGENERATE_TOL (a zero sup computed to rounding included) is
+    reported as dimension zero with a degenerate-sup flag."""
+    if alpha is None:
+        log_alpha, p0 = np.zeros(ifs.n), np.full(ifs.n, 1.0 / ifs.n)
     else:
+        alpha = as_survival_vector(alpha, ifs.n)
+        log_alpha, p0 = np.log(alpha), p_max_vector(alpha)
 
-        def f(p):
-            return mandelbrot_value(ifs, p, entropy(p))
+    def f(p):
+        return mandelbrot_value(ifs, p, entropy(p) + float(p @ log_alpha))
 
-        extra = []
-    res = maximize_on_simplex(f, ifs.n, starts=starts, seed=seed,
-                              extra_starts=extra)
+    if ifs.equal_linear_parts():
+        V, solve = _solve_epigraph(p0[None, :], *_constant_law_rows(ifs, p0),
+                                   log_alpha)
+        # the start is kept when the solve does not beat it
+        v0, v = f(p0), f(V[0])
+        p, value = (V[0], v) if v > v0 else (p0, v0)
+        flags, solver, nit, residual = _solver_report([solve], True)
+        res = OptimizationResult(value=value, argument=p, residual=residual,
+                                 iterations=nit, n_starts=1, trace=[(v0, v)],
+                                 flags=flags, extras={"solver": solver})
+    else:
+        res = maximize_on_simplex(f, ifs.n, starts=starts, seed=seed,
+                                  extra_starts=[] if alpha is None else [p0])
     p = res.argument
     model = (WeightModel.deterministic(p) if alpha is None
              else WeightModel.percolation(p, alpha))
     res.extras["model"] = model
     res.extras["H"] = model.entropy_H()
-    if res.value <= 0.0:
+    if res.value <= DEGENERATE_TOL:
         res.flags.append("degenerate-sup")
         res.value = 0.0
     else:
         res.extras["closed_form_value"] = dim_mandelbrot(ifs, model).value
     return res
+
+
+def _constant_law_rows(ifs: DiagonalIFS, p):
+    """The constant-law objective H/chi~_1 + sum_{r>=2} c_r min(H, h(Pi_r p)),
+    c_r = 1/chi~_r - 1/chi~_{r-1} > 0, on the chain of chi(p), as the
+    candidate rows of one run (``_solve_epigraph``): per subset S of the
+    levels 2..s, the coefficient of H is 1/chi~_1 plus c_r for r not in S,
+    and that of h_r is c_r for r in S.  Returns (C, mats) as
+    ``_program_rows`` does."""
+    chi = ifs.lyapunov(p)
+    groups, chain = clock_chain(-chi)
+    coding = build_projection_coding(ifs, chain)
+    inv = 1.0 / np.array([chi[g].mean() for g in groups])
+    c = np.diff(inv)
+    S = np.array(list(itertools.product((0.0, 1.0), repeat=c.size)))
+    C = np.concatenate([(inv[0] + (1.0 - S) @ c)[:, None], S * c], axis=1)
+    return C[:, :, None], coding.indicators[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +185,7 @@ class PressureContext:
     """Chain data shared by all pressure evaluations on one system."""
 
     def __init__(self, ifs: DiagonalIFS, alpha):
-        if not np.all(np.abs(ifs.A - ifs.A[0]) <= RECT_TOL):
+        if not ifs.equal_linear_parts():
             raise ValueError("weighted pressure needs equal linear parts")
         self.ifs = ifs
         self.alpha = as_survival_vector(alpha, ifs.n)
@@ -468,21 +498,33 @@ def _drift_rows(table: _RunTable, M0: int) -> np.ndarray:
 
 
 def _solve_program(table: _RunTable, Ns, tail: bool, M0: int, rate: float):
-    """An SLSQP solve, from the table's vectors, of the epigraph program
-    max t subject to t <= every candidate row, the drift rows and sum p = 1
-    per run, with the clocks of the table.  Returns the vectors and the
-    solve's status, iterations, evaluations and KKT residual (sup norm of
-    the Lagrangian's gradient)."""
+    """The schedule program of the table, with its clocks: max t subject to
+    t <= every candidate of ``_program_rows``, the drift rows of
+    ``_drift_rows`` and sum p = 1 per run, solved from the table's
+    vectors (``_solve_epigraph``)."""
     C, mats = _program_rows(table, Ns, tail)
-    D = _drift_rows(table, M0)
+    return _solve_epigraph(table.V, C, mats, table.ev.log_alpha,
+                           _drift_rows(table, M0), rate)
+
+
+def _solve_epigraph(V, C, mats, log_alpha, D=None, rate: float = 0.0):
+    """An SLSQP solve, from the run vectors V (runs x letters), of the
+    epigraph program max t subject to t <= C.F for every candidate row,
+    D @ H >= rate and sum p = 1 per run.  F holds the per-run values:
+    feature 0 is the entropy H (plus p.log_alpha unless that is None) and
+    feature f >= 1 the projected entropy through the indicator matrix
+    mats[f - 1]; C[j, f, i] is the coefficient of run i's feature f in
+    candidate j.  Returns the vectors and the solve's status, iterations,
+    evaluations and KKT residual (sup norm of the Lagrangian's gradient)."""
+    D = np.zeros((0, C.shape[2])) if D is None else D
     # one block of inequality rows C.F - a*t - b >= 0: the candidates
     # (a = 1, b = 0), then the drift rows on H (a = 0, b = rate)
     a = np.concatenate([np.ones(C.shape[0]), np.zeros(D.shape[0])])
     b = (1.0 - a) * rate
     C = np.concatenate([C, np.zeros((D.shape[0],) + C.shape[1:])])
     C[a == 0.0, 0] = D
-    R, n = table.V.shape
-    la = np.zeros(n) if table.ev.log_alpha is None else table.ev.log_alpha
+    R, n = V.shape
+    la = np.zeros(n) if log_alpha is None else log_alpha
     last = {}
 
     def features(z):
@@ -509,7 +551,7 @@ def _solve_program(table: _RunTable, Ns, tail: bool, M0: int, rate: float):
     sums = np.hstack([np.kron(np.eye(R), np.ones(n)), np.zeros((R, 1))])
     grad = np.zeros(R * n + 1)
     grad[-1] = -1.0
-    V, nit, nfev = table.V, 0, 0
+    nit, nfev = 0, 0
     for _ in range(2):
         z = np.append(np.maximum(V, _P_FLOOR).ravel(), 0.0)
         z[-1] = rows(z)[a == 1.0].min()

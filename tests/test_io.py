@@ -191,5 +191,7 @@ def test_csv_format(tmp_path):
 
 
 def test_word_string_forms():
-    assert io.word_string(np.array([0, 2, 1]), 3) == "021"
-    assert io.word_string(np.array([0, 11, 3]), 12) == "0-11-3"
+    assert io.word_strings(np.array([[0, 2, 1], [2, 2, 0]]), 3) == ["021", "220"]
+    assert io.word_strings(np.array([[0, 11, 3]]), 12) == ["0-11-3"]
+    assert io.word_strings(np.array([[9, 0]]), 10) == ["90"]
+    assert io.word_strings(np.zeros((2, 0), dtype=np.int64), 3) == ["", ""]

@@ -2,10 +2,13 @@
 packing-side schedule search and the entropy-drift perturbation.
 
 The constant-law optimizer is pinned to the closed-form value on the
-3x2 grid carpet; the perturbation postcondition is re-checked by an
-exhaustive scan independent of the certificate returned.
+3x2 grid carpet, and on random equal-linear sponges its one concave solve
+is checked against the multistart search it replaced there and against
+the weighted-pressure route; the perturbation postcondition is re-checked
+by an exhaustive scan independent of the certificate returned.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,14 +17,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
-from spongedim import variational
+from spongedim import DiagonalIFS, DiagonalMap, variational
+from spongedim.engine import mandelbrot_value
 from spongedim.scales import _RunEvaluator, _RunTable
 from spongedim.variational import (admissible_eps_bound,
                                    dim_attractor_equal_linear,
-                                   optimize_mandelbrot, optimize_packing,
+                                   maximize_on_simplex, optimize_mandelbrot,
+                                   optimize_packing,
                                    optimize_type_ell_hausdorff,
                                    perturb_sequence, weighted_pressure)
-from spongedim.weights import WeightSequence, validate_type_ell
+from spongedim.weights import WeightSequence, entropy, validate_type_ell
 
 from conftest import carpet, type_ell_lengths
 from dense_oracle import DensePrefixTable, d_sequences
@@ -54,6 +59,78 @@ def test_routes_agree(mcmullen, gl4x2):
         att = dim_attractor_equal_linear(ifs, alpha)
         mm = optimize_mandelbrot(ifs, alpha=alpha, starts=16, seed=1)
         assert abs(att.value - mm.value) < 1e-6
+
+
+def _grid_sponge(rng):
+    """An equal-linear sponge on a random grid (2 to 5 parts per axis, in
+    2 or 3 dimensions, ties allowed) with 2 to 7 distinct random cells;
+    grid cells project onto equal or disjoint intervals, so every such
+    system is a good sponge."""
+    parts = rng.integers(2, 6, size=int(rng.integers(2, 4)))
+    cells = np.array(list(itertools.product(*(range(k) for k in parts))))
+    pick = rng.choice(len(cells), size=int(rng.integers(2, min(len(cells), 7) + 1)),
+                      replace=False)
+    a = 1.0 / parts
+    return DiagonalIFS([DiagonalMap(list(a), list(cells[i] * a)) for i in pick])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["full", "random", "near-critical"]))
+@settings(max_examples=25, deadline=None)
+def test_constant_law_solve_matches_multistart_and_pressure(seed, kind):
+    rng = np.random.default_rng(seed)
+    ifs = _grid_sponge(rng)
+    if kind == "full":
+        alpha = None
+    elif kind == "random":
+        alpha = rng.uniform(0.5, 1.0, size=ifs.n)
+        assume(alpha.sum() > 1.05)
+    else:
+        # sum alpha just above 1: a dimension near zero
+        alpha = rng.dirichlet(np.full(ifs.n, 2.0)) * (1.0 + rng.uniform(1e-3, 0.05))
+        assume(alpha.max() <= 1.0)
+    log_alpha = np.zeros(ifs.n) if alpha is None else np.log(alpha)
+    p0 = np.full(ifs.n, 1.0 / ifs.n) if alpha is None else alpha / alpha.sum()
+
+    def f(p):
+        return mandelbrot_value(ifs, p, entropy(p) + float(p @ log_alpha))
+
+    res = optimize_mandelbrot(ifs, alpha=alpha)
+    oracle = maximize_on_simplex(f, ifs.n, starts=8, seed=0, extra_starts=[p0])
+    att = dim_attractor_equal_linear(ifs, np.ones(ifs.n) if alpha is None else alpha)
+    assert res.n_starts == 1 and res.extras["solver"]["method"] == "SLSQP"
+    assert res.value >= oracle.value - 1e-9
+    assert abs(res.value - att.value) <= 1e-8
+    assert abs(res.argument.sum() - 1.0) <= 1e-12
+    assert res.value == f(res.argument)
+
+
+# the multistart's values on a Baranski carpet, pinned to 1e-9: with
+# unequal linear parts optimize_mandelbrot still runs that search
+BARANSKI_VALUES = [(None, 8, 0, 0.7878849110258701),
+                   ((0.9, 0.8), 6, 1, 0.6088136173383337)]
+
+
+@pytest.mark.parametrize("alpha,starts,seed,value", BARANSKI_VALUES)
+def test_unequal_linear_parts_keep_the_multistart(alpha, starts, seed, value):
+    # unequal linear parts: chi(p) moves the chain, so no concave program
+    ifs = DiagonalIFS([DiagonalMap([1 / 2, 1 / 3], [0, 0]),
+                       DiagonalMap([1 / 3, 1 / 2], [2 / 3, 1 / 2])])
+    res = optimize_mandelbrot(ifs, alpha=alpha, starts=starts, seed=seed)
+    assert res.n_starts == starts
+    assert "solver" not in res.extras
+    assert abs(res.value - value) <= 1e-9
+
+
+@pytest.mark.parametrize("level", [0.3, 1 / 3])
+def test_degenerate_constant_law_reports_zero(mcmullen, sponge3d, level):
+    # sum alpha = 0.9 (subcritical) or 1 (top entropy log sum alpha = 0)
+    for ifs in (mcmullen, sponge3d):
+        alpha = np.full(ifs.n, level * 3 / ifs.n)
+        res = optimize_mandelbrot(ifs, alpha=alpha)
+        assert res.value == 0.0
+        assert "degenerate-sup" in res.flags
+        assert "solver-not-converged" not in res.flags
+        assert "closed_form_value" not in res.extras
 
 
 def test_attractor_reports_witness(mcmullen):
