@@ -9,7 +9,7 @@ local-dimension sampling for validation.
 from .ifs import (DiagonalIFS, DiagonalMap, ProjectionCoding,
                   ProjectionOverlapError, build_projection_coding, classify,
                   compare_projections, feasible_direction_sets, validate_ifs)
-from .weights import (DegenerateError, TypeEllSequence, WeightModel,
+from .weights import (DegenerateError, WeightModel,
                       WeightSequence, as_prob_vector, as_survival_vector,
                       entropy, nondegeneracy_report, validate_type_ell)
 from .scales import (PrefixTable, ScaleDecomposition, clock_chain, decompose,

@@ -26,7 +26,7 @@ from .simulate import (ResourceCapError, box_count_fit, codes_to_words,
                        sample_tree_conditioned)
 from .variational import (dim_attractor_equal_linear, optimize_mandelbrot,
                           optimize_packing, optimize_type_ell_hausdorff)
-from .weights import DegenerateError, WeightModel, WeightSequence
+from .weights import DegenerateError, WeightModel
 
 
 def _fail(code: int, msg: str):
@@ -284,7 +284,8 @@ def cmd_dim_imm(ifs_path, seq_path, scales, horizon, out, json_mode):
                                           tail_horizon=horizon))
     csv_path = os.path.join(out, "dim-imm.csv")
     io.write_csv(csv_path, ["N", "d", "d_tilde"],
-                 zip(res.profile.N, res.profile.d, res.profile.d_tilde))
+                 zip(res.profile.N.tolist(), res.profile.d.tolist(),
+                     res.profile.d_tilde.tolist()))
     result = {"dim_H_estimate": res.dim_H_estimate,
               "dim_P_estimate": res.dim_P_estimate,
               "liminf_d_tilde": res.liminf_d_tilde,
@@ -317,7 +318,7 @@ def cmd_dim_periodic(ifs_path, periodic_path, quad_step, out, json_mode):
     res = _compute(lambda: dim_exp_periodic(ifs, pspec, quad_step=quad_step))
     csv_path = os.path.join(out, "dim-periodic.csv")
     io.write_csv(csv_path, ["T", "delta1", "delta2"],
-                 zip(res.T, res.delta1, res.delta2))
+                 zip(res.T.tolist(), res.delta1.tolist(), res.delta2.tolist()))
     result = {"dim_H": res.dim_H, "dim_P": res.dim_P, "flags": res.flags,
               "csv": csv_path}
     params = {"ifs": ifs_path, "periodic": periodic_path, "out": out}
@@ -404,13 +405,7 @@ def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, out,
     blocks = _ints(lengths)
     N_grid = _scales(scales)
     res = _compute(lambda: optimize_packing(ifs, alpha, blocks, eps, N_grid))
-    if isinstance(res.argument, WeightSequence):
-        argument = io.sequence_to_dict(res.argument)
-    elif isinstance(res.argument, np.ndarray):
-        argument = {"p_rows": res.argument.tolist()}
-    else:
-        argument = None
-    result = {"value": res.value, "argument": argument,
+    result = {"value": res.value, "argument": io.sequence_to_dict(res.argument),
               "certificate": {"eps": res.extras.get("eps"),
                               "per_N": res.extras.get("per_N"),
                               "windows": res.extras.get("windows")},
@@ -517,7 +512,7 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
     rep = _compute(lambda: box_count_fit(tree, ifs, N_list,
                                          fit_window=fit_window))
     csv_path = os.path.join(out, "boxcount.csv")
-    io.write_csv(csv_path, ["N", "count"], zip(rep.N, rep.counts))
+    io.write_csv(csv_path, ["N", "count"], zip(rep.N.tolist(), rep.counts.tolist()))
     result = {"slope": rep.slope, "intercept": rep.intercept,
               "std_error": rep.std_error, "window": list(rep.window),
               "flags": rep.flags, "csv": csv_path}

@@ -558,7 +558,6 @@ def three_weight_gap_sequence(ifs: DiagonalIFS, p, H1: float, H3: float,
         while g2(N1 - 1) > M3 * M3:
             N1 -= 1
     models = [W1, W2, W3]
-    model_idx = np.repeat(np.asarray(idx, dtype=np.intp), lengths)
-    seq = WeightSequence(models=models, model_idx=model_idx, block_lengths=lengths)
+    seq = WeightSequence.from_models([models[j] for j in idx], lengths)
     return ThreeWeightSchedule(seq=seq, rounds=rounds, models=models,
                                H_values=(W1.entropy_H(), H2, W3.entropy_H()))

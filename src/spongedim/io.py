@@ -57,16 +57,12 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(str(h) for h in header)]
-    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    """Rows of Python scalars (zip ``.tolist()`` columns): a float's str is
+    its repr, so every float keeps all its bits."""
+    lines = [",".join(map(str, header))]
+    lines.extend(",".join(map(str, row)) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _csv_cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -194,8 +190,6 @@ def sequence_from_dict(obj) -> WeightSequence:
                          "a shared alpha is not allowed with them")
     models = [weights_from_dict({"type": "atoms", "atoms": b["atoms"]}) if "atoms" in b
               else WeightModel.deterministic(b["p"]) for b in blocks]
-    if len({m.n_letters for m in models}) != 1:
-        raise ValueError("sequence: blocks differ in their number of letters")
     return WeightSequence.from_models(models, lengths)
 
 
@@ -209,15 +203,14 @@ def _block_dict(L: int, model: WeightModel) -> dict:
 
 
 def sequence_to_dict(seq: WeightSequence) -> dict:
-    lengths = seq.block_lengths or [1] * seq.horizon
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.intp)
-    if seq.mode == "models":
-        return {"blocks": [_block_dict(int(L), seq.models[i])
-                           for L, i in zip(lengths, seq.model_idx[starts])]}
-    out = {"blocks": [{"len": int(L), "p": row}
-                      for L, row in zip(lengths, seq.P[starts].tolist())]}
+    """The sequence's own blocks, one law each."""
+    if seq.models is not None:
+        return {"blocks": [_block_dict(L, m)
+                           for L, m in zip(seq.block_lengths, seq.models)]}
+    out = {"blocks": [{"len": L, "p": row}
+                      for L, row in zip(seq.block_lengths, seq.V.tolist())]}
     if seq.alpha is not None:
-        out["alpha"] = [float(x) for x in seq.alpha]
+        out["alpha"] = seq.alpha.tolist()
     return out
 
 

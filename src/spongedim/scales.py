@@ -10,8 +10,8 @@ Every prefix sum of a schedule lives in one run table: a schedule is a list
 of runs (length, vector), and inside a run the sums of the entropies, of the
 Lyapunov exponents and of the projected entropies are linear, so they are
 kept at the run boundaries only.  ``PrefixTable`` builds the table of a
-``WeightSequence`` by collapsing equal adjacent rows; the schedule
-optimizers build theirs from block runs directly.
+``WeightSequence`` from its blocks, merging equal adjacent ones; the
+schedule optimizers build theirs from block runs directly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import entr
 
 from .ifs import DiagonalIFS, build_projection_coding, ProjectionCoding
-from .weights import as_survival_vector
+from .weights import as_survival_vector, drift_scan
 
 
 def kahan_cumsum(rows: np.ndarray) -> np.ndarray:
@@ -158,8 +158,7 @@ class _RunTable:
     H, Q_r those of the level-r projected entropies), linear inside runs,
     so its minimum sits at a clock or at a boundary inside the band: one
     range minimum per band.  Tail minima use suffix minima over the
-    boundaries, and the admissibility scans are linear per run, so
-    checking the boundaries and the scan start is exact.
+    boundaries, and the admissibility scan is ``weights.drift_scan``.
 
     ``H`` gives the entropy of each run (default: that of its vector under
     the evaluator's survival law)."""
@@ -313,39 +312,31 @@ class _RunTable:
 
     def admissible(self, M0: int, rate: float) -> bool:
         """sum_{n<=M} H >= rate*M for every M in [M0, horizon]."""
-        if M0 > self.horizon:
-            return True
-        # linear inside runs: the boundaries past M0 and M0 itself
-        E = self.E
-        _, _, at_M0 = self._locate(float(M0))
-        return bool(at_M0 - rate * M0 >= 0.0
-                    and (self.HP - rate * E)[E >= M0].min(initial=math.inf) >= 0.0)
+        M, S = drift_scan(self.L, self.H[:-1], M0)
+        return bool((S - rate * M).min(initial=math.inf) >= 0.0)
 
 
 class PrefixTable(_RunTable):
-    """The run table of a weight sequence.  Equal adjacent rows collapse
-    into one run (equal model indices, for a sequence of explicit models),
-    and each run keeps the sequence's own entropy H(W^{(n)}): that of its
-    mean vector under the shared survival law, or that of its model, so
-    finite-atom laws are exact.  A dense schedule is one run per row."""
+    """The run table of a weight sequence, built from its blocks in
+    O(blocks): equal adjacent blocks merge into one run.  Each run keeps the
+    sequence's own entropy H(W^{(n)}): that of its mean vector under the
+    shared survival law, or that of its explicit law, so finite-atom laws
+    are exact.  A dense schedule is one block per row."""
 
     def __init__(self, ifs: DiagonalIFS, seq):
         if seq.n_letters != ifs.n:
             raise ValueError("sequence alphabet size %d, ifs has %d maps"
                              % (seq.n_letters, ifs.n))
-        P = seq.p_rows()
-        if seq.mode == "models":
-            change = seq.model_idx[1:] != seq.model_idx[:-1]
-        else:
-            change = np.zeros(seq.horizon - 1, dtype=bool)
-            for col in P.T:
-                change |= col[1:] != col[:-1]
+        V = seq.V
+        change = (V[1:] != V[:-1]).any(axis=1)
+        # explicit laws (finite-atom ones) carry their own H; blocks under
+        # the shared survival law alpha get it from the evaluator
+        explicit = seq.models is not None
+        if explicit:
+            change |= seq.H[1:] != seq.H[:-1]
         starts = np.flatnonzero(np.concatenate([[True], change]))
-        # explicit models (finite-atom laws) carry their own H; rows share
-        # the survival law alpha, under which the evaluator computes it
-        H = seq.H_array()[starts] if seq.mode == "models" else None
-        super().__init__(_RunEvaluator(ifs, seq.alpha),
-                         np.diff(np.append(starts, seq.horizon)), P[starts], H=H)
+        super().__init__(_RunEvaluator(ifs, seq.alpha), np.add.reduceat(seq.L, starts),
+                         V[starts], H=seq.H[starts] if explicit else None)
 
 
 @dataclass

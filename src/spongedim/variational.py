@@ -25,7 +25,8 @@ from .engine import DEGENERATE_TOL, mandelbrot_value, dim_mandelbrot
 from .ifs import DiagonalIFS, build_projection_coding
 from .scales import _RunEvaluator, _RunTable, _chain_groups, clock_chain
 from .weights import (DegenerateError, WeightModel, WeightSequence,
-                      as_survival_vector, entropy, p_max_vector, validate_type_ell)
+                      as_survival_vector, drift_scan, entropy, p_max_vector,
+                      validate_type_ell)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -352,15 +353,16 @@ def admissible_eps_bound(ifs: DiagonalIFS, alpha) -> float:
 
 
 def perturb_sequence(seq: WeightSequence, eps: float, N: int,
-                     ifs: DiagonalIFS, align_blocks: bool = True) -> PerturbResult:
+                     ifs: DiagonalIFS) -> PerturbResult:
     """Entropy-lifting perturbation of a percolation schedule.
 
-    Replaces the head (up to floor(N*eps), extended to a block boundary by
-    default) by the entropy-maximizing vector, and blends every low-entropy
-    row up to the budget floor(Lambda_a*N) toward it.  The output satisfies
+    Replaces the head (up to floor(N*eps), extended to the end of its
+    block) by the entropy-maximizing vector, and blends every low-entropy
+    block up to the budget floor(Lambda_a*N) toward it; the blocks are cut
+    at the head's end and at the budget.  The output satisfies
     sum_{n<=M} H >= M*eps for every M up to the budget, provided the input
     obeyed the one-sided bound sum_{n<=M} H >= -M*eps there."""
-    if seq.mode != "rows" or seq.alpha is None:
+    if seq.models is not None or seq.alpha is None:
         raise ValueError("perturbation applies to percolation schedules")
     alpha = seq.alpha
     H_max = math.log(float(alpha.sum()))
@@ -379,39 +381,28 @@ def perturb_sequence(seq: WeightSequence, eps: float, N: int,
         raise ValueError("sequence horizon %d shorter than floor(Lambda_a N) = %d"
                          % (seq.horizon, M_hi))
     M_lo = int(math.floor(N * eps))
-    H = seq.H_array()
-    prefix = np.cumsum(H[:M_hi])
-    Ms = np.arange(1, M_hi + 1)
-    bad = prefix[M_lo - 1:] < -eps * Ms[M_lo - 1:]
+    M, S = drift_scan(seq.L, seq.H, M_lo, M_hi)
+    bad = S < -eps * M
     if np.any(bad):
-        raise ValueError("input schedule leaves the admissible class at "
-                         "M = %d" % int(Ms[M_lo - 1:][bad][0]))
+        raise ValueError("input schedule leaves the admissible class by "
+                         "M = %d" % int(M[bad][0]))
 
     pm = p_max_vector(alpha)
-    rows = seq.p_rows().copy()
-    head_end = M_lo
-    flags = []
-    if align_blocks and seq.block_lengths is not None:
-        bounds = np.cumsum(seq.block_lengths)
-        j = int(np.searchsorted(bounds, M_lo))
-        head_end = int(bounds[min(j, len(bounds) - 1)])
-        head_end = min(head_end, M_hi)
-    elif align_blocks:
-        flags.append("no-block-metadata")
-    rows[:head_end] = pm
+    head_end = min(int(seq.ends[seq.ends.searchsorted(M_lo)]), M_hi)
+    L, own = _cut_runs(seq.L, [head_end, M_hi])
+    ends = np.cumsum(L)
+    V = seq.V[own]
+    V[ends <= head_end] = pm
     blend = lam_thr * eps
-    low = (H[:M_hi] <= 0.5 * H_max)
-    low[:head_end] = False
-    sel = np.flatnonzero(low)
-    rows[sel] = (1.0 - blend) * rows[sel] + blend * pm
-    out = WeightSequence(P=rows, alpha=alpha, block_lengths=None)
-    pre2 = np.cumsum(out.H_array()[:M_hi])
-    margin = float((pre2 - eps * Ms).min())
+    low = (seq.H[own] <= 0.5 * H_max) & (ends > head_end) & (ends <= M_hi)
+    V[low] = (1.0 - blend) * V[low] + blend * pm
+    out = WeightSequence.from_blocks(L, V, alpha=alpha)
+    M, S = drift_scan(out.L, out.H, 1, M_hi)
+    margin = float((S - eps * M).min())
     ok = margin >= -1e-9
-    if not ok:
-        flags.append("postcondition-failed")
     return PerturbResult(seq=out, head_end=head_end, blend=blend,
-                         certificate_ok=ok, margin=margin, flags=flags)
+                         certificate_ok=ok, margin=margin,
+                         flags=[] if ok else ["postcondition-failed"])
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +426,13 @@ def _block_ends(lengths, budget: int) -> np.ndarray:
     return np.minimum(ends[:int(ends.searchsorted(budget)) + 1], budget)
 
 
-def _cut_runs(L, V, cuts):
-    """Split the runs (lengths L, vectors V) at the positions ``cuts``;
-    each piece keeps the vector of its run."""
+def _cut_runs(L, cuts):
+    """Split the runs of lengths L at the positions ``cuts``: the pieces'
+    lengths and the run each piece lies in."""
     E = np.concatenate([[0.0], np.cumsum(L)])
     cuts = np.asarray(cuts, dtype=np.float64)
     bounds = np.union1d(E, cuts[(cuts > 0.0) & (cuts < E[-1])])
-    owner = E.searchsorted(bounds[:-1], side="right") - 1
-    return np.diff(bounds), np.asarray(V)[owner]
+    return np.diff(bounds), E.searchsorted(bounds[:-1], side="right") - 1
 
 
 def _rows_in(E, x):
@@ -609,7 +599,8 @@ def _solve_schedule(ev: _RunEvaluator, lengths, vectors, Ns, M0: int,
     G = table.clocks(Ns)
     for _ in range(_CLOCK_ROUNDS):
         if cut:
-            table = _RunTable(ev, *_cut_runs(table.L, table.V, np.unique(G)))
+            L, own = _cut_runs(table.L, np.unique(G))
+            table = _RunTable(ev, L, table.V[own])
         V, solve = _solve_program(table, Ns, tail, M0, rate)
         solves.append(solve)
         for lam in (0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0):
@@ -671,9 +662,9 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     for N in N_grid:
         budget = int(math.floor(lam_hi * N)) + 2
         M_lo = max(1, int(math.floor(N * eps)))
-        L, V = _cut_runs([budget], [pm], np.append(_block_ends(lengths, budget), M_lo))
-        table, value, solved, done = _solve_schedule(ev, L, V, [N], M_lo, -eps,
-                                                     cut=True)
+        L, _ = _cut_runs([budget], np.append(_block_ends(lengths, budget), M_lo))
+        table, value, solved, done = _solve_schedule(ev, L, np.tile(pm, (L.size, 1)),
+                                                     [N], M_lo, -eps, cut=True)
         solves += solved
         settled &= done
         per_N.append({"N": float(N), "value": value})
@@ -697,11 +688,13 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
 def _packing_witness(ifs, alpha, lengths, eps, N_grid, runs, lam_hi):
     """Concatenate entropy-lifted per-scale maximizers, given as runs
     (lengths, vectors) per N, on windows (L_{m_{j-1}}, L_{m_j}] with
-    L_{m_{j-1}} below floor(eps*N_j)."""
+    L_{m_{j-1}} below floor(eps*N_j), and the entropy maximizer past the
+    last window.  The witness holds these runs as its blocks and is scanned
+    for the drift class sum_{n<=M} H >= -M*eps."""
     bounds = np.cumsum(lengths)
     horizon = int(bounds[-1])
     pm = p_max_vector(alpha)
-    rows = np.repeat(pm[None, :], horizon, axis=0)
+    parts = []
     windows = []
     flags = []
     prev_end = 0
@@ -711,41 +704,37 @@ def _packing_witness(ifs, alpha, lengths, eps, N_grid, runs, lam_hi):
         budget = int(math.floor(lam_hi * N))
         if budget > horizon:
             break
-        j = int(np.searchsorted(bounds, budget))
-        end = int(bounds[min(j, len(bounds) - 1)])
-        end = min(end, horizon)
+        end = int(bounds[np.searchsorted(bounds, budget)])
+        # the maximizer's runs, then the entropy maximizer, cut at end
         L, V = runs[float(N)]
-        base = WeightSequence(P=_pad_rows(np.repeat(V, L.astype(np.intp), axis=0),
-                                          end, pm),
-                              alpha=alpha,
-                              block_lengths=np.diff(_block_ends(lengths, end), prepend=0))
+        L, V = _runs_between(np.append(L, end), np.vstack([V, pm]), 0, end)
         try:
-            pert = perturb_sequence(base, eps, int(N), ifs)
+            pert = perturb_sequence(WeightSequence.from_blocks(L, V, alpha=alpha),
+                                    eps, int(N), ifs)
         except ValueError:
             flags.append("witness-window-skipped")
             continue
-        rows[prev_end:end] = pert.seq.p_rows()[prev_end:end]
+        parts.append(_runs_between(pert.seq.L, pert.seq.V, prev_end, end))
         windows.append({"N": float(N), "start": prev_end + 1, "end": end})
         prev_end = end
-    seq = WeightSequence(P=rows, alpha=alpha,
-                         block_lengths=list(lengths))
-    H = seq.H_array()
-    pre = np.cumsum(H)
-    Ms = np.arange(1, horizon + 1)
+    Ls, Vs = zip(*parts, ([horizon], pm[None, :]))
+    L, V = _runs_between(np.concatenate(Ls), np.vstack(Vs), 0, horizon)
+    seq = WeightSequence.from_blocks(L, V, alpha=alpha)
     if windows:
-        scan_ok = bool(np.all(pre >= -eps * Ms))
-        if not scan_ok:
+        M, S = drift_scan(seq.L, seq.H)
+        if np.any(S < -eps * M):
             flags.append("witness-scan-failed")
     else:
         flags.append("witness-empty")
     return seq, windows, flags
 
 
-def _pad_rows(P, rows, fill):
-    if P.shape[0] >= rows:
-        return P[:rows]
-    pad = np.repeat(fill[None, :], rows - P.shape[0], axis=0)
-    return np.vstack([P, pad])
+def _runs_between(L, V, a: int, b: int):
+    """The runs (lengths L, vectors V) cut to the generations (a, b]."""
+    L, own = _cut_runs(L, [a, b])
+    starts = np.cumsum(L) - L
+    keep = (starts >= a) & (starts < b)
+    return L[keep], np.asarray(V)[own[keep]]
 
 
 def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,

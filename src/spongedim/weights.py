@@ -189,122 +189,126 @@ def p_max_vector(alpha) -> np.ndarray:
 
 
 class WeightSequence:
-    """Per-generation weight models W^{(n)}, n = 1..horizon.
+    """Per-generation weight models W^{(n)}, n = 1..horizon, held as blocks.
 
-    Two storage modes: a dense matrix of mean vectors with a shared survival
-    law (deterministic when alpha is None), or a list of explicit models with
-    a per-generation index (used by block constructions whose laws are not
-    percolation-shaped).  Block boundaries are retained when known.
+    Block m covers block_lengths[m] generations with one law, kept once: its
+    mean vector V[m], its entropy H[m], and its survival law, which is the
+    shared survival vector alpha (deterministic when alpha is None) or the
+    explicit law models[m].  A dense matrix of rows is a list of blocks of
+    length 1.  Nothing is stored per generation: the row views (p_rows,
+    H_array, phi_array, model_at) are expanded on demand.
     """
 
-    def __init__(self, P=None, alpha=None, models=None, model_idx=None, block_lengths=None):
+    def __init__(self, P, alpha=None):
+        V = as_prob_rows(P)
+        self._hold(np.ones(V.shape[0], dtype=np.int64), V, alpha=alpha)
+
+    def _hold(self, lengths, V, alpha=None, models=None) -> "WeightSequence":
+        """Keep validated blocks: at least one positive length, mean vectors
+        V (blocks x letters), and either alpha or one model per block."""
+        self.L = np.asarray(lengths, dtype=np.int64)
+        if self.L.size == 0:
+            raise ValueError("a schedule needs at least one block")
+        self.ends = np.cumsum(self.L)
+        self.V = V
+        self.models = models
+        self.alpha = None if alpha is None else as_survival_vector(alpha, V.shape[1])
         if models is not None:
-            self.mode = "models"
-            self.models = list(models)
-            self.model_idx = np.asarray(model_idx, dtype=np.intp)
-            rows = np.array([m.mean() for m in self.models])
-            self.P = rows[self.model_idx]
-            self.alpha = None
+            self.H = np.array([m.entropy_H() for m in models])
         else:
-            self.mode = "rows"
-            self.P = np.asarray(P, dtype=np.float64)
-            if self.P.ndim != 2:
-                raise ValueError("P must be (horizon, letters)")
-            sums = self.P.sum(axis=1)
-            if np.any(self.P < 0) or np.any(np.abs(sums - 1.0) > 1e-9):
-                raise ValueError("rows of P must be probability vectors")
-            self.alpha = None if alpha is None else as_survival_vector(alpha, self.P.shape[1])
-            self.models = None
-            self.model_idx = None
-        self.block_lengths = None if block_lengths is None else [int(x) for x in block_lengths]
+            self.H = entr(V).sum(axis=1)
+            if self.alpha is not None:
+                self.H = self.H + V @ np.log(self.alpha)
+        return self
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, model: WeightModel, horizon: int) -> "WeightSequence":
         if model.kind == "atoms":
-            return cls(models=[model], model_idx=np.zeros(horizon, dtype=np.intp),
-                       block_lengths=[horizon])
+            return cls.from_models([model], [horizon])
         alpha = model.alpha if model.kind == "percolation" else None
-        P = np.repeat(model.mean()[None, :], horizon, axis=0)
-        return cls(P=P, alpha=alpha, block_lengths=[horizon])
+        return cls.from_blocks([horizon], [model.mean()], alpha=alpha)
 
     @classmethod
     def from_blocks(cls, lengths, vectors, alpha=None) -> "WeightSequence":
-        lengths = [int(x) for x in lengths]
-        if len(lengths) != len(vectors) or any(x <= 0 for x in lengths):
-            raise ValueError("need one positive length per block vector")
-        rows = np.repeat(as_prob_rows(vectors), lengths, axis=0)
-        return cls(P=rows, alpha=alpha, block_lengths=lengths)
+        V = as_prob_rows(vectors)
+        return cls.__new__(cls)._hold(_positive_lengths(lengths, V.shape[0]), V,
+                                      alpha=alpha)
 
     @classmethod
     def from_models(cls, models, lengths) -> "WeightSequence":
-        lengths = [int(x) for x in lengths]
-        idx = np.repeat(np.arange(len(models), dtype=np.intp), lengths)
-        return cls(models=models, model_idx=idx, block_lengths=lengths)
+        """One explicit law per block."""
+        models = list(models)
+        if len({m.n_letters for m in models}) > 1:
+            raise ValueError("block laws differ in their number of letters")
+        return cls.__new__(cls)._hold(_positive_lengths(lengths, len(models)),
+                                      np.array([m.mean() for m in models]),
+                                      models=models)
 
     # -- queries -------------------------------------------------------
 
     @property
+    def block_lengths(self) -> list:
+        return self.L.tolist()
+
+    @property
     def horizon(self) -> int:
-        return self.P.shape[0]
+        return int(self.ends[-1])
 
     @property
     def n_letters(self) -> int:
-        return self.P.shape[1]
+        return self.V.shape[1]
+
+    @property
+    def P(self) -> np.ndarray:
+        return self.p_rows()
 
     def p_rows(self) -> np.ndarray:
-        return self.P
+        """Mean vector of every generation, (horizon, letters)."""
+        return np.repeat(self.V, self.L, axis=0)
 
     def model_at(self, n: int) -> WeightModel:
         """Model of generation n (1-based)."""
         if not (1 <= n <= self.horizon):
             raise ValueError("generation %d outside 1..%d" % (n, self.horizon))
-        if self.mode == "models":
-            return self.models[self.model_idx[n - 1]]
-        row = self.P[n - 1]
+        j = int(self.ends.searchsorted(n))
+        if self.models is not None:
+            return self.models[j]
         if self.alpha is None:
-            return WeightModel.deterministic(row)
-        return WeightModel.percolation(row, self.alpha)
+            return WeightModel.deterministic(self.V[j])
+        return WeightModel.percolation(self.V[j], self.alpha)
 
     def H_array(self) -> np.ndarray:
         """H(W^{(n)}) for n = 1..horizon."""
-        if self.mode == "models":
-            vals = np.array([m.entropy_H() for m in self.models])
-            return vals[self.model_idx]
-        H = entr(self.P).sum(axis=1)
-        if self.alpha is not None:
-            H = H + self.P @ np.log(self.alpha)
-        return H
+        return np.repeat(self.H, self.L)
 
     def phi_array(self, q: float) -> np.ndarray:
         """phi_{W^{(n)}}(q) for n = 1..horizon."""
-        if self.mode == "models":
+        if self.models is not None:
             vals = np.array([m.phi(q) for m in self.models])
-            return vals[self.model_idx]
-        masses = _pow_mass(self.P, q)
-        if self.alpha is None:
-            return masses.sum(axis=1)
-        return masses @ (self.alpha ** (1.0 - q))
+        elif self.alpha is None:
+            vals = _pow_mass(self.V, q).sum(axis=1)
+        else:
+            vals = _pow_mass(self.V, q) @ (self.alpha ** (1.0 - q))
+        return np.repeat(vals, self.L)
 
     def truncated(self, horizon: int) -> "WeightSequence":
-        if horizon > self.horizon:
-            raise ValueError("cannot extend by truncation")
-        if self.mode == "models":
-            seq = WeightSequence(models=self.models, model_idx=self.model_idx[:horizon])
-        else:
-            seq = WeightSequence(P=self.P[:horizon], alpha=self.alpha)
-        seq.block_lengths = None
-        if self.block_lengths is not None:
-            kept, acc = [], 0
-            for L in self.block_lengths:
-                if acc + L >= horizon:
-                    kept.append(horizon - acc)
-                    break
-                kept.append(L)
-                acc += L
-            seq.block_lengths = kept
-        return seq
+        if not (1 <= horizon <= self.horizon):
+            raise ValueError("cannot truncate to %d of %d generations"
+                             % (horizon, self.horizon))
+        R = int(self.ends.searchsorted(horizon)) + 1
+        L = self.L[:R].copy()
+        L[-1] -= self.ends[R - 1] - horizon
+        models = None if self.models is None else self.models[:R]
+        return type(self).__new__(type(self))._hold(L, self.V[:R], self.alpha, models)
+
+
+def _positive_lengths(lengths, count: int) -> list:
+    lengths = [int(x) for x in lengths]
+    if len(lengths) != count or any(x <= 0 for x in lengths):
+        raise ValueError("need one positive length per block")
+    return lengths
 
 
 def validate_type_ell(lengths, m0: int = 3, ratio_bound: float = 0.5) -> list[str]:
@@ -333,15 +337,26 @@ def validate_type_ell(lengths, m0: int = 3, ratio_bound: float = 0.5) -> list[st
     return out
 
 
-class TypeEllSequence(WeightSequence):
-    """Block sequence whose schedule satisfies the type-ell conditions."""
+def drift_scan(lengths, H, lo: int = 1, hi: int | None = None):
+    """Partial entropy sums S(M) = sum_{n<=M} H(W^{(n)}) of a schedule of
+    runs (lengths[j] generations of entropy H[j]) at lo, at hi (default:
+    the horizon) and at the run boundaries between them, as (M, S).
 
-    def __init__(self, lengths, vectors, alpha=None, m0: int = 3, ratio_bound: float = 0.5):
-        bad = validate_type_ell(lengths, m0=m0, ratio_bound=ratio_bound)
-        if bad:
-            raise ValueError("; ".join(bad))
-        base = WeightSequence.from_blocks(lengths, vectors, alpha=alpha)
-        super().__init__(P=base.P, alpha=base.alpha, block_lengths=base.block_lengths)
+    S is linear inside a run, so over lo <= M <= hi every drift margin
+    S(M) - rate*M and every partial mean S(M)/M is smallest at one of these
+    points: a drift scan costs O(runs), not O(horizon).  Both arrays are
+    empty when lo > hi."""
+    L = np.asarray(lengths, dtype=np.float64)
+    E = np.concatenate([[0.0], np.cumsum(L)])
+    hi = E[-1] if hi is None else float(hi)
+    if lo > hi:
+        return np.empty(0), np.empty(0)
+    M = np.concatenate([[float(lo)], E[(E > lo) & (E < hi)], [hi]])
+    # a zero run past the horizon, so that M = E_R reads its boundary sum
+    H = np.append(H, 0.0)
+    HP = np.concatenate([[0.0], np.cumsum(L * H[:-1])])
+    j = E.searchsorted(M, side="right") - 1
+    return M, HP[j] + (M - E[j]) * H[j]
 
 
 @dataclass
@@ -355,32 +370,34 @@ class NondegeneracyReport:
 
 def nondegeneracy_report(seq: WeightSequence, horizon: int | None = None,
                          eps_grid=None) -> NondegeneracyReport:
-    """Finite-horizon drift certificate for sum_n H(W^{(n)}).
+    """Finite-horizon drift certificate for sum_n H(W^{(n)}), in O(blocks).
 
     Reports the minimal partial mean, and the largest grid eps for which
     sum_{n<=N} H >= N*eps for every N in [N_eps, horizon].  Asymptotic
     claims are out of reach; the verdict is explicitly at-horizon.
     """
-    H = seq.H_array()
     horizon = seq.horizon if horizon is None else int(horizon)
     if not (1 <= horizon <= seq.horizon):
         raise ValueError("horizon outside sequence length")
-    means = np.cumsum(H[:horizon]) / np.arange(1, horizon + 1)
+    M, S = drift_scan(seq.L, seq.H, 1, horizon)
+    means = S / M
     if eps_grid is None:
-        top = math.log(seq.n_letters)
-        eps_grid = np.geomspace(1e-4, top, 48)
-    eps_grid = np.sort(np.asarray(eps_grid, dtype=np.float64))[::-1]
-
-    # suffix minima of the partial means: best certifiable drift per burn-in
-    suffix_min = np.minimum.accumulate(means[::-1])[::-1]
-    best = float(suffix_min.max())
-    eps = None
-    N_eps = None
-    for e in eps_grid:
-        if e <= best:
-            eps = float(e)
-            N_eps = int(np.argmax(suffix_min >= e)) + 1
-            break
+        eps_grid = np.geomspace(1e-4, math.log(seq.n_letters), 48)
+    # no drift above the partial mean at the horizon is certifiable
+    fits = np.asarray(eps_grid, dtype=np.float64)
+    fits = fits[fits <= means[-1]]
+    eps = N_eps = None
+    if fits.size:
+        eps = float(fits.max())
+        # one past the last M with a partial mean below eps; the margin
+        # S - eps*M is linear from that scan point to the next
+        below = np.flatnonzero(means < eps)
+        N_eps = 1
+        if below.size:
+            i = below[-1]
+            f0, f1 = S[i:i + 2] - eps * M[i:i + 2]
+            root = M[i] - f0 * (M[i + 1] - M[i]) / (f1 - f0)
+            N_eps = int(min(max(math.ceil(root), M[i] + 1), M[i + 1]))
     verdict = "supercritical-at-horizon" if means.min() > 0 else "degenerate-at-horizon"
     return NondegeneracyReport(horizon=horizon, min_partial_mean=float(means.min()),
                                verdict=verdict, eps=eps, N_eps=N_eps)

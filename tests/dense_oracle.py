@@ -3,7 +3,9 @@
 Compensated (Kahan) prefix sums of chi_k and H over every row, per-row band
 entropies for the profile, and argmin scans for the tail: the oracle that
 ``spongedim.scales.PrefixTable`` and the engine functions built on it are
-checked against.  It costs O(horizon) Python work per table, so use it on
+checked against.  ``nondegeneracy_report`` takes the partial means of every
+generation, the oracle for the block scan of
+``spongedim.weights.nondegeneracy_report``.  It costs O(horizon) Python work per table, so use it on
 small schedules only.
 
 ``tree_rects`` composes the maps along each cell's digit word, the oracle
@@ -21,6 +23,7 @@ from spongedim.ifs import build_projection_coding
 from spongedim.scales import (ScaleDecomposition, TailMin, clock_chain,
                               kahan_cumsum)
 from spongedim.simulate import codes_to_words
+from spongedim.weights import NondegeneracyReport
 
 
 class DensePrefixTable:
@@ -137,3 +140,31 @@ def tree_rects(tree, ifs, level: int):
         lo += scale * ifs.T[dig]
         scale *= ifs.A[dig]
     return lo, scale
+
+
+def nondegeneracy_report(seq, horizon=None, eps_grid=None) -> NondegeneracyReport:
+    """The drift report from the partial means of every generation and
+    their suffix minima."""
+    H = seq.H_array()
+    horizon = seq.horizon if horizon is None else int(horizon)
+    if not (1 <= horizon <= seq.horizon):
+        raise ValueError("horizon outside sequence length")
+    means = np.cumsum(H[:horizon]) / np.arange(1, horizon + 1)
+    if eps_grid is None:
+        top = math.log(seq.n_letters)
+        eps_grid = np.geomspace(1e-4, top, 48)
+    eps_grid = np.sort(np.asarray(eps_grid, dtype=np.float64))[::-1]
+
+    # suffix minima of the partial means: best certifiable drift per burn-in
+    suffix_min = np.minimum.accumulate(means[::-1])[::-1]
+    best = float(suffix_min.max())
+    eps = None
+    N_eps = None
+    for e in eps_grid:
+        if e <= best:
+            eps = float(e)
+            N_eps = int(np.argmax(suffix_min >= e)) + 1
+            break
+    verdict = "supercritical-at-horizon" if means.min() > 0 else "degenerate-at-horizon"
+    return NondegeneracyReport(horizon=horizon, min_partial_mean=float(means.min()),
+                               verdict=verdict, eps=eps, N_eps=N_eps)

@@ -97,7 +97,7 @@ def test_atom_block_sequence_roundtrip(mcmullen):
     doc = io.sequence_to_dict(seq)
     text = io.canonical_json(doc)
     back = io.sequence_from_dict(io.strict_loads(text))
-    assert back.mode == "models"
+    assert back.models is not None
     assert back.block_lengths == seq.block_lengths
     assert np.array_equal(back.p_rows(), seq.p_rows())
     assert np.array_equal(back.H_array(), seq.H_array())

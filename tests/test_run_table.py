@@ -5,22 +5,26 @@ keeps the dense prefix path out of the package.
 in ``dense_oracle`` sums every row with Kahan compensation.  Both must give
 the same clocks, profiles, tail minima and dimension sequences on block
 schedules, dense one-row-per-generation schedules and the three-weight gap
-schedule (explicit finite-atom laws).
+schedule (explicit finite-atom laws).  The drift report, a scan over block
+boundaries, must match the oracle's row-wise partial means, and a block
+schedule must cost memory in its blocks, not its rows.
 """
 
 import functools
 import os
 import re
+import tracemalloc
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spongedim
+from spongedim import io
 from spongedim.engine import (d_sequences, dim_imm_bounds, entropy_profile,
-                              three_weight_gap_sequence)
+                              scaled_weight_model, three_weight_gap_sequence)
 from spongedim.scales import PrefixTable, decompose, tail_min
-from spongedim.weights import WeightSequence
+from spongedim.weights import WeightSequence, entropy, nondegeneracy_report
 
 import dense_oracle as dense
 
@@ -140,6 +144,40 @@ def test_tail_min_flags_only_a_strict_minimum_at_the_horizon(mcmullen):
     assert early.value == 0.0 and not early.horizon_limited
 
 
+# === drift report against the row-wise oracle ===
+
+def draw_drift_schedule(kind, percolated, rng):
+    """A schedule on three letters whose entropies dip: blocks or dense rows
+    of mean vectors (below zero under a survival law), or finite-atom
+    blocks with entropies down to about -1.5."""
+    R = int(rng.integers(1, 40))
+    lengths = np.ones(R, dtype=int) if kind == "dense" else rng.integers(1, 50, size=R)
+    vectors = np.array([rng.dirichlet(np.full(3, 0.1 if rng.random() < 0.3 else 2.0))
+                        for _ in range(R)])
+    if kind == "atoms":
+        return WeightSequence.from_models(
+            [scaled_weight_model(v, entropy(v) - rng.uniform(0.0, 1.5)) for v in vectors],
+            lengths)
+    alpha = rng.uniform(0.3, 1.0, size=3) if percolated else None
+    if kind == "dense":
+        return WeightSequence(P=vectors, alpha=alpha)
+    return WeightSequence.from_blocks(lengths, vectors, alpha=alpha)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["blocks", "dense", "atoms"]),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_drift_report_matches_dense_oracle(seed, kind, percolated):
+    rng = np.random.default_rng(seed)
+    seq = draw_drift_schedule(kind, percolated, rng)
+    horizon = int(rng.integers(1, seq.horizon + 1)) if rng.random() < 0.5 else None
+    got = nondegeneracy_report(seq, horizon)
+    want = dense.nondegeneracy_report(seq, horizon)
+    assert ((got.horizon, got.verdict, got.eps, got.N_eps)
+            == (want.horizon, want.verdict, want.eps, want.N_eps))
+    assert abs(got.min_partial_mean - want.min_partial_mean) <= TOL
+
+
 # === cost shape ===
 
 def test_block_schedule_table_has_one_run_per_block(mcmullen):
@@ -151,9 +189,33 @@ def test_block_schedule_table_has_one_run_per_block(mcmullen):
     table = PrefixTable(mcmullen, seq)
     assert table.L.size == 20
     assert table.horizon == 10 ** 6
-    # explicit-model sequences collapse by model index
+    # explicit-law blocks merge only when their vector and entropy agree
     gap = gap_schedule(2500)
     assert PrefixTable(mcmullen, gap).L.size == len(gap.block_lengths)
+
+
+def test_block_schedule_memory_does_not_grow_with_rows(mcmullen):
+    # 10^7 rows as 20 blocks, loaded from the file form, and as 20
+    # finite-atom laws: the rows alone would take 240 MB
+    rng = np.random.default_rng(11)
+    lengths = np.full(20, 500_000)
+    vectors = rng.dirichlet(np.full(3, 3.0), size=20)
+    doc = io.sequence_to_dict(WeightSequence.from_blocks(lengths, vectors,
+                                                         alpha=np.full(3, 0.9)))
+    tracemalloc.start()
+    try:
+        seq = io.sequence_from_dict(doc)
+        bounds = dim_imm_bounds(seq, mcmullen)
+        atoms = WeightSequence.from_models(
+            [scaled_weight_model(v, 0.5 * entropy(v)) for v in vectors], lengths)
+        atom_bounds = dim_imm_bounds(atoms, mcmullen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.horizon == atoms.horizon == 10 ** 7
+    for b in (bounds, atom_bounds):
+        assert 0.0 < b.dim_H_estimate <= b.dim_P_estimate
+    assert peak < 5 * 2 ** 20
 
 
 # === the dense path stays out of the package ===

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
-from spongedim import DiagonalIFS, DiagonalMap, variational
+from spongedim import DiagonalIFS, DiagonalMap, io, variational
 from spongedim.engine import mandelbrot_value
 from spongedim.scales import _RunEvaluator, _RunTable
 from spongedim.variational import (admissible_eps_bound,
@@ -232,6 +232,23 @@ def test_packing_search_small(mcmullen):
     assert MCMULLEN_H - 5e-2 < res.value < 2.0
     per_N = res.extras["per_N"]
     assert [row["N"] for row in per_N] == [64.0, 128.0, 256.0]
+
+
+def test_packing_witness_file_is_the_scanned_schedule(mcmullen):
+    # the criterion-2 input, on two scales: the per-scale runs are cut at
+    # the clocks and at floor(N*eps), so the witness varies inside some of
+    # the given blocks, and its file form must keep those runs
+    eps = 0.1
+    res = optimize_packing(mcmullen, np.ones(3), type_ell_lengths(11000), eps=eps,
+                           N_grid=[512.0, 1024.0])
+    witness = res.argument
+    text = io.canonical_json(io.sequence_to_dict(witness))
+    back = io.sequence_from_dict(io.strict_loads(text))
+    assert np.array_equal(back.p_rows(), witness.p_rows())
+    assert res.extras["windows"] and "witness-scan-failed" not in res.flags
+    # the drift class sum_{n<=M} H >= -M*eps, row by row on the reloaded file
+    M = np.arange(1, back.horizon + 1)
+    assert np.all(np.cumsum(back.H_array()) >= -eps * M)
 
 
 def test_type_ell_hausdorff_search_small(mcmullen):

@@ -100,6 +100,14 @@ def test_sequence_from_blocks_shape():
     assert np.allclose(seq.p_rows()[3], [0.2, 0.8])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_schedule_rejects_non_finite_vectors(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        WeightSequence(P=[[bad, bad], [0.5, 0.5]], alpha=[0.9, 0.9])
+    with pytest.raises(ValueError, match="non-finite"):
+        WeightSequence.from_blocks([2, 3], [[0.5, 0.5], [bad, 0.0]])
+
+
 def test_model_at_block_boundaries():
     seq = WeightSequence.from_blocks([2, 2], [[0.5, 0.5], [0.1, 0.9]],
                                      alpha=[1.0, 1.0])
