@@ -16,8 +16,9 @@ import numpy as np
 from scipy.special import entr
 
 from .ifs import DiagonalIFS, build_projection_coding
-from .scales import (PrefixTable, ScaleDecomposition, TailMin, _const_gamma,
-                     _decomposition, certified_tail_horizon, clock_chain)
+from .scales import (PrefixTable, ScaleDecomposition, TailMin, _chain_groups,
+                     _const_gamma, _decomposition, _profile_min, _range_min,
+                     _RunEvaluator, certified_tail_horizon, clock_chain)
 from .weights import (DegenerateError, WeightModel, WeightSequence, as_prob_vector,
                       entropy, nondegeneracy_report)
 
@@ -289,9 +290,6 @@ class PeriodicSpec:
             out[:, i] = np.interp(xm, self._x, self._P[:, i])
         return out
 
-    def p_of_t(self, t) -> np.ndarray:
-        return self.p_at_x(np.log(np.asarray(t, dtype=np.float64)))
-
     def discretize(self, horizon: int) -> WeightSequence:
         n = np.arange(1, int(horizon) + 1, dtype=np.float64)
         P = self.p_at_x(np.log(n))
@@ -299,66 +297,77 @@ class PeriodicSpec:
 
 
 class _PeriodTables:
-    """Single-period quadrature tables; all integrals from 0 reduce to one
-    period through G(lam*t) = lam*G(t)."""
+    """Quadrature tables G(t) = int_0^t f of functions f of one period in
+    log t: trapezoid steps in x = log t over [1, lam], plus the closed
+    geometric sum I/(lam-1) for the part below 1.  As G(lam*t) = lam*G(t),
+    period m of a table is lam^m times the base one, so every table is
+    piecewise linear in x with breakpoints at x = grid (mod log lam).  The
+    tables are extended over the periods that the clocks of T in [1, lam]
+    and one tail period past them reach, on the breakpoints ``X``."""
 
     def __init__(self, pspec: PeriodicSpec, ifs: DiagonalIFS, n_steps: int):
-        self.pspec = pspec
-        self.ifs = ifs
+        self.lam = pspec.lam
         self.loglam = math.log(pspec.lam)
-        self.x = np.linspace(0.0, self.loglam, n_steps + 1)
-        self.t = np.exp(self.x)
-        self.P = pspec.p_at_x(self.x)
-        self.chi = self.P @ ifs.C                        # (n+1, d)
-        H = entr(self.P).sum(axis=1)
-        if pspec.alpha is not None:
-            H = H + self.P @ np.log(pspec.alpha)
-        self.H = H
-        self.G_chi = np.array([self._base_table(self.chi[:, k])
-                               for k in range(ifs.d)]).T
-        self.G_H = self._base_table(self.H)
-        self._proj_tables = {}
+        self.x = x = np.linspace(0.0, self.loglam, n_steps + 1)
+        self.t = np.exp(x)
+        self.P = pspec.p_at_x(x)
+        self.ev = _RunEvaluator(ifs, pspec.alpha)
+        self.G_H = self._base_table(self.ev.entropies(self.P))
+        G_chi = [self._base_table(chi) for chi in (self.P @ ifs.C).T]
+        # gamma_k(1) lies in period m_k; T up to lam moves it one period
+        # on and the tail reaches one more (one period of margin each side)
+        m = [math.floor(-math.log(G[0]) / self.loglam) for G in G_chi]
+        self.periods = np.arange(min(m) - 1, max(m) + 4)
+        self.X = np.append((x[:-1] + self.loglam * self.periods[:, None]).ravel(),
+                           self.loglam * (self.periods[-1] + 1))
+        self.G_H_ext = self._extend(self.G_H)
+        self.G_chi_ext = [self._extend(G) for G in G_chi]
+        self._proj = {}
 
     def _base_table(self, f: np.ndarray) -> np.ndarray:
-        """G(t_j) = int_0^{t_j} f for t_j in [1, lam]; the part below 1 is
-        the closed geometric sum I/(lam-1)."""
         integrand = f * self.t
         steps = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(self.x)
         F = np.concatenate([[0.0], np.cumsum(steps)])
-        I = F[-1]
-        return I / (self.pspec.lam - 1.0) + F
+        return F[-1] / (self.lam - 1.0) + F
 
-    def eval_scaled(self, table: np.ndarray, t: float) -> float:
-        """G(t) for any t > 0 via periodic self-similarity."""
-        m = math.floor(math.log(t) / self.loglam)
-        tau_x = math.log(t) - m * self.loglam
-        if tau_x < 0:
-            m -= 1
-            tau_x += self.loglam
-        return self.pspec.lam ** m * float(np.interp(tau_x, self.x, table))
+    def _extend(self, table: np.ndarray) -> np.ndarray:
+        scale = self.lam ** self.periods
+        return np.append((scale[:, None] * table[:-1]).ravel(),
+                         self.lam * scale[-1] * table[0])
 
-    def invert(self, table: np.ndarray, T: float) -> float:
-        """Smallest t with G(t) = T (G strictly increasing)."""
-        G1 = table[0]
-        m = math.floor(math.log(T / G1) / self.loglam)
-        for _ in range(3):
-            val = T / self.pspec.lam ** m
-            if val < table[0]:
-                m -= 1
-            elif val > table[-1]:
-                m += 1
-            else:
-                break
-        val = T / self.pspec.lam ** m
-        xs = float(np.interp(val, table, self.x))
-        return self.pspec.lam ** m * math.exp(xs)
+    def _projected(self, coding):
+        """Extended tables of the projected entropies of levels 2..s."""
+        out = self._proj.get(coding)
+        if out is None:
+            out = self._proj[coding] = [
+                self._extend(self._base_table(entr(self.P @ M).sum(axis=1)))
+                for M in coding.indicators[1:]]
+        return out
 
-    def proj_table(self, D: frozenset, r: int, coding) -> np.ndarray:
-        key = D
-        if key not in self._proj_tables:
-            proj = coding.project_rows(self.P, r)
-            self._proj_tables[key] = self._base_table(entr(proj).sum(axis=1))
-        return self._proj_tables[key]
+    def deltas(self, T: np.ndarray):
+        """(delta1, delta2) at resolutions T in [1, lam]: the tail minimum
+        and the profile minimum over [g_1, g_s], each over T."""
+        X, GH = self.X, self.G_H_ext
+        gam = np.exp(np.column_stack([np.interp(T, G, X) for G in self.G_chi_ext]))
+        d1, d2 = np.empty(T.size), np.empty(T.size)
+        # interpolated continuous clocks: equal up to rounding means tied
+        for coding, rows, g in _chain_groups(gam, self.ev, rtol=1e-9):
+            xg = np.log(g)
+            GHg = np.interp(xg, X, GH)
+            # the tail: the empty one at g_s, or one ending in (g_s, lam*g_s]
+            xs = xg[:, -1]
+            d1[rows] = np.minimum(GHg[:, -1], _range_min(
+                GH, X.searchsorted(xs, "right"), X.searchsorted(xs + self.loglam, "right")))
+            above = X.searchsorted(xg, "right")     # first breakpoint past a clock
+            below = X.searchsorted(xg, "left")      # first one at or past it
+
+            def band(i):
+                Q = self._projected(coding)[i]
+                return (np.interp(xg[:, i:i + 2], X, Q),
+                        _range_min(GH - Q, above[:, i], below[:, i + 1]))
+
+            d2[rows] = _profile_min(GHg, band)
+        return d1 / T, d2 / T
 
 
 @dataclass
@@ -371,15 +380,21 @@ class PeriodicDimensions:
     flags: list
 
 
+T_POINTS = 129          # grid of log T over one period, both ends included
+REFINE_POINTS = 17      # evaluations per extreme and refinement round
+REFINE_ROUNDS = 5
+
+
 def dim_exp_periodic(ifs: DiagonalIFS, pspec: PeriodicSpec,
-                     quad_step: float | None = None, T_grid=None,
-                     inner_points: int = 256) -> PeriodicDimensions:
+                     quad_step: float | None = None) -> PeriodicDimensions:
     """Hausdorff and packing dimension of an exponentially periodic schedule.
 
     All clocks and integrals live on one period thanks to the scaling
-    G(lam t) = lam G(t); clocks gamma_k(T) invert the per-axis tables, and
-    per T the value is min(delta1, delta2) with delta1 the tail part and
-    delta2 the profile minimum over [g_1(T), g_s(T)]."""
+    G(lam t) = lam G(t); per resolution T the value is v(T) = min(delta1,
+    delta2), delta1 the tail minimum and delta2 the profile minimum over
+    [g_1(T), g_s(T)], both exact on the quadrature breakpoints.  v is
+    periodic in log T; dim_H and dim_P are its extremes over a grid of one
+    period, each refined on finer grids around the best grid point."""
     if pspec.n_letters != ifs.n:
         raise ValueError("schedule alphabet size %d, ifs has %d maps"
                          % (pspec.n_letters, ifs.n))
@@ -397,57 +412,32 @@ def dim_exp_periodic(ifs: DiagonalIFS, pspec: PeriodicSpec,
         raise DegenerateError("periodic entropy drift dips to %g <= 0"
                               % float(drift.min()))
 
-    if T_grid is None:
-        T_grid = np.exp(np.linspace(0.0, tab.loglam, 129))
-    T_grid = np.asarray(T_grid, dtype=np.float64)
+    x = np.linspace(0.0, tab.loglam, T_POINTS)
+    T = np.exp(x)
+    delta1, delta2 = tab.deltas(T)
+    dim_H, dim_P = _extremes(tab, x, np.minimum(delta1, delta2))
+    return PeriodicDimensions(dim_H=dim_H, dim_P=dim_P, T=T,
+                              delta1=delta1, delta2=delta2, flags=[])
 
-    lam = pspec.lam
-    two_x = np.concatenate([tab.x, tab.x[1:] + tab.loglam])
-    two_GH = np.concatenate([tab.G_H, lam * tab.G_H[1:]])
 
-    d1_rows, d2_rows = [], []
-    for T in T_grid:
-        gam = np.array([tab.invert(tab.G_chi[:, k], T) for k in range(ifs.d)])
-        # interpolated continuous clocks: equal up to rounding means tied
-        groups, chain = clock_chain(gam, rtol=1e-9)
-        gvals = [float(gam[g[0]]) for g in groups]
-        coding = build_projection_coding(ifs, chain)
-        s = len(groups)
-        g1, gs = gvals[0], gvals[-1]
-
-        # delta1: smallest tail minimizer past g_s lies within one period
-        m = math.floor(math.log(gs) / tab.loglam)
-        base = math.log(gs) - m * tab.loglam
-        if base < 0:
-            m -= 1
-            base += tab.loglam
-        mask = (two_x >= base - 1e-15) & (two_x <= base + tab.loglam + 1e-15)
-        seg = two_GH[mask]
-        d1 = lam ** m * float(seg.min()) / T
-
-        # delta2: profile minimum over T' in [g_1, g_s]
-        tprime = np.exp(np.linspace(math.log(g1), math.log(gs), inner_points))
-        tprime = np.unique(np.concatenate([tprime, np.asarray(gvals)]))
-        proj_tabs = [tab.proj_table(chain[r - 1], r, coding) for r in range(2, s + 1)]
-        G_at_g = [tab.eval_scaled(proj_tabs[r - 2], gvals[r - 1]) for r in range(2, s + 1)]
-        best = math.inf
-        for tp in tprime:
-            val = tab.eval_scaled(tab.G_H, tp)
-            for r in range(2, s + 1):
-                lo = max(tp, gvals[r - 2])
-                if lo < gvals[r - 1]:
-                    val += G_at_g[r - 2] - tab.eval_scaled(proj_tabs[r - 2], lo)
-            best = min(best, val)
-        d2 = best / T
-        d1_rows.append(d1)
-        d2_rows.append(d2)
-
-    delta1 = np.array(d1_rows)
-    delta2 = np.array(d2_rows)
-    v = np.minimum(delta1, delta2)
-    return PeriodicDimensions(dim_H=float(v.min()), dim_P=float(v.max()),
-                              T=T_grid, delta1=delta1, delta2=delta2,
-                              flags=[])
+def _extremes(tab: _PeriodTables, x: np.ndarray, v: np.ndarray):
+    """(inf, sup) of v(T) = min(delta1, delta2), periodic in log T, from
+    its values v on the grid x of log T.  Each extreme is refined in rounds
+    of REFINE_POINTS evaluations over the two cells around the best point
+    so far, the cells shrinking 8-fold per round; log T wraps at log lam."""
+    sign = np.array([[1.0], [-1.0]])    # minimize sign * v: the inf, the sup
+    w = sign * v
+    k = w.argmin(axis=1)
+    best, centers = w[[0, 1], k], x[k]
+    h = x[1] - x[0]
+    for _ in range(REFINE_ROUNDS):
+        xs = centers[:, None] + h * np.linspace(-1.0, 1.0, REFINE_POINTS)
+        d1, d2 = tab.deltas(np.exp(np.mod(xs, tab.loglam)).ravel())
+        w = sign * np.minimum(d1, d2).reshape(xs.shape)
+        k = w.argmin(axis=1)
+        best, centers = np.minimum(best, w[[0, 1], k]), xs[[0, 1], k]
+        h *= 2.0 / (REFINE_POINTS - 1)
+    return float(best[0]), float(-best[1])
 
 
 # ---------------------------------------------------------------------------

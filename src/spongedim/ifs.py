@@ -60,13 +60,6 @@ class DiagonalMap:
     def d(self) -> int:
         return self.a.size
 
-    def apply(self, x):
-        return self.a * np.asarray(x, dtype=np.float64) + self.t
-
-    def rect(self):
-        """Closed image rectangle as (lower, upper) corner arrays."""
-        return self.t.copy(), self.t + self.a
-
 
 class DiagonalIFS:
     """A finite family of DiagonalMaps with a common ambient dimension.

@@ -105,15 +105,22 @@ class _RunEvaluator:
         return H
 
 
-def _chain_groups(G: np.ndarray, ev: _RunEvaluator):
+def _chain_groups(G: np.ndarray, ev: _RunEvaluator, rtol: float = 0.0):
     """Split scales (rows of the clock matrix G, one column per axis) by
-    clock chain.  Yields (coding, rows, g): the projection coding of the
-    chain, the scales that share it (a slice when all do), and their
-    distinct clocks g_1 < ... < g_s as a (scales, s) matrix."""
+    clock chain, ties taken as in ``clock_chain`` with tolerance rtol.
+    Yields (coding, rows, g): the projection coding of the chain, the
+    scales that share it (a slice when all do), and their distinct clocks
+    g_1 < ... < g_s (each group's first) as a (scales, s) matrix."""
     order = G.argsort(axis=1, kind="stable")
     Gs = np.sort(G, axis=1)
     new = np.ones(G.shape, dtype=bool)
-    new[:, 1:] = Gs[:, 1:] != Gs[:, :-1]
+    if rtol == 0.0:         # exact ties: neighbours compare, one operation
+        new[:, 1:] = Gs[:, 1:] != Gs[:, :-1]
+    else:
+        lead = Gs[:, 0]     # first clock of the current group
+        for k in range(1, G.shape[1]):
+            new[:, k] = np.abs(Gs[:, k] - lead) > rtol * np.abs(lead)
+            lead = np.where(new[:, k], Gs[:, k], lead)
     code = order @ ev.order_weights + new @ ev.tie_weights
     if G.shape[0] == 1 or (code == code[0]).all():
         parts = [(0, slice(None))]
@@ -123,7 +130,7 @@ def _chain_groups(G: np.ndarray, ev: _RunEvaluator):
     for first, rows in parts:
         hit = ev.chains.get(int(code[first]))
         if hit is None:
-            _, chain = clock_chain(G[first])
+            _, chain = clock_chain(G[first], rtol)
             hit = ev.chains[int(code[first])] = (
                 build_projection_coding(ev.ifs, chain), np.flatnonzero(new[first]))
         yield hit[0], rows, Gs[rows][:, hit[1]]
@@ -146,6 +153,28 @@ def _range_min(F: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _profile_min(HPg: np.ndarray, band) -> np.ndarray:
+    """min over k in [g_1, g_s] of the profile H_{N,k}, per scale, from its
+    band form.  On the band [g_rho, g_{rho+1}] the profile is HP(k) -
+    Q_{rho+1}(k) plus a constant (HP the prefix sums of H, Q_r those of the
+    level-r projected entropies), so its minimum is at one of the two
+    clocks or at a breakpoint strictly inside.  HPg holds HP at the clocks
+    (scales, s); band(i) gives, for band rho = i+1 and level r = i+2, Q_r at
+    g_rho and g_{rho+1} (scales, 2) and the smallest HP - Q_r at the
+    breakpoints strictly inside the band."""
+    best = None
+    above = 0.0     # band entropies of the levels above
+    for i in range(HPg.shape[1] - 2, -1, -1):
+        Qg, inner = band(i)
+        F = HPg[:, i:i + 2] - Qg
+        const = Qg[:, 1] if best is None else Qg[:, 1] + above
+        val = np.minimum(np.minimum(F[:, 0], F[:, 1]), inner) + const
+        best = val if best is None else np.minimum(best, val)
+        if i:
+            above = above + (Qg[:, 1] - Qg[:, 0])
+    return HPg[:, 0] if best is None else best
+
+
 class _RunTable:
     """A schedule given as runs (length, vector), evaluated in O(#runs).
 
@@ -153,11 +182,9 @@ class _RunTable:
     entropy are linear, so they are kept at the run boundaries E_0 = 0 <
     E_1 < ... < E_R only, in float64 over O(#runs) terms.  A clock is a
     search over boundaries plus one division, corrected by ``_const_gamma``
-    where it is off.  On the band [g_rho, g_{rho+1}] of a scale the profile
-    H_{N,k} is HP(k) - Q_{rho+1}(k) plus a constant (HP the prefix sums of
-    H, Q_r those of the level-r projected entropies), linear inside runs,
-    so its minimum sits at a clock or at a boundary inside the band: one
-    range minimum per band.  Tail minima use suffix minima over the
+    where it is off.  The profile is linear inside runs, so its minimum
+    (``_profile_min``) takes one range minimum over the boundaries inside
+    each band.  Tail minima use suffix minima over the
     boundaries, and the admissibility scan is ``weights.drift_scan``.
 
     ``H`` gives the entropy of each run (default: that of its vector under
@@ -247,30 +274,19 @@ class _RunTable:
             tail = (np.empty(m), np.empty(m), np.empty(m, dtype=bool))
         HP = self.HP
         for coding, rows, g in _chain_groups(G, self.ev):
-            s = g.shape[1]
             j, off, HPg = self._locate(g)
             if tail is not None:
                 tail[0][rows] = HPg[:, -1]
                 tail[1][rows], tail[2][rows] = self._tail(j[:, -1], HPg[:, -1], T)
-            if s == 1:
-                prof[rows] = HPg[:, 0]
-                continue
-            h, Q = self._projected(coding)
-            best = None
-            above = 0.0     # band entropies of the levels above
-            for i in range(s - 2, -1, -1):
-                # band rho = i+1, level r = i+2: Q_r at g_rho and g_{rho+1}
+
+            def band(i):
+                h, Q = self._projected(coding)
                 jj = j[:, i:i + 2]
-                Qg = Q[i][jj] + off[:, i:i + 2] * h[i][jj]
-                F = HPg[:, i:i + 2] - Qg
-                # the boundaries strictly inside (g_rho, g_{rho+1})
-                inner = _range_min(HP - Q[i], jj[:, 0] + 1, jj[:, 1] + (off[:, i + 1] > 0))
-                const = Qg[:, 1] if i == s - 2 else Qg[:, 1] + above
-                val = np.minimum(np.minimum(F[:, 0], F[:, 1]), inner) + const
-                best = val if best is None else np.minimum(best, val)
-                if i:
-                    above = above + (Qg[:, 1] - Qg[:, 0])
-            prof[rows] = best
+                # Q_r at the clocks, and the boundaries strictly inside
+                return (Q[i][jj] + off[:, i:i + 2] * h[i][jj],
+                        _range_min(HP - Q[i], jj[:, 0] + 1, jj[:, 1] + (off[:, i + 1] > 0)))
+
+            prof[rows] = _profile_min(HPg, band)
         if tail is None:
             return G, prof / Ns, None, None
         base, low, limited = tail

@@ -777,10 +777,12 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
 
     # certificate on the eta = eps^2 grid
     eta = eps * eps
-    snapped = _RunTable(ev, block_lengths,
-                           [_grid_project(v, eta) for v in vectors])
-    grid_ok = snapped.admissible(burn, eps)
-    grid_val = float(snapped.d_lower(N_grid).min()) if grid_ok else None
+    snapped = [_grid_project(v, eta) for v in vectors]
+    grid_ok, grid_val = snapped[0] is not None, None
+    if grid_ok:
+        grid_table = _RunTable(ev, block_lengths, snapped)
+        grid_ok = grid_table.admissible(burn, eps)
+        grid_val = float(grid_table.d_lower(N_grid).min()) if grid_ok else None
     seq = WeightSequence.from_blocks(block_lengths, vectors, alpha=alpha)
     solver_flags, solver, nit, residual = _solver_report(solves, settled)
     flags = ["at-horizon"] + solver_flags
@@ -796,8 +798,18 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
 
 
 def _grid_project(v, eta):
-    """Snap a block vector to the eta-grid: floor multiples of eta with the
-    shortfall added to the largest coordinate."""
-    snapped = np.where(v < eta, eta, np.floor(v / eta) * eta)
-    snapped[np.argmax(v)] += 1.0 - snapped.sum()
-    return snapped
+    """Snap a block vector to the eta-grid of the simplex, the points k/K
+    with K = round(1/eta) and integers k_i >= 1 summing to K (there are
+    some only when K >= #letters; None otherwise): largest-remainder
+    rounding of v*K, then a unit from the largest count to each letter
+    left without one."""
+    K = round(1.0 / eta)
+    if K < len(v):
+        return None
+    q = np.asarray(v, dtype=np.float64) * K
+    k = np.floor(q)
+    k[np.argsort(k - q, kind="stable")[:int(round(K - k.sum()))]] += 1.0
+    for i in np.flatnonzero(k < 1.0):
+        k[np.argmax(k)] -= 1.0
+        k[i] = 1.0
+    return k / K
