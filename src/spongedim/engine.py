@@ -20,7 +20,7 @@ from .scales import (PrefixTable, ScaleDecomposition, TailMin, _chain_groups,
                      _const_gamma, _decomposition, _profile_min, _range_min,
                      _RunEvaluator, certified_tail_horizon, clock_chain)
 from .weights import (DegenerateError, WeightModel, WeightSequence, as_prob_vector,
-                      entropy, nondegeneracy_report)
+                      as_survival_vector, entropy, nondegeneracy_report)
 
 DEGENERATE_TOL = 1e-12
 
@@ -269,10 +269,7 @@ class PeriodicSpec:
             raise ValueError("knot times must increase strictly inside [1, lam)")
         self.knot_t = t
         self.knot_p = P
-        self.alpha = None
-        if alpha is not None:
-            from .weights import as_survival_vector
-            self.alpha = as_survival_vector(alpha, P.shape[1])
+        self.alpha = None if alpha is None else as_survival_vector(alpha, P.shape[1])
         # wrap knot: p(lam) = p(1)
         self._x = np.concatenate([np.log(t), [math.log(self.lam)]])
         self._P = np.vstack([P, P[:1]])
@@ -300,71 +297,83 @@ class _PeriodTables:
     """Quadrature tables G(t) = int_0^t f of functions f of one period in
     log t: trapezoid steps in x = log t over [1, lam], plus the closed
     geometric sum I/(lam-1) for the part below 1.  As G(lam*t) = lam*G(t),
-    period m of a table is lam^m times the base one, so every table is
-    piecewise linear in x with breakpoints at x = grid (mod log lam).  The
-    tables are extended over the periods that the clocks of T in [1, lam]
-    and one tail period past them reach, on the breakpoints ``X``."""
+    a table is lam^p times its base period on period p, piecewise linear in
+    x with breakpoint i = p*n + j at x_j + p*log(lam).  Only the base period
+    is kept, so the memory is O(n_steps) whatever lam."""
 
     def __init__(self, pspec: PeriodicSpec, ifs: DiagonalIFS, n_steps: int):
         self.lam = pspec.lam
         self.loglam = math.log(pspec.lam)
+        self.n = n_steps
         self.x = x = np.linspace(0.0, self.loglam, n_steps + 1)
         self.t = np.exp(x)
         self.P = pspec.p_at_x(x)
         self.ev = _RunEvaluator(ifs, pspec.alpha)
         self.G_H = self._base_table(self.ev.entropies(self.P))
-        G_chi = [self._base_table(chi) for chi in (self.P @ ifs.C).T]
-        # gamma_k(1) lies in period m_k; T up to lam moves it one period
-        # on and the tail reaches one more (one period of margin each side)
-        m = [math.floor(-math.log(G[0]) / self.loglam) for G in G_chi]
-        self.periods = np.arange(min(m) - 1, max(m) + 4)
-        self.X = np.append((x[:-1] + self.loglam * self.periods[:, None]).ravel(),
-                           self.loglam * (self.periods[-1] + 1))
-        self.G_H_ext = self._extend(self.G_H)
-        self.G_chi_ext = [self._extend(G) for G in G_chi]
+        self.G_chi = [self._base_table(chi) for chi in (self.P @ ifs.C).T]
         self._proj = {}
 
     def _base_table(self, f: np.ndarray) -> np.ndarray:
         integrand = f * self.t
         steps = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(self.x)
         F = np.concatenate([[0.0], np.cumsum(steps)])
-        return F[-1] / (self.lam - 1.0) + F
-
-    def _extend(self, table: np.ndarray) -> np.ndarray:
-        scale = self.lam ** self.periods
-        return np.append((scale[:, None] * table[:-1]).ravel(),
-                         self.lam * scale[-1] * table[0])
+        F += F[-1] / (self.lam - 1.0)
+        F[-1] = self.lam * F[0]         # the next period's first value
+        return F
 
     def _projected(self, coding):
-        """Extended tables of the projected entropies of levels 2..s."""
+        """Base tables of the projected entropies of levels 2..s."""
         out = self._proj.get(coding)
         if out is None:
-            out = self._proj[coding] = [
-                self._extend(self._base_table(entr(self.P @ M).sum(axis=1)))
-                for M in coding.indicators[1:]]
+            out = self._proj[coding] = [self._base_table(entr(self.P @ M).sum(axis=1))
+                                        for M in coding.indicators[1:]]
+        return out
+
+    def _solve(self, F: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Log-times x where the increasing table F reaches T."""
+        p = np.floor(np.log(T / F[0]) / self.loglam)
+        return p * self.loglam + np.interp(T / self.lam ** p, F, self.x)
+
+    def _range_min(self, F: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """min of F over breakpoints a..b-1, +inf where empty: the partial
+        periods at both ends from the base table; over the whole periods
+        between, lam^p*m (m the base minimum) is least at the first when
+        m >= 0 and at the last otherwise."""
+        (pa, ja), (pb, jb) = np.divmod(a, self.n), np.divmod(b, self.n)
+        one = pa == pb
+        head = self.lam ** pa * _range_min(F, ja, np.where(one, jb, self.n))
+        tail = self.lam ** pb * _range_min(F, 0 * jb, np.where(one, 0, jb))
+        m = F[:-1].min()
+        whole = self.lam ** np.where(m >= 0.0, pa + 1, pb - 1) * m
+        out = np.minimum(np.minimum(head, tail),
+                         np.where(pb - pa >= 2, whole, math.inf))
+        out[a >= b] = math.inf
         return out
 
     def deltas(self, T: np.ndarray):
         """(delta1, delta2) at resolutions T in [1, lam]: the tail minimum
         and the profile minimum over [g_1, g_s], each over T."""
-        X, GH = self.X, self.G_H_ext
-        gam = np.exp(np.column_stack([np.interp(T, G, X) for G in self.G_chi_ext]))
+        GH = self.G_H
+        gam = np.exp(np.column_stack([self._solve(G, T) for G in self.G_chi]))
         d1, d2 = np.empty(T.size), np.empty(T.size)
         # interpolated continuous clocks: equal up to rounding means tied
         for coding, rows, g in _chain_groups(gam, self.ev, rtol=1e-9):
-            xg = np.log(g)
-            GHg = np.interp(xg, X, GH)
-            # the tail: the empty one at g_s, or one ending in (g_s, lam*g_s]
-            xs = xg[:, -1]
-            d1[rows] = np.minimum(GHg[:, -1], _range_min(
-                GH, X.searchsorted(xs, "right"), X.searchsorted(xs + self.loglam, "right")))
-            above = X.searchsorted(xg, "right")     # first breakpoint past a clock
-            below = X.searchsorted(xg, "left")      # first one at or past it
+            # clock = lam^p * e^r, r in the base period [0, log lam)
+            p = np.floor(np.log(g) / self.loglam)
+            r, scale = np.log(g) - p * self.loglam, self.lam ** p
+            start = p.astype(np.int64) * self.n
+            above = start + self.x[:-1].searchsorted(r, "right")  # first past a clock
+            below = start + self.x[:-1].searchsorted(r, "left")   # first at or past it
+            GHg = scale * np.interp(r, self.x, GH)
+            # the tail: the empty one at g_s, or one ending at one of the n
+            # breakpoints in (g_s, lam*g_s]
+            a = above[:, -1]
+            d1[rows] = np.minimum(GHg[:, -1], self._range_min(GH, a, a + self.n))
 
             def band(i):
                 Q = self._projected(coding)[i]
-                return (np.interp(xg[:, i:i + 2], X, Q),
-                        _range_min(GH - Q, above[:, i], below[:, i + 1]))
+                return (scale[:, i:i + 2] * np.interp(r[:, i:i + 2], self.x, Q),
+                        self._range_min(GH - Q, above[:, i], below[:, i + 1]))
 
             d2[rows] = _profile_min(GHg, band)
         return d1 / T, d2 / T
@@ -398,9 +407,8 @@ def dim_exp_periodic(ifs: DiagonalIFS, pspec: PeriodicSpec,
     if pspec.n_letters != ifs.n:
         raise ValueError("schedule alphabet size %d, ifs has %d maps"
                          % (pspec.n_letters, ifs.n))
-    if quad_step is None:
-        n_steps = 512
-    else:
+    n_steps = 512
+    if quad_step is not None:
         if not (1.0 < quad_step < pspec.lam):
             raise ValueError("quadrature step must lie in (1, lam)")
         n_steps = max(8, round(math.log(pspec.lam) / math.log(quad_step)))

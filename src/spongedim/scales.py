@@ -114,13 +114,10 @@ def _chain_groups(G: np.ndarray, ev: _RunEvaluator, rtol: float = 0.0):
     order = G.argsort(axis=1, kind="stable")
     Gs = np.sort(G, axis=1)
     new = np.ones(G.shape, dtype=bool)
-    if rtol == 0.0:         # exact ties: neighbours compare, one operation
-        new[:, 1:] = Gs[:, 1:] != Gs[:, :-1]
-    else:
-        lead = Gs[:, 0]     # first clock of the current group
-        for k in range(1, G.shape[1]):
-            new[:, k] = np.abs(Gs[:, k] - lead) > rtol * np.abs(lead)
-            lead = np.where(new[:, k], Gs[:, k], lead)
+    lead = Gs[:, 0]         # first clock of the current group
+    for k in range(1, G.shape[1]):
+        new[:, k] = np.abs(Gs[:, k] - lead) > rtol * np.abs(lead)
+        lead = np.where(new[:, k], Gs[:, k], lead)
     code = order @ ev.order_weights + new @ ev.tie_weights
     if G.shape[0] == 1 or (code == code[0]).all():
         parts = [(0, slice(None))]

@@ -799,11 +799,11 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
 
 def _grid_project(v, eta):
     """Snap a block vector to the eta-grid of the simplex, the points k/K
-    with K = round(1/eta) and integers k_i >= 1 summing to K (there are
-    some only when K >= #letters; None otherwise): largest-remainder
-    rounding of v*K, then a unit from the largest count to each letter
-    left without one."""
-    K = round(1.0 / eta)
+    with K = ceil(1/eta), so the mesh 1/K is at most eta, and integers
+    k_i >= 1 summing to K (there are some only when K >= #letters; None
+    otherwise): largest-remainder rounding of v*K, then a unit from the
+    largest count to each letter left without one."""
+    K = math.ceil(1.0 / eta)
     if K < len(v):
         return None
     q = np.asarray(v, dtype=np.float64) * K

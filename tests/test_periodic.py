@@ -1,21 +1,23 @@
 """Exponentially periodic schedules against the sampled evaluation they
 replaced (tests/periodic_oracle.py).
 
-The engine's profile minimum is exact on the quadrature breakpoints, so on
-the oracle's T grid it may only lie below the oracle's sampled one, and by
-no more than the sampling error at 4096 inner points.  Its tail minimum
-also counts the empty tail at g_s, and its dimensions refine the grid's
-extremes.
+The engine's profile minimum is exact on the quadrature breakpoints: on
+the oracle's T grid it equals, to 1e-12, the oracle's minimum sampled at
+every breakpoint, and never lies above the one sampled at 4096 inner
+points.  Its tail minimum also counts the empty tail at g_s, and its
+dimensions refine the grid's extremes.  The tables keep one period, so
+the memory does not grow as lam approaches 1.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spongedim import DiagonalIFS, DiagonalMap, scales
-from spongedim.engine import PeriodicSpec, dim_exp_periodic
+from spongedim.engine import PeriodicSpec, _PeriodTables, dim_exp_periodic
 from spongedim.weights import DegenerateError
 
 import periodic_oracle
@@ -103,3 +105,42 @@ def test_one_projection_coding_per_clock_pattern(monkeypatch):
     dim_exp_periodic(ifs, pspec)
     # the 3x2 carpet's clocks keep one order: one pattern, one coding
     assert len(calls) == 1
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-1.0, 0.0, 1.0]))
+@settings(max_examples=30, deadline=None)
+def test_range_min_spans_whole_periods(seed, shift):
+    """Breakpoint i = p*n + j holds lam^p * F[j]; ranges over several
+    periods, with base minima of either sign, match a direct scan."""
+    ifs, pspec = gap_demo_model()
+    tab = _PeriodTables(pspec, ifs, 8)
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(0.0, 1.0, tab.n + 1)
+    F += shift - (F[:-1].max() if shift < 0 else F[:-1].min() if shift > 0 else 0.5)
+    a = rng.integers(-5 * tab.n, 5 * tab.n, 64)
+    b = a + rng.integers(-2, 5 * tab.n, 64)
+    i = np.arange(-5 * tab.n, 10 * tab.n)
+    p, j = np.divmod(i, tab.n)
+    values = tab.lam ** p * F[j]
+    want = [values[(i >= lo) & (i < hi)].min() if lo < hi else math.inf
+            for lo, hi in zip(a, b)]
+    assert np.allclose(tab._range_min(F, a, b), want, rtol=1e-14, atol=0.0)
+
+
+def test_small_period_ratio_in_constant_memory():
+    """lam = 1 + 1e-5: the clocks lie some 10^4 periods apart, the tables
+    still hold one period."""
+    ifs, _ = gap_demo_model()
+    lam = 1.0 + 1e-5
+    pspec = PeriodicSpec(lam, [1.0, lam ** 0.5], [GAP_P_A, GAP_P_B], alpha=[0.85] * 3)
+    tracemalloc.start()
+    try:
+        res = dim_exp_periodic(ifs, pspec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    T, d1, d2 = periodic_oracle.deltas(ifs, pspec, T_grid=res.T)
+    assert np.all(res.delta2 <= d2 + 1e-12)
+    assert np.all(res.delta1 <= d1 + 1e-12)
+    assert res.dim_H <= res.dim_P < res.dim_H + 1e-5

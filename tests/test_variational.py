@@ -266,12 +266,13 @@ def test_type_ell_hausdorff_search_small(mcmullen):
 
 def test_grid_projection_lands_on_positive_grid_points(sponge3d):
     v = np.array([0.4, 0.3, 0.2, 0.1])
-    # eta = 0.09: K = 11 units, each letter keeps at least one
+    # eta = 0.09: K = ceil(1/eta) = 12 units, a mesh of at most eta, and
+    # each letter keeps at least one
     for w in (v, np.array([0.97, 0.01, 0.01, 0.01])):
         q = variational._grid_project(w, 0.09)
         assert q.min() > 0 and abs(q.sum() - 1.0) < 1e-12
-        assert np.array_equal(q * 11, np.round(q * 11))
-    assert np.abs(variational._grid_project(v, 0.09) * 11 - v * 11).max() < 1
+        assert np.array_equal(q * 12, np.round(q * 12))
+    assert np.abs(variational._grid_project(v, 0.09) * 12 - v * 12).max() < 1
     # eta = 0.36: 3 units cannot give four letters positive mass
     assert variational._grid_project(v, 0.36) is None
     res = optimize_type_ell_hausdorff(sponge3d, np.full(4, 0.9), type_ell_lengths(50),
