@@ -464,7 +464,7 @@ def cmd_simulate(ifs_path, alpha_text, depth, seed, conditioned, guard, out,
     descriptor = {"type": "percolation-tree", "arity": ifs.n,
                   "alpha": [float(a) for a in alpha]}
     tree_path = os.path.join(out, "tree.json")
-    io.write_json(tree_path, io.tree_to_dict(tree, descriptor))
+    io.write_json(tree_path, io.tree_to_dict(tree, descriptor), compact=True)
     result = {"counts": tree.counts, "survived": tree.survived(),
               "attempts": attempts, "tree_file": tree_path}
     params = {"ifs": ifs_path, "alpha": alpha_text, "depth": depth,
@@ -490,6 +490,8 @@ def cmd_simulate(ifs_path, alpha_text, depth, seed, conditioned, guard, out,
 def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
                  out, json_mode):
     """Grid box counts of a sampled set and the fitted log-slope."""
+    if tree_path is not None and (alpha_text is not None or depth is not None):
+        _fail(2, "--tree is mutually exclusive with --alpha and --depth")
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     inputs = [ifs_path]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -50,9 +51,14 @@ def canonical_json(obj) -> str:
                       allow_nan=False)
 
 
-def write_json(path: str, obj) -> None:
+def write_json(path: str, obj, compact: bool = False) -> None:
+    """Sorted keys and a final LF; indented unless ``compact``, which writes
+    ``canonical_json`` on one line.  Tree dumps are compact: json's C
+    encoder runs only without an indent."""
+    text = canonical_json(obj) if compact else json.dumps(
+        obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -254,10 +260,8 @@ def _encode_runs(codes: np.ndarray) -> list:
     if codes.size == 0:
         return []
     c = codes.astype(np.int64)
-    breaks = np.nonzero(np.diff(c) != 1)[0]
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [c.size - 1]])
-    return [[int(c[a]), int(b - a + 1)] for a, b in zip(starts, ends)]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(c) != 1) + 1))
+    return np.column_stack([c[starts], np.diff(starts, append=c.size)]).tolist()
 
 
 def _decode_level(runs, n: int, first: int, last: int):
@@ -270,12 +274,16 @@ def _decode_level(runs, n: int, first: int, last: int):
     if not runs:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
+    arr = None
     try:
-        arr = np.asarray(runs)
-    except ValueError:
-        arr = None
-    # huge or mixed integers come out as object or float arrays
-    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind != "i":
+        if set(map(len, runs)) == {2}:
+            flat = list(chain.from_iterable(runs))
+            # exact types: bool is an int subclass, and numpy reads true as 1
+            if set(map(type, flat)) == {int}:
+                arr = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, 2)
+    except (TypeError, OverflowError):   # a run with no len(); an int past int64
+        pass
+    if arr is None:
         raise ValueError("%s: runs must be [start, length] pairs of integers "
                          "below 2**63" % ctx)
     starts, lengths = arr[:, 0], arr[:, 1]
@@ -351,7 +359,7 @@ def tree_from_dict(obj) -> PercolationTree:
         levels.append(codes)
         first, last = first * arity + 1, last * arity + arity
     tree = PercolationTree(arity=arity, depth=depth, seed=seed,
-                           levels=[c.astype(np.uint64) for c in levels])
+                           levels=[c.view(np.uint64) for c in levels])
     if obj["counts"] != tree.counts.tolist():
         raise ValueError("tree: counts do not match level data")
     return tree

@@ -197,11 +197,10 @@ def tree_rects(tree: PercolationTree, ifs: DiagonalIFS, level: int):
     d = ifs.d
     lo = [np.zeros(1) for _ in range(d)]
     scale = [np.ones(1) for _ in range(d)]
-    one, base = np.uint64(1), np.uint64(tree.arity)
+    # codes stay below 2**63 (rng.max_code_depth), so int64 views are exact
     for n in range(1, level + 1):
-        rest = tree.levels[n] - one
-        idx = np.searchsorted(tree.levels[n - 1], rest // base)
-        letter = (rest % base).astype(np.intp)
+        parent, letter = np.divmod(tree.levels[n].view(np.int64) - 1, tree.arity)
+        idx = np.searchsorted(tree.levels[n - 1].view(np.int64), parent)
         for t in range(d):
             s = scale[t][idx]
             lo[t] = lo[t][idx] + s * ifs.T[letter, t]

@@ -221,6 +221,42 @@ def test_boxcount_csv(workdir):
     assert lines[1].split(",")[1] == "1"
 
 
+def test_tree_dump_is_compact_and_indented_dumps_still_load(workdir):
+    r = run_cli("simulate", "--ifs", "ifs.json", "--alpha", "0.8",
+                "--depth", "7", "--seed", "5", "--out", "s", cwd=workdir)
+    assert r.returncode == 0
+    ifs = io.ifs_from_dict(IFS_DOC)
+    tree = sample_tree(ifs, np.full(3, 0.8), depth=7, seed=5)
+    doc = io.tree_to_dict(tree, {"type": "percolation-tree", "arity": 3,
+                                 "alpha": [0.8] * 3})
+    raw = (workdir / "s" / "tree.json").read_text()
+    assert raw == io.canonical_json(doc) + "\n"
+    # indented dumps, the earlier format, still load
+    (workdir / "old.json").write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for path, out in (("s/tree.json", "b-new"), ("old.json", "b-old")):
+        r = run_cli("boxcount", "--ifs", "ifs.json", "--tree", path,
+                    "--scales", "1.5,2.5,3.5", "--out", out, cwd=workdir)
+        assert r.returncode == 0, r.stderr
+    assert ((workdir / "b-old" / "boxcount.csv").read_bytes()
+            == (workdir / "b-new" / "boxcount.csv").read_bytes())
+    old = io.tree_from_dict(io.load_json(str(workdir / "old.json")))
+    assert all(np.array_equal(a, b) for a, b in zip(old.levels, tree.levels))
+
+
+def test_boxcount_tree_excludes_sampling_options(workdir):
+    r = run_cli("simulate", "--ifs", "ifs.json", "--alpha", "0.8",
+                "--depth", "4", "--seed", "1", "--out", "s", cwd=workdir)
+    assert r.returncode == 0
+    for extra in (["--alpha", "0.3"], ["--depth", "9"],
+                  ["--alpha", "0.3", "--depth", "9"]):
+        r = run_cli("boxcount", "--ifs", "ifs.json", "--tree", "s/tree.json",
+                    *extra, "--scales", "2", "--out", "b", cwd=workdir)
+        assert r.returncode == 2, (extra, r.stderr)
+        assert "mutually exclusive" in r.stderr
+    assert not (workdir / "b").exists()
+
+
 def test_boxcount_past_int64_exits_four(workdir):
     # at N = 40 the box total passes 2**63; at N = 50 the indices do;
     # past N of about 709.78 e^N itself leaves the float range
@@ -242,6 +278,7 @@ def test_malformed_tree_dump_exits_two(workdir):
         "outside heap range": (2, [[13, 9], [40, 1]], "heap range"),
         "negative start": (1, [[-1, 1]], "heap range"),
         "start past 2**64": (1, [[2 ** 64, 1]], "integers"),
+        "boolean start": (0, [[True, 1]], "integers"),
     }
     for name, (level, runs, why) in cases.items():
         doc = copy.deepcopy(good)

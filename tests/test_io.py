@@ -153,6 +153,69 @@ def test_tree_dict_validates_counts(mcmullen):
         io.tree_from_dict(d)
 
 
+def runs_oracle(codes):
+    """The per-run list comprehension that `io._encode_runs` replaced."""
+    if codes.size == 0:
+        return []
+    c = codes.astype(np.int64)
+    breaks = np.nonzero(np.diff(c) != 1)[0]
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.concatenate([breaks, [c.size - 1]])
+    return [[int(c[a]), int(b - a + 1)] for a, b in zip(starts, ends)]
+
+
+def _one_run(start_len):
+    start, length = start_len
+    return list(range(start, start + length))
+
+
+code_sets = st.one_of(
+    st.just([]),
+    st.integers(1, 2 ** 63 - 1).map(lambda c: [c]),
+    st.tuples(st.integers(1, 2 ** 62), st.integers(1, 500)).map(_one_run),
+    st.sets(st.integers(1, 300), max_size=200).map(sorted),
+    st.sets(st.integers(1, 2 ** 63 - 1), max_size=50).map(sorted),
+)
+
+
+@given(code_sets)
+@settings(max_examples=200, deadline=None)
+def test_encode_runs_matches_oracle_and_decodes_back(codes):
+    arr = np.array(codes, dtype=np.uint64)
+    runs = io._encode_runs(arr)
+    assert runs == runs_oracle(arr)
+    assert all(type(x) is int for run in runs for x in run)
+    # through the file's text, as a dump is read back
+    runs = io.strict_loads(io.canonical_json(runs))
+    back, _, _ = io._decode_level(runs, 0, 1, 2 ** 63 - 1)
+    assert back.tolist() == codes
+
+
+@given(st.integers(1, 4), st.floats(0.3, 1.0), st.integers(0, 9),
+       st.integers(0, 2 ** 31))
+@settings(max_examples=40, deadline=None)
+def test_sampled_tree_dump_reloads_to_identical_levels(arity, alpha, depth, seed):
+    tree = sample_tree(arity, [alpha] * arity, depth=depth, seed=seed)
+    doc = io.tree_to_dict(tree, {"type": "percolation-tree"})
+    assert doc["levels"] == [runs_oracle(lvl) for lvl in tree.levels]
+    back = io.tree_from_dict(io.strict_loads(io.canonical_json(doc)))
+    assert back.counts.tolist() == tree.counts.tolist()
+    for a, b in zip(back.levels, tree.levels):
+        assert a.dtype == np.uint64 and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("level, runs", [(0, runs) for runs in (
+    [[True, 1]], [[1, True]], [[1, 1.0]], [[1.5, 1]], [["1", 1]], ["11"],
+    [[1, 1, 1]], [[1]], [1], [None], [{"a": 1, "b": 2}],
+    [[2 ** 63, 1]], [[-2 ** 63 - 1, 1]],
+)] + [(1, [[4, 1, 5], [6]])])    # as many numbers as two pairs
+def test_tree_dump_rejects_non_integer_runs(level, runs):
+    doc = io.tree_to_dict(sample_tree(3, [1.0] * 3, depth=1), {})
+    doc["levels"][level] = runs
+    with pytest.raises(ValueError, match="pairs of integers"):
+        io.tree_from_dict(doc)
+
+
 # === manifests and hashing ===
 
 def test_manifest_verify_cycle(tmp_path):
