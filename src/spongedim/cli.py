@@ -483,15 +483,17 @@ def cmd_simulate(ifs_path, alpha_text, depth, seed, conditioned, guard, out,
               help="Tree dump to count; mutually exclusive with sampling options.")
 @click.option("--alpha", "alpha_text", default=None)
 @click.option("--depth", type=int, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=None,
+              help="Sampling seed (0 if omitted); not allowed with --tree.")
 @click.option("--scales", required=True, help="Comma-separated N list.")
 @click.option("--window", default=None, help="Fit window as i,j (half-open).")
 @common_options
 def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
                  out, json_mode):
     """Grid box counts of a sampled set and the fitted log-slope."""
-    if tree_path is not None and (alpha_text is not None or depth is not None):
-        _fail(2, "--tree is mutually exclusive with --alpha and --depth")
+    if tree_path is not None and (alpha_text is not None or depth is not None
+                                  or seed is not None):
+        _fail(2, "--tree is mutually exclusive with --alpha, --depth and --seed")
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     inputs = [ifs_path]
@@ -503,6 +505,7 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
         if alpha_text is None or depth is None:
             _fail(2, "either --tree or both --alpha and --depth are required")
         alpha = _alpha_arg(alpha_text, ifs.n)
+        seed = 0 if seed is None else seed
         tree = _compute(lambda: sample_tree(ifs, alpha, depth, seed=seed))
     N_list = _floats(scales)
     fit_window = None

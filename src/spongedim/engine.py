@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import entr
 
+from ._scipy import entr
 from .ifs import DiagonalIFS, build_projection_coding
 from .scales import (PrefixTable, ScaleDecomposition, TailMin, _chain_groups,
                      _const_gamma, _decomposition, _profile_min, _range_min,

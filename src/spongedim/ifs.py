@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+
+from ._scipy import linprog
 
 RECT_TOL = 1e-12
 LP_SLACK = 1e-9

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import entr
 
+from ._scipy import entr
 from .ifs import DiagonalIFS, build_projection_coding, ProjectionCoding
 from .weights import as_survival_vector, drift_scan
 

@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import entr
 
+from ._scipy import entr, minimize
 from .engine import DEGENERATE_TOL, mandelbrot_value, dim_mandelbrot
 from .ifs import DiagonalIFS, build_projection_coding
 from .scales import _RunEvaluator, _RunTable, _chain_groups, clock_chain

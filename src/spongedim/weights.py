@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr, xlogy
+
+from ._scipy import entr, xlogy
 
 PROB_SUM_TOL = 1e-12
 MEAN_ONE_TOL = 1e-10

@@ -17,7 +17,8 @@ import pytest
 
 import spongedim
 from spongedim import io
-from spongedim.engine import d_sequences, three_weight_gap_sequence
+from spongedim.engine import (PeriodicSpec, d_sequences,
+                              three_weight_gap_sequence)
 from spongedim.simulate import sample_cascade, sample_tree
 
 from conftest import carpet
@@ -43,12 +44,17 @@ SEQ_DOC = {"alpha": [0.9, 0.8, 0.85], "blocks": [
 ]}
 
 
-def run_cli(*args, cwd):
+def child_env():
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(*args, cwd):
     return subprocess.run([sys.executable, "-m", "spongedim.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=child_env())
 
 
 @pytest.fixture()
@@ -249,12 +255,33 @@ def test_boxcount_tree_excludes_sampling_options(workdir):
                 "--depth", "4", "--seed", "1", "--out", "s", cwd=workdir)
     assert r.returncode == 0
     for extra in (["--alpha", "0.3"], ["--depth", "9"],
-                  ["--alpha", "0.3", "--depth", "9"]):
+                  ["--alpha", "0.3", "--depth", "9"], ["--seed", "5"],
+                  ["--seed", "0"]):
         r = run_cli("boxcount", "--ifs", "ifs.json", "--tree", "s/tree.json",
                     *extra, "--scales", "2", "--out", "b", cwd=workdir)
         assert r.returncode == 2, (extra, r.stderr)
         assert "mutually exclusive" in r.stderr
     assert not (workdir / "b").exists()
+    # a loaded tree uses no randomness: its manifest records no seed
+    r = run_cli("boxcount", "--ifs", "ifs.json", "--tree", "s/tree.json",
+                "--scales", "2,3", "--out", "b", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    man = read_json(workdir / "b" / "manifest.json")
+    assert man["seed"] is None and man["params"]["seed"] is None
+    before = {p.name: p.read_bytes() for p in (workdir / "b").iterdir()}
+    r = run_cli("rerun", "--manifest", "b/manifest.json", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    assert {p.name: p.read_bytes() for p in (workdir / "b").iterdir()} == before
+    # sampling without --seed uses and records seed 0
+    for out, extra in (("d", []), ("z", ["--seed", "0"])):
+        r = run_cli("boxcount", "--ifs", "ifs.json", "--alpha", "0.8",
+                    "--depth", "4", *extra, "--scales", "2,3", "--out", out,
+                    cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        man = read_json(workdir / out / "manifest.json")
+        assert man["seed"] == 0 and man["params"]["seed"] == 0
+    assert ((workdir / "d" / "boxcount.csv").read_bytes()
+            == (workdir / "z" / "boxcount.csv").read_bytes())
 
 
 def test_boxcount_past_int64_exits_four(workdir):
@@ -369,3 +396,93 @@ def test_rerun_detects_tampered_input(workdir):
     r = run_cli("rerun", "--manifest", "m/manifest.json", cwd=workdir)
     assert r.returncode == 3
     assert "changed" in r.stderr
+
+
+# === cold start ===
+
+# Runs each argv through the CLI in one fresh interpreter and prints the
+# scipy modules loaded after `import spongedim`, after `import spongedim.cli`
+# and after each command.  The test process itself has scipy loaded (the
+# oracles import it), so only a child can see what the package loads.
+SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import spongedim
+seen = [scipy_modules()]
+from spongedim.cli import cli
+seen.append(scipy_modules())
+for argv in json.loads(sys.argv[1]):
+    cli.main(args=argv, standalone_mode=False)
+    seen.append(scipy_modules())
+print(json.dumps(seen))
+"""
+
+
+def scipy_loaded(cwd, *argvs, preload=False):
+    code = ("import scipy.optimize, scipy.special\n" if preload else "") + SCIPY_PROBE
+    r = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                       capture_output=True, text=True, cwd=cwd, env=child_env())
+    assert r.returncode == 0, r.stderr
+    return [set(mods) for mods in json.loads(r.stdout.splitlines()[-1])]
+
+
+def test_sampling_commands_load_no_scipy(workdir):
+    seen = scipy_loaded(
+        workdir,
+        ["validate", "--ifs", "ifs.json", "--out", "v"],
+        ["simulate", "--ifs", "ifs.json", "--alpha", "0.8", "--depth", "6",
+         "--seed", "2", "--out", "s"],
+        ["boxcount", "--ifs", "ifs.json", "--tree", "s/tree.json",
+         "--scales", "2,3", "--out", "b"],
+        ["cascade", "--weights", "weights.json", "--depth", "5", "--out", "c"],
+        ["coding", "--ifs", "ifs.json", "--out", "k"])
+    # after the two imports and after each of the five commands
+    assert seen == [set()] * 7
+    for out, name in (("s", "tree.json"), ("b", "boxcount.csv"),
+                      ("c", "cascade.csv")):
+        assert (workdir / out / name).exists()
+
+
+def test_formula_commands_load_scipy_special_only(workdir):
+    pspec = PeriodicSpec(4.0, [1.0, 2.0, 3.0], [[0.45, 0.45, 0.10],
+                                                [0.25, 0.25, 0.50],
+                                                [0.45, 0.45, 0.10]],
+                         alpha=[0.85] * 3)
+    io.write_json(str(workdir / "periodic.json"), io.periodic_to_dict(pspec))
+    seen = scipy_loaded(
+        workdir,
+        ["dim-imm", "--ifs", "ifs.json", "--sequence", "sequence.json",
+         "--out", "i"],
+        ["decompose", "--ifs", "ifs.json", "--sequence", "sequence.json",
+         "--N", "20", "--out", "d"],
+        ["dim-mm", "--ifs", "ifs.json", "--weights", "weights.json", "--out", "m"],
+        ["dim-attractor", "--ifs", "ifs.json", "--alpha", "0.9", "--out", "a"],
+        ["dim-periodic", "--ifs", "ifs.json", "--periodic", "periodic.json",
+         "--out", "p"],
+        ["local-dim", "--ifs", "ifs.json", "--weights", "weights.json",
+         "--depth", "5", "--points", "10", "--out", "l"],
+        ["cascade", "--sequence", "sequence.json", "--depth", "5", "--out", "c"])
+    assert seen[:2] == [set(), set()]
+    for mods in seen[2:]:
+        assert "scipy.special" in mods and "scipy.optimize" not in mods
+
+
+def test_optimizers_load_scipy_on_demand_with_the_same_bytes(tmp_path):
+    argvs = (["classify", "--ifs", "ifs.json", "--out", "k"],
+             ["optimize-packing", "--ifs", "ifs.json", "--alpha", "0.9",
+              "--lengths", "20,40,80", "--eps", "0.1", "--scales", "20,40",
+              "--out", "o"])
+    outputs = {}
+    for preload in (False, True):
+        cwd = tmp_path / ("preloaded" if preload else "cold")
+        cwd.mkdir()
+        (cwd / "ifs.json").write_text(json.dumps(IFS_DOC))
+        seen = scipy_loaded(cwd, *argvs, preload=preload)
+        assert "scipy.optimize" in seen[2]
+        if not preload:
+            assert seen[:2] == [set(), set()]
+        outputs[preload] = {p.relative_to(cwd): p.read_bytes()
+                            for p in sorted(cwd.rglob("*.json"))}
+    assert len(outputs[False]) == 5
+    assert outputs[False] == outputs[True]
