@@ -19,14 +19,19 @@ import numpy as np
 from . import io
 from .engine import (PeriodicSpec, dim_exp_periodic, dim_imm_bounds,
                      dim_mandelbrot, stable_chain)
-from .ifs import build_projection_coding, classify, validate_ifs
+from .ifs import classify, validate_ifs
 from .scales import decompose
 from .simulate import (ResourceCapError, box_count_fit, codes_to_words,
                        empirical_local_dimension, sample_cascade, sample_tree,
                        sample_tree_conditioned)
 from .variational import (dim_attractor_equal_linear, optimize_mandelbrot,
                           optimize_packing, optimize_type_ell_hausdorff)
-from .weights import DegenerateError, WeightModel
+from .weights import DegenerateError, WeightModel, as_prob_vector
+
+
+# sizes fail while parsing, with exit 2 before any output: depths (0 is
+# the root alone), and counts (local-dim's points and depth)
+SIZE, COUNT = click.IntRange(min=0), click.IntRange(min=1)
 
 
 def _fail(code: int, msg: str):
@@ -204,8 +209,8 @@ def cmd_coding(ifs_path, p_text, out, json_mode):
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     p = np.full(ifs.n, 1.0 / ifs.n) if p_text is None else _floats(p_text)
-    groups, chain, chi_tilde, ref_N = _compute(lambda: stable_chain(ifs, p))
-    coding = _compute(lambda: build_projection_coding(ifs, chain))
+    groups, chain, chi_tilde, coding = _compute(
+        lambda: stable_chain(ifs, as_prob_vector(p)))
     classes = []
     for r in range(1, coding.levels + 1):
         classes.append([sorted(int(x) for x in fib) for fib in coding.fibers[r - 1]])
@@ -215,7 +220,6 @@ def cmd_coding(ifs_path, p_text, out, json_mode):
         "axis_groups": [[int(k) + 1 for k in grp] for grp in groups],
         "chain_axes": [[int(k) + 1 for k in D] for D in chain],
         "classes": classes,
-        "reference_N": ref_N,
     }
     _finish("coding", {"ifs": ifs_path, "out": out,
                        **({"p": p_text} if p_text is not None else {})},
@@ -442,7 +446,7 @@ def cmd_dim_attractor(ifs_path, alpha_text, out, json_mode):
 @click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
 @click.option("--alpha", "alpha_text", required=True,
               help="Survival probabilities (scalar or per-letter list).")
-@click.option("--depth", type=int, required=True)
+@click.option("--depth", type=SIZE, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--conditioned", is_flag=True,
               help="Resample until the tree survives to the full depth.")
@@ -482,7 +486,7 @@ def cmd_simulate(ifs_path, alpha_text, depth, seed, conditioned, guard, out,
 @click.option("--tree", "tree_path", default=None, type=click.Path(exists=True),
               help="Tree dump to count; mutually exclusive with sampling options.")
 @click.option("--alpha", "alpha_text", default=None)
-@click.option("--depth", type=int, default=None)
+@click.option("--depth", type=SIZE, default=None)
 @click.option("--seed", type=int, default=None,
               help="Sampling seed (0 if omitted); not allowed with --tree.")
 @click.option("--scales", required=True, help="Comma-separated N list.")
@@ -539,7 +543,7 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
 @cli.command("cascade")
 @click.option("--weights", "weights_path", default=None, type=click.Path(exists=True))
 @click.option("--sequence", "seq_path", default=None, type=click.Path(exists=True))
-@click.option("--depth", type=int, required=True)
+@click.option("--depth", type=SIZE, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @common_options
 def cmd_cascade(weights_path, seq_path, depth, seed, out, json_mode):
@@ -581,8 +585,8 @@ def cmd_cascade(weights_path, seq_path, depth, seed, out, json_mode):
 @cli.command("local-dim")
 @click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
 @click.option("--weights", "weights_path", required=True, type=click.Path(exists=True))
-@click.option("--depth", type=int, required=True)
-@click.option("--points", type=int, default=100, show_default=True)
+@click.option("--depth", type=COUNT, required=True)
+@click.option("--points", type=COUNT, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--scales", default=None, help="Comma-separated N list.")
 @common_options

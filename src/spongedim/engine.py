@@ -30,16 +30,12 @@ DEGENERATE_TOL = 1e-12
 
 
 def entropy_profile(seq: WeightSequence, dec: ScaleDecomposition, k: int,
-                    prefix: PrefixTable | None = None,
-                    ifs: DiagonalIFS | None = None) -> float:
-    """H_{N,k}: entropies up to generation k, projected entropies beyond."""
+                    prefix: PrefixTable) -> float:
+    """H_{N,k}: entropies up to generation k, projected entropies beyond,
+    read from the run table ``prefix`` of seq."""
     gs = dec.g[-1]
     if not (0 <= k <= gs):
         raise ValueError("k = %d outside [0, g_s = %d]" % (k, gs))
-    if prefix is None:
-        if ifs is None:
-            raise ValueError("need a PrefixTable or the ifs to build one")
-        prefix = PrefixTable(ifs, seq)
     return prefix.profile_at(dec.g, dec.coding, k)
 
 
@@ -72,21 +68,19 @@ def d_sequences(seq: WeightSequence, ifs: DiagonalIFS, N: float,
 
 
 # ---------------------------------------------------------------------------
-# Mandelbrot measures: closed form via the stabilized clock partition
+# Mandelbrot measures: closed form on the clock chain of chi(p)
 
 
-def stable_chain(ifs: DiagonalIFS, p, start: int = 8, stop: int = 40):
-    """Clock partition of the axes for a constant sequence, taken at the
-    first dyadic resolution where two consecutive doublings agree."""
-    chi = ifs.lyapunov(as_prob_vector(p))
-    prev = None
-    for j in range(start, stop + 1):
-        groups, chain = clock_chain([_const_gamma(c, float(2 ** j)) for c in chi])
-        if groups == prev:
-            chi_tilde = np.array([chi[g].mean() for g in groups])
-            return groups, chain, chi_tilde, 2 ** (j - 1)
-        prev = groups
-    raise ValueError("axis clock partition failed to stabilize")
+def stable_chain(ifs: DiagonalIFS, p):
+    """Clock chain of the constant law p: the axes grouped by Lyapunov
+    exponent chi_k(p), largest first (the fastest clock), only equal
+    exponents tied.  Returns (groups, chain, chi_tilde, coding): chi_tilde
+    holds the exponent of each group, coding the chain's projection
+    coding."""
+    chi = ifs.lyapunov(p)
+    groups, chain = clock_chain(-chi)
+    chi_tilde = np.array([chi[g].mean() for g in groups])
+    return groups, chain, chi_tilde, build_projection_coding(ifs, chain)
 
 
 @dataclass
@@ -96,23 +90,14 @@ class MandelbrotDimension:
     groups: list
     chi_tilde: np.ndarray
     breakdown: list
-    reference_N: int
     flags: list
 
 
-def dim_mandelbrot(ifs: DiagonalIFS, W: WeightModel) -> MandelbrotDimension:
-    """Dimension of the limit measure of a fixed weight law.
-
-    Requires H(W) >= 0; H(W) < 0 gives an a.s. vanishing measure and raises.
-    The value is H/chi~_1 plus one correction per coarser clock group,
-    (1/chi~_r - 1/chi~_{r-1}) * min(H, h(Pi_r p))."""
-    p = W.mean()
-    H = W.entropy_H()
-    if H < -DEGENERATE_TOL:
-        raise DegenerateError("H(W) = %g < 0: the measure is degenerate" % H)
-    flags = ["degenerate-boundary"] if H <= DEGENERATE_TOL else []
-    groups, chain, chi_tilde, refN = stable_chain(ifs, p)
-    coding = build_projection_coding(ifs, chain)
+def _closed_form(ifs: DiagonalIFS, p, H: float) -> MandelbrotDimension:
+    """H/chi~_1 plus one correction per coarser clock group,
+    (1/chi~_r - 1/chi~_{r-1}) * min(H, h(Pi_r p)), on the chain of p, with
+    one breakdown entry per group."""
+    groups, _, chi_tilde, coding = stable_chain(ifs, p)
     value = H / chi_tilde[0]
     breakdown = [{"r": 1, "chi": float(chi_tilde[0]), "term": H,
                   "contribution": float(value)}]
@@ -126,24 +111,28 @@ def dim_mandelbrot(ifs: DiagonalIFS, W: WeightModel) -> MandelbrotDimension:
                           "term": float(term),
                           "contribution": float(coeff * term)})
     return MandelbrotDimension(value=float(value), H=float(H), groups=groups,
-                               chi_tilde=chi_tilde, breakdown=breakdown,
-                               reference_N=refN, flags=flags)
+                               chi_tilde=chi_tilde, breakdown=breakdown, flags=[])
+
+
+def dim_mandelbrot(ifs: DiagonalIFS, W: WeightModel) -> MandelbrotDimension:
+    """Dimension of the limit measure of a fixed weight law: the closed
+    form of ``mandelbrot_value`` at p = E(W), H = H(W), with its terms.
+
+    Requires H(W) >= 0; H(W) < 0 gives an a.s. vanishing measure and raises."""
+    H = W.entropy_H()
+    if H < -DEGENERATE_TOL:
+        raise DegenerateError("H(W) = %g < 0: the measure is degenerate" % H)
+    res = _closed_form(ifs, W.mean(), H)
+    if H <= DEGENERATE_TOL:
+        res.flags.append("degenerate-boundary")
+    return res
 
 
 def mandelbrot_value(ifs: DiagonalIFS, p: np.ndarray, H: float) -> float:
-    """Objective used by optimizers: same closed form, chain from the exact
-    ordering of chi(p), tie groups merged.  Extends continuously below
-    H = 0 (where it equals H/chi~_s < 0)."""
-    chi = p @ ifs.C
-    groups, chain = clock_chain(-chi)
-    coding = build_projection_coding(ifs, chain)
-    chi_tilde = np.array([chi[g].mean() for g in groups])
-    value = H / chi_tilde[0]
-    for r in range(2, len(groups) + 1):
-        coeff = 1.0 / chi_tilde[r - 1] - 1.0 / chi_tilde[r - 2]
-        hproj = entropy(coding.project_vector(p, r))
-        value += coeff * min(H, hproj)
-    return float(value)
+    """The constant-law closed form at mean p and entropy H, as the
+    optimizers' objective.  Extends continuously below H = 0 (where it
+    equals H/chi~_s < 0)."""
+    return _closed_form(ifs, p, H).value
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +158,18 @@ class IMMBounds:
     flags: list
 
 
+IMM_WINDOW_FRAC = 0.5   # share of the N grid, from its end, in the window
+IMM_OSC_TOL = 1e-3      # largest window-versus-later-half gap of a converged run
+
+
 def dim_imm_bounds(seq: WeightSequence, ifs: DiagonalIFS,
-                   N_grid=None, tail_horizon: int | None = None,
-                   window_frac: float = 0.5, osc_tol: float = 1e-3) -> IMMBounds:
+                   N_grid=None, tail_horizon: int | None = None) -> IMMBounds:
     """Finite-horizon estimates of liminf/limsup of d_N.
 
     The estimates are minima/maxima over the tail window of the N grid
     (labelled at-horizon; nothing asymptotic is certified).  The oscillation
     diagnostic compares the window estimate with the estimate over its later
-    half; disagreement beyond osc_tol marks the estimate unconverged."""
+    half; disagreement beyond IMM_OSC_TOL marks the estimate unconverged."""
     rep = nondegeneracy_report(seq)
     if rep.verdict != "supercritical-at-horizon":
         raise DegenerateError("entropy drift at horizon is %g <= 0"
@@ -199,14 +191,14 @@ def dim_imm_bounds(seq: WeightSequence, ifs: DiagonalIFS,
             flags.append("tail-horizon-limited")
     profile = DimensionProfile(N=N_grid, d=d, d_tilde=dt,
                                tail_flags=limited)
-    w0 = int(len(N_grid) * (1.0 - window_frac))
+    w0 = int(len(N_grid) * (1.0 - IMM_WINDOW_FRAC))
     w1 = (w0 + len(N_grid)) // 2
     osc = {
         "liminf_d": abs(float(d[w0:].min()) - float(d[w1:].min())),
         "limsup_d": abs(float(d[w0:].max()) - float(d[w1:].max())),
         "liminf_d_tilde": abs(float(dt[w0:].min()) - float(dt[w1:].min())),
     }
-    converged = max(osc.values()) <= osc_tol
+    converged = max(osc.values()) <= IMM_OSC_TOL
     if not converged:
         flags.append("oscillation-above-threshold")
     if np.any(profile.tail_flags):
@@ -497,6 +489,9 @@ def scaled_weight_model(p, target_H: float, lo: float = 0.5) -> WeightModel:
     return WeightModel.atoms([(s, ones, p * xl), (1.0 - s, ones, p * xh)])
 
 
+GAP_FIRST_N1 = 8        # probe scale N_1 of the first round
+
+
 @dataclass
 class ThreeWeightSchedule:
     seq: WeightSequence
@@ -506,7 +501,7 @@ class ThreeWeightSchedule:
 
 
 def three_weight_gap_sequence(ifs: DiagonalIFS, p, H1: float, H3: float,
-                              horizon: int, N1_init: int = 8) -> ThreeWeightSchedule:
+                              horizon: int) -> ThreeWeightSchedule:
     """Block schedule on a two-clock sponge whose d_N dips strictly below
     d~_N along a sparse subsequence of scales.
 
@@ -516,11 +511,9 @@ def three_weight_gap_sequence(ifs: DiagonalIFS, p, H1: float, H3: float,
     append just enough W_3 to cancel the W_2 entropy, making the tail minimum
     at the probe scales undercut every profile value."""
     p = as_prob_vector(p)
-    chi = ifs.lyapunov(p)
-    groups, chain, chi_tilde, _ = stable_chain(ifs, p)
+    groups, _, chi_tilde, coding = stable_chain(ifs, p)
     if len(groups) != 2:
         raise ValueError("need exactly two clock groups at p")
-    coding = build_projection_coding(ifs, chain)
     h_proj = entropy(coding.project_vector(p, 2))
     H2 = entropy(p)
     if not (h_proj < H1 < H2):
@@ -537,7 +530,7 @@ def three_weight_gap_sequence(ifs: DiagonalIFS, p, H1: float, H3: float,
         return _const_gamma(chi2, N)
 
     lengths, idx, rounds = [], [], []
-    M0, N1 = 1, int(N1_init)
+    M0, N1 = 1, GAP_FIRST_N1
     while M0 <= horizon:
         N2 = math.ceil(kappa * N1)
         M1, M2 = g2(N1), g2(N2)

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ifs import DiagonalIFS, build_projection_coding
+from .ifs import DiagonalIFS
 from .rng import ROOT_CODE, child_codes, max_code_depth, uniform
 from .weights import WeightModel, WeightSequence, as_survival_vector
 from .engine import stable_chain
 from .scales import _const_gamma
 
 MEMORY_GUARD = 10 ** 8
+MAX_ATTEMPTS = 10 ** 6      # tries of sample_tree_conditioned
 
 
 class ResourceCapError(RuntimeError):
@@ -174,17 +175,16 @@ def sample_tree(ifs_or_arity, alpha, depth: int, seed: int = 0,
 
 
 def sample_tree_conditioned(ifs_or_arity, alpha, depth: int, seed: int = 0,
-                            guard: int = MEMORY_GUARD,
-                            max_attempts: int = 10 ** 6) -> tuple[PercolationTree, int]:
+                            guard: int = MEMORY_GUARD) -> tuple[PercolationTree, int]:
     """Rejection-sample a tree surviving to the given depth; returns the
     tree and the number of attempts.  Each attempt derives its key stream
     from (seed, attempt)."""
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         tree = sample_tree(ifs_or_arity, alpha, depth,
                            seed=seed + 0x9E3779B9 * attempt, guard=guard)
         if tree.survived():
             return tree, attempt + 1
-    raise ResourceCapError("no surviving tree in %d attempts" % max_attempts)
+    raise ResourceCapError("no surviving tree in %d attempts" % MAX_ATTEMPTS)
 
 
 def tree_rects(tree: PercolationTree, ifs: DiagonalIFS, level: int):
@@ -555,9 +555,8 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
     sums per coarse band, and fits -log(mass of the scale-N box) against N
     per point.  The depth must cover the slowest clock of the largest N."""
     p = model.mean()
-    groups, chain, chi_tilde, _ = stable_chain(ifs, p)
+    groups, _, chi_tilde, coding = stable_chain(ifs, p)
     s = len(groups)
-    coding = build_projection_coding(ifs, chain)
     if N_list is None:
         N_max = (depth - 1) * float(chi_tilde[-1]) * 0.999
         N_list = np.linspace(N_max / 2.0, N_max, 8)

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scipy import entr, minimize
-from .engine import DEGENERATE_TOL, mandelbrot_value, dim_mandelbrot
-from .ifs import DiagonalIFS, build_projection_coding
-from .scales import _RunEvaluator, _RunTable, _chain_groups, clock_chain
+from .engine import DEGENERATE_TOL, dim_mandelbrot, mandelbrot_value, stable_chain
+from .ifs import DiagonalIFS
+from .scales import _RunEvaluator, _RunTable, _chain_groups
 from .weights import (DegenerateError, WeightModel, WeightSequence,
                       as_survival_vector, drift_scan, entropy, p_max_vector,
                       validate_type_ell)
@@ -45,10 +45,13 @@ class OptimizationResult:
     extras: dict = field(repr=False, default_factory=dict)
 
 
+NM_ITER_PER_LETTER = 300   # Nelder-Mead iterations per start and letter
+POLISH_ITER = 500           # most ascent steps of the polish
+POLISH_TOL = 1e-8           # gradient residual at which the polish stops
+
+
 def maximize_on_simplex(f, n: int, starts: int = 32, seed: int = 0,
-                        extra_starts=(), residual_tol: float = 1e-8,
-                        max_polish_iter: int = 500,
-                        nm_maxiter: int | None = None) -> OptimizationResult:
+                        extra_starts=()) -> OptimizationResult:
     """Multistart Nelder-Mead in softmax coordinates, then gradient-ascent
     polish with finite differences.  The residual is the sup norm of the
     centred finite-difference gradient at the returned point."""
@@ -66,7 +69,7 @@ def maximize_on_simplex(f, n: int, starts: int = 32, seed: int = 0,
     trace = []
     for x0 in xs:
         res = minimize(lambda x: -F(x), x0, method="Nelder-Mead",
-                       options={"maxiter": nm_maxiter or 300 * n,
+                       options={"maxiter": NM_ITER_PER_LETTER * n,
                                 "fatol": 1e-13, "xatol": 1e-9})
         v = -res.fun
         trace.append((float(F(x0)), float(v)))
@@ -78,7 +81,7 @@ def maximize_on_simplex(f, n: int, starts: int = 32, seed: int = 0,
     h = 1e-6
     residual = math.inf
     it = 0
-    for it in range(1, max_polish_iter + 1):
+    for it in range(1, POLISH_ITER + 1):
         g = np.empty(n)
         for i in range(n):
             e = np.zeros(n)
@@ -86,7 +89,7 @@ def maximize_on_simplex(f, n: int, starts: int = 32, seed: int = 0,
             g[i] = (F(x + e) - F(x - e)) / (2 * h)
         g -= g.mean()
         residual = float(np.abs(g).max())
-        if residual <= residual_tol:
+        if residual <= POLISH_TOL:
             break
         step = 1.0
         moved = False
@@ -167,10 +170,8 @@ def _constant_law_rows(ifs: DiagonalIFS, p):
     levels 2..s, the coefficient of H is 1/chi~_1 plus c_r for r not in S,
     and that of h_r is c_r for r in S.  Returns (C, mats) as
     ``_program_rows`` does."""
-    chi = ifs.lyapunov(p)
-    groups, chain = clock_chain(-chi)
-    coding = build_projection_coding(ifs, chain)
-    inv = 1.0 / np.array([chi[g].mean() for g in groups])
+    _, _, chi_tilde, coding = stable_chain(ifs, p)
+    inv = 1.0 / chi_tilde
     c = np.diff(inv)
     S = np.array(list(itertools.product((0.0, 1.0), repeat=c.size)))
     C = np.concatenate([(inv[0] + (1.0 - S) @ c)[:, None], S * c], axis=1)
@@ -189,10 +190,9 @@ class PressureContext:
             raise ValueError("weighted pressure needs equal linear parts")
         self.ifs = ifs
         self.alpha = as_survival_vector(alpha, ifs.n)
-        chi = ifs.C[0]
-        self.groups, self.chain = clock_chain(-chi)
-        self.chi_tilde = np.array([chi[g].mean() for g in self.groups])
-        self.coding = build_projection_coding(ifs, self.chain)
+        # the law is immaterial: every one has the first map's exponents
+        self.groups, self.chain, self.chi_tilde, self.coding = stable_chain(
+            ifs, np.eye(ifs.n)[0])
         self.s = len(self.groups)
         # expected offspring per class and level
         self.EN = [np.bincount(self.coding.class_index[r - 1], weights=self.alpha,
@@ -247,20 +247,23 @@ def weighted_pressure(ifs: DiagonalIFS, alpha, r: int, theta: float,
     return float(P), w
 
 
-def _pressure_min_theta(ifs, alpha, r, lo, hi, ctx, grid: int = 256,
-                        refine: int = 80):
+THETA_GRID = 256        # theta grid of the pressure minimum
+GOLDEN_ROUNDS = 80      # golden-section steps around its best grid point
+
+
+def _pressure_min_theta(ifs, alpha, r, lo, hi, ctx):
     """min over theta in [lo, hi] of P_r(theta) (convex), grid + golden."""
-    ths = np.linspace(lo, hi, grid)
+    ths = np.linspace(lo, hi, THETA_GRID)
     vals = np.array([weighted_pressure(ifs, alpha, r, t, ctx)[0] for t in ths])
     j = int(np.argmin(vals))
     a = ths[max(0, j - 1)]
-    b = ths[min(grid - 1, j + 1)]
+    b = ths[min(THETA_GRID - 1, j + 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc = weighted_pressure(ifs, alpha, r, c, ctx)[0]
     fd = weighted_pressure(ifs, alpha, r, d, ctx)[0]
-    for _ in range(refine):
+    for _ in range(GOLDEN_ROUNDS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -284,8 +287,7 @@ class AttractorDimension:
     flags: list
 
 
-def dim_attractor_equal_linear(ifs: DiagonalIFS, alpha,
-                               theta_grid: int = 256) -> AttractorDimension:
+def dim_attractor_equal_linear(ifs: DiagonalIFS, alpha) -> AttractorDimension:
     """A.s. Hausdorff dimension of the surviving set for equal linear parts:
     the infimum of weighted pressures over levels r >= 2 and theta in
     [chi~_r/chi~_{r-1}, 1], attained by an explicit percolation-type law.
@@ -307,8 +309,7 @@ def dim_attractor_equal_linear(ifs: DiagonalIFS, alpha,
         best = (math.inf, None, None, None)
         for r in range(2, ctx.s + 1):
             lo = ctx.chi_tilde[r - 1] / ctx.chi_tilde[r - 2]
-            t_star, (val, u) = _pressure_min_theta(ifs, alpha, r, lo, 1.0, ctx,
-                                                   grid=theta_grid)
+            t_star, (val, u) = _pressure_min_theta(ifs, alpha, r, lo, 1.0, ctx)
             scan.append({"r": r, "theta_lo": float(lo), "theta_star": float(t_star),
                          "value": float(val)})
             if val < best[0]:
@@ -338,9 +339,10 @@ class PerturbResult:
     flags: list
 
 
-def admissible_eps_bound(ifs: DiagonalIFS, alpha) -> float:
-    """Upper limit for the perturbation drift: below the blend threshold,
-    the slow-clock budget and the inverse alphabet size."""
+def _drift_limits(ifs: DiagonalIFS, alpha):
+    """(top entropy H_max, blend threshold lam_thr, eps bound): the
+    perturbation drift stays below 1/lam_thr, the slow-clock budget and
+    the inverse alphabet size."""
     alpha = as_survival_vector(alpha, ifs.n)
     H_max = math.log(float(alpha.sum()))
     if H_max <= 0:
@@ -348,7 +350,12 @@ def admissible_eps_bound(ifs: DiagonalIFS, alpha) -> float:
     H_min = float(np.log(alpha).min())
     lam_thr = 8.0 * (H_max - 2.0 * H_min) / H_max ** 2
     lam_lo, _ = ifs.contraction_span()
-    return min(1.0 / lam_thr, lam_lo, 1.0 / ifs.n)
+    return H_max, lam_thr, min(1.0 / lam_thr, lam_lo, 1.0 / ifs.n)
+
+
+def admissible_eps_bound(ifs: DiagonalIFS, alpha) -> float:
+    """Upper limit for the perturbation drift (see ``_drift_limits``)."""
+    return _drift_limits(ifs, alpha)[2]
 
 
 def perturb_sequence(seq: WeightSequence, eps: float, N: int,
@@ -364,12 +371,7 @@ def perturb_sequence(seq: WeightSequence, eps: float, N: int,
     if seq.models is not None or seq.alpha is None:
         raise ValueError("perturbation applies to percolation schedules")
     alpha = seq.alpha
-    H_max = math.log(float(alpha.sum()))
-    if H_max <= 0:
-        raise DegenerateError("subcritical survival vector")
-    H_min = float(np.log(alpha).min())
-    lam_thr = 8.0 * (H_max - 2.0 * H_min) / H_max ** 2
-    bound = admissible_eps_bound(ifs, alpha)
+    H_max, lam_thr, bound = _drift_limits(ifs, alpha)
     if not (0.0 < eps < bound):
         raise ValueError("eps = %g outside (0, %g)" % (eps, bound))
     if N * eps < 1.0:

@@ -35,15 +35,19 @@ def gl4x2():
     ])
 
 
+# d=3 grid sponge on a 4x3x2 division, four cells
+SPONGE3D = DiagonalIFS([
+    DiagonalMap([1 / 4, 1 / 3, 1 / 2], [0, 0, 0]),
+    DiagonalMap([1 / 4, 1 / 3, 1 / 2], [1 / 4, 1 / 3, 0]),
+    DiagonalMap([1 / 4, 1 / 3, 1 / 2], [1 / 2, 2 / 3, 1 / 2]),
+    DiagonalMap([1 / 4, 1 / 3, 1 / 2], [3 / 4, 0, 1 / 2]),
+])
+
+
 @pytest.fixture(scope="session")
 def sponge3d():
     """d=3 grid sponge on a 4x3x2 division, four cells."""
-    return DiagonalIFS([
-        DiagonalMap([1 / 4, 1 / 3, 1 / 2], [0, 0, 0]),
-        DiagonalMap([1 / 4, 1 / 3, 1 / 2], [1 / 4, 1 / 3, 0]),
-        DiagonalMap([1 / 4, 1 / 3, 1 / 2], [1 / 2, 2 / 3, 1 / 2]),
-        DiagonalMap([1 / 4, 1 / 3, 1 / 2], [3 / 4, 0, 1 / 2]),
-    ])
+    return SPONGE3D
 
 
 def type_ell_lengths(total, first=4, q=1.25, m0=3, ratio_bound=0.5):

@@ -117,6 +117,47 @@ def test_parse_error_exits_two(workdir):
         assert r.returncode == 2, args
 
 
+# negative sizes, and counts below one, exit 2 before anything is written
+@pytest.mark.parametrize("args", [
+    ("simulate", "--ifs", "ifs.json", "--alpha", "0.9", "--depth", "-1"),
+    ("boxcount", "--ifs", "ifs.json", "--alpha", "0.9", "--depth", "-2",
+     "--scales", "2,3"),
+    ("cascade", "--weights", "weights.json", "--depth", "-1"),
+    ("local-dim", "--ifs", "ifs.json", "--weights", "weights.json",
+     "--depth", "12", "--points", "0"),
+    ("local-dim", "--ifs", "ifs.json", "--weights", "weights.json",
+     "--depth", "0"),
+], ids=["simulate-depth", "boxcount-depth", "cascade-depth",
+        "local-dim-points", "local-dim-depth"])
+def test_bad_sizes_exit_two_before_writing(workdir, args):
+    r = run_cli(*args, "--out", "o", cwd=workdir)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert not os.path.exists(workdir / "o")
+
+
+def test_near_tie_keeps_two_clock_groups(workdir):
+    # a Baranski carpet whose exponents differ by 8.1e-4 at p
+    baranski = {"dimension": 2, "maps": [
+        {"a": [0.5, 1 / 3], "t": [0.0, 0.0]},
+        {"a": [1 / 3, 0.5], "t": [2 / 3, 0.5]}]}
+    with open(workdir / "baranski.json", "w") as fh:
+        json.dump(baranski, fh)
+    with open(workdir / "tie.json", "w") as fh:
+        json.dump({"type": "deterministic", "p": [0.501, 0.499]}, fh)
+    r = run_cli("coding", "--ifs", "baranski.json", "--p", "0.501,0.499",
+                "--out", "c", cwd=workdir)
+    assert r.returncode == 0
+    doc = read_json(workdir / "c" / "coding.json")
+    assert doc["axis_groups"] == [[2], [1]] and doc["levels"] == 2
+    assert "reference_N" not in doc
+    r = run_cli("dim-mm", "--ifs", "baranski.json", "--weights", "tie.json",
+                "--out", "m", cwd=workdir)
+    assert r.returncode == 0
+    value = read_json(workdir / "m" / "dim-mm.json")["value"]
+    assert abs(value - 0.7740537100424525) <= 1e-12
+
+
 def test_numeric_failure_exits_three(workdir):
     dead = {"type": "percolation", "p": [0.4, 0.35, 0.25],
             "alpha": [0.1, 0.1, 0.1]}

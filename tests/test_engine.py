@@ -10,20 +10,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spongedim import DiagonalIFS, DiagonalMap
 from spongedim.engine import (PeriodicSpec, d_sequences, dim_exp_periodic,
                               dim_imm_bounds, dim_mandelbrot,
-                              entropy_profile, partition_function,
-                              stable_chain, three_weight_gap_sequence,
-                              two_point_mean_one)
+                              entropy_profile, mandelbrot_value,
+                              partition_function, stable_chain,
+                              three_weight_gap_sequence, two_point_mean_one)
 from spongedim.scales import PrefixTable, decompose
 from spongedim.weights import (DegenerateError, WeightModel, WeightSequence,
                                entropy)
 
-from conftest import carpet
+from conftest import SPONGE3D, carpet
 
 
 # === constant-law dimension ===
@@ -74,6 +74,48 @@ def test_mandelbrot_breakdown_fields(mcmullen):
     assert res.H > 0
     assert len(res.chi_tilde) == len(res.groups)
     assert 0 < res.value <= 2.0
+
+
+# Baranski carpets: the first and last maps swap their ratios on the two
+# axes, so chi(p) ties exactly where p_1 = p_n
+BARANSKI2 = DiagonalIFS([DiagonalMap([1 / 2, 1 / 3], [0, 0]),
+                         DiagonalMap([1 / 3, 1 / 2], [2 / 3, 1 / 2])])
+BARANSKI3 = DiagonalIFS([DiagonalMap([1 / 2, 1 / 3], [0, 0]),
+                         DiagonalMap([1 / 6, 1 / 6], [1 / 2, 1 / 3]),
+                         DiagonalMap([1 / 3, 1 / 2], [2 / 3, 1 / 2])])
+
+
+def test_near_tie_keeps_both_clock_groups():
+    # chi(p) = (0.89629, 0.89547) are two clock groups; merged into one,
+    # the closed form would give 0.7737033820250887
+    p = np.array([0.501, 0.499])
+    res = dim_mandelbrot(BARANSKI2, WeightModel.deterministic(p))
+    assert abs(res.value - 0.7740537100424525) <= 1e-12
+    assert res.groups == [[1], [0]]
+    groups, chain, chi_tilde, coding = stable_chain(BARANSKI2, p)
+    assert groups == res.groups and coding.levels == 2
+    assert chi_tilde[0] - chi_tilde[1] > 8e-4
+
+
+@given(st.sampled_from([BARANSKI2, BARANSKI3, SPONGE3D]),
+       st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.none() | st.floats(-1e-3, 1e-3))
+@settings(max_examples=60, deadline=None)
+def test_one_closed_form_for_constant_laws(ifs, seed, percolation, tie):
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(ifs.n))
+    if tie is not None and ifs is not SPONGE3D:
+        # p_1 and p_n within 1e-3 (relative) of a tie of the exponents
+        m = 0.5 * (p[0] + p[-1])
+        p[0], p[-1] = m * (1.0 + tie), m * (1.0 - tie)
+    W = (WeightModel.percolation(p, rng.uniform(0.7, 1.0, ifs.n)) if percolation
+         else WeightModel.deterministic(p))
+    assume(W.entropy_H() >= 0.0)
+    res = dim_mandelbrot(ifs, W)
+    assert res.value == mandelbrot_value(ifs, W.mean(), W.entropy_H())
+    assert np.all(np.diff(res.chi_tilde) < 0.0)
+    assert sum(b["contribution"] for b in res.breakdown) == pytest.approx(
+        res.value, rel=1e-12, abs=1e-12)
 
 
 # === dimension sequences ===
