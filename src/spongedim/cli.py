@@ -100,6 +100,16 @@ def _alpha_arg(text, n):
     return vals
 
 
+def _p_arg(text, n):
+    vals = _floats(text)
+    if vals.size != n:
+        _fail(2, "p needs %d entries, got %d" % (n, vals.size))
+    try:
+        return as_prob_vector(vals)
+    except ValueError as exc:
+        _fail(2, "p: %s" % exc)
+
+
 def _jconv(x):
     if isinstance(x, dict):
         return {str(k): _jconv(v) for k, v in x.items()}
@@ -208,9 +218,8 @@ def cmd_coding(ifs_path, p_text, out, json_mode):
     """Letter identifications along the clock-ordered projection chain."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
-    p = np.full(ifs.n, 1.0 / ifs.n) if p_text is None else _floats(p_text)
-    groups, chain, chi_tilde, coding = _compute(
-        lambda: stable_chain(ifs, as_prob_vector(p)))
+    p = np.full(ifs.n, 1.0 / ifs.n) if p_text is None else _p_arg(p_text, ifs.n)
+    groups, chain, chi_tilde, coding = _compute(lambda: stable_chain(ifs, p))
     classes = []
     for r in range(1, coding.levels + 1):
         classes.append([sorted(int(x) for x in fib) for fib in coding.fibers[r - 1]])
@@ -311,23 +320,19 @@ def cmd_dim_imm(ifs_path, seq_path, scales, horizon, out, json_mode):
 @cli.command("dim-periodic")
 @click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
 @click.option("--periodic", "periodic_path", required=True, type=click.Path(exists=True))
-@click.option("--quad-step", type=float, default=None,
-              help="Quadrature step as a multiplier lambda**step.")
 @common_options
-def cmd_dim_periodic(ifs_path, periodic_path, quad_step, out, json_mode):
+def cmd_dim_periodic(ifs_path, periodic_path, out, json_mode):
     """Exact dimensions of an exponentially periodic schedule."""
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     pspec = _load(io.load_periodic, periodic_path, "periodic")
-    res = _compute(lambda: dim_exp_periodic(ifs, pspec, quad_step=quad_step))
+    res = _compute(lambda: dim_exp_periodic(ifs, pspec))
     csv_path = os.path.join(out, "dim-periodic.csv")
     io.write_csv(csv_path, ["T", "delta1", "delta2"],
                  zip(res.T.tolist(), res.delta1.tolist(), res.delta2.tolist()))
     result = {"dim_H": res.dim_H, "dim_P": res.dim_P, "flags": res.flags,
               "csv": csv_path}
     params = {"ifs": ifs_path, "periodic": periodic_path, "out": out}
-    if quad_step is not None:
-        params["quad-step"] = quad_step
     _finish("dim-periodic", params, [ifs_path, periodic_path], result, out,
             json_mode, extra_outputs=[csv_path])
     if not json_mode:
@@ -498,6 +503,15 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
     if tree_path is not None and (alpha_text is not None or depth is not None
                                   or seed is not None):
         _fail(2, "--tree is mutually exclusive with --alpha, --depth and --seed")
+    N_list = _floats(scales)
+    fit_window = None
+    if window is not None:
+        fit_window = _ints(window)
+        if not (len(fit_window) == 2 and 0 <= fit_window[0]
+                and fit_window[0] + 2 <= fit_window[1] <= len(N_list)):
+            _fail(2, "window must be two integers i, j with 0 <= i and "
+                  "i + 2 <= j <= %d (the number of scales), got %r"
+                  % (len(N_list), window))
     out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     inputs = [ifs_path]
@@ -511,13 +525,6 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
         alpha = _alpha_arg(alpha_text, ifs.n)
         seed = 0 if seed is None else seed
         tree = _compute(lambda: sample_tree(ifs, alpha, depth, seed=seed))
-    N_list = _floats(scales)
-    fit_window = None
-    if window is not None:
-        ij = _ints(window)
-        if len(ij) != 2:
-            _fail(2, "window must be two integers")
-        fit_window = (ij[0], ij[1])
     rep = _compute(lambda: box_count_fit(tree, ifs, N_list,
                                          fit_window=fit_window))
     csv_path = os.path.join(out, "boxcount.csv")

@@ -381,13 +381,13 @@ class PeriodicDimensions:
     flags: list
 
 
+QUAD_STEPS = 512        # quadrature breakpoints per period
 T_POINTS = 129          # grid of log T over one period, both ends included
 REFINE_POINTS = 17      # evaluations per extreme and refinement round
 REFINE_ROUNDS = 5
 
 
-def dim_exp_periodic(ifs: DiagonalIFS, pspec: PeriodicSpec,
-                     quad_step: float | None = None) -> PeriodicDimensions:
+def dim_exp_periodic(ifs: DiagonalIFS, pspec: PeriodicSpec) -> PeriodicDimensions:
     """Hausdorff and packing dimension of an exponentially periodic schedule.
 
     All clocks and integrals live on one period thanks to the scaling
@@ -399,12 +399,7 @@ def dim_exp_periodic(ifs: DiagonalIFS, pspec: PeriodicSpec,
     if pspec.n_letters != ifs.n:
         raise ValueError("schedule alphabet size %d, ifs has %d maps"
                          % (pspec.n_letters, ifs.n))
-    n_steps = 512
-    if quad_step is not None:
-        if not (1.0 < quad_step < pspec.lam):
-            raise ValueError("quadrature step must lie in (1, lam)")
-        n_steps = max(8, round(math.log(pspec.lam) / math.log(quad_step)))
-    tab = _PeriodTables(pspec, ifs, n_steps)
+    tab = _PeriodTables(pspec, ifs, QUAD_STEPS)
 
     # average-drift condition: G_H must stay positive on a full period
     drift = tab.G_H / tab.t

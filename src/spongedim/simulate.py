@@ -2,7 +2,6 @@
 box counting and local dimension sampling.
 
 Trees and cascades are keyed by a counter-based generator (see rng),
-
 so resampling with the same seed reproduces the same object node for node,
 independent of traversal order or chunking.
 """
@@ -28,13 +27,6 @@ MAX_ATTEMPTS = 10 ** 6      # tries of sample_tree_conditioned
 class ResourceCapError(RuntimeError):
     """A simulation exceeded its node or box budget, or the depth its node
     codes can represent."""
-
-
-def _check_code_depth(depth: int, arity: int) -> None:
-    limit = max_code_depth(arity)
-    if depth > limit:
-        raise ResourceCapError("depth %d: heap codes of arity %d reach 2**63 "
-                               "past level %d" % (depth, arity, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -136,41 +128,35 @@ def codes_to_words(codes: np.ndarray, level: int, arity: int) -> np.ndarray:
     return out
 
 
-def _alpha_row(alpha, n: int, arity: int) -> np.ndarray:
-    if alpha.ndim == 1:
-        return alpha
-    return alpha[n - 1]
+def _grow(arity: int, depth: int, guard: int, keep) -> list:
+    """Heap-code levels from the root down to ``depth``.
+
+    ``keep(n, codes, kids)`` gets the codes of level n - 1 and their
+    children, shape (len(codes), arity), and returns the mask of children
+    that make level n.  An empty level has only empty levels below it."""
+    limit = max_code_depth(arity)
+    if depth > limit:
+        raise ResourceCapError("depth %d: heap codes of arity %d reach 2**63 "
+                               "past level %d" % (depth, arity, limit))
+    levels = [np.array([ROOT_CODE], dtype=np.uint64)]
+    for n in range(1, depth + 1):
+        kids = child_codes(levels[-1], arity)
+        if kids.size > guard:
+            raise ResourceCapError("level %d would hold %d nodes (guard %d)"
+                                   % (n, kids.size, guard))
+        levels.append(kids[keep(n, levels[-1], kids)])
+    return levels
 
 
 def sample_tree(ifs_or_arity, alpha, depth: int, seed: int = 0,
                 guard: int = MEMORY_GUARD) -> PercolationTree:
-    """Fractal percolation tree to the given depth.
-
-    alpha is a survival vector, or a (depth, arity) matrix for
-    level-dependent percolation.  Cell survival draws are keyed by the cell's
-    word, so deepening the tree preserves what was already sampled."""
+    """Fractal percolation tree to the given depth, alpha its survival
+    vector.  Cell survival draws are keyed by the cell's word, so deepening
+    the tree preserves what was already sampled."""
     arity = ifs_or_arity.n if isinstance(ifs_or_arity, DiagonalIFS) else int(ifs_or_arity)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim == 1:
-        alpha = as_survival_vector(alpha, arity)
-    elif alpha.shape != (depth, arity):
-        raise ValueError("per-level alpha must be (depth, arity)")
-    _check_code_depth(depth, arity)
-    levels = [np.array([ROOT_CODE], dtype=np.uint64)]
-    codes = levels[0]
-    for n in range(1, depth + 1):
-        if codes.size == 0:
-            levels.append(codes)
-            continue
-        kids = child_codes(codes, arity).ravel()
-        if kids.size > guard:
-            raise ResourceCapError("level %d would hold %d nodes (guard %d)"
-                                   % (n, kids.size, guard))
-        u = uniform(seed, kids)
-        letters = ((kids - np.uint64(1)) % np.uint64(arity)).astype(np.intp)
-        keep = u < _alpha_row(alpha, n, arity)[letters]
-        codes = kids[keep]
-        levels.append(codes)
+    alpha = as_survival_vector(alpha, arity)
+    levels = _grow(arity, depth, guard,
+                   lambda n, codes, kids: uniform(seed, kids) < alpha)
     return PercolationTree(arity=arity, depth=depth, seed=seed, levels=levels)
 
 
@@ -230,50 +216,33 @@ def _model_at(model_or_seq, n: int) -> WeightModel:
     return model_or_seq
 
 
-def sample_cascade(model_or_seq, depth: int, seed: int = 0,
-                   guard: int = MEMORY_GUARD) -> CascadeSample:
+def sample_cascade(model_or_seq, depth: int, seed: int = 0) -> CascadeSample:
     """Multiplicative cascade of the weight law(s) down to ``depth``.
 
     Nodes with zero mass are dropped (the support condition keeps them
     irrelevant for every moment).  Y_k is exact for the sampled tree."""
-    m0 = _model_at(model_or_seq, 1)
-    arity = m0.n_letters
-    _check_code_depth(depth, arity)
-    codes = np.array([ROOT_CODE], dtype=np.uint64)
-    Q = np.ones(1)
-    levels, masses, Y = [codes], [Q], [1.0]
-    for n in range(1, depth + 1):
+    masses = [np.ones(1)]
+
+    def keep(n, codes, kids):
         model = _model_at(model_or_seq, n)
-        if codes.size == 0:
-            levels.append(codes)
-            masses.append(np.empty(0))
-            Y.append(0.0)
-            continue
-        kids = child_codes(codes, arity)          # (m, arity)
-        if kids.size > guard:
-            raise ResourceCapError("level %d would hold %d nodes (guard %d)"
-                                   % (n, kids.size, guard))
         if model.kind == "deterministic":
             W = np.broadcast_to(model.p, kids.shape)
         elif model.kind == "percolation":
-            u = uniform(seed, kids.ravel()).reshape(kids.shape)
-            alive = u < model.alpha
-            W = (model.p / model.alpha) * alive
+            W = (model.p / model.alpha) * (uniform(seed, kids) < model.alpha)
         else:
             v = uniform(seed, codes, stream=1)
             cum = np.cumsum(model.atom_probs)
             idx = np.searchsorted(cum, v, side="right")
             idx = np.minimum(idx, len(model.atom_probs) - 1)
             W = model.atom_w[idx]
-        Qk = (Q[:, None] * W).ravel()
-        keep = Qk > 0.0
-        codes = kids.ravel()[keep]
-        Q = Qk[keep]
-        levels.append(codes)
-        masses.append(Q)
-        Y.append(float(Q.sum()))
+        Q = masses[-1][:, None] * W
+        alive = Q > 0.0
+        masses.append(Q[alive])
+        return alive
+
+    levels = _grow(_model_at(model_or_seq, 1).n_letters, depth, MEMORY_GUARD, keep)
     return CascadeSample(depth=depth, seed=seed, levels=levels, masses=masses,
-                         Y=np.array(Y))
+                         Y=np.array([float(Q.sum()) for Q in masses]))
 
 
 # ---------------------------------------------------------------------------
@@ -291,57 +260,22 @@ class BoxCountReport:
     flags: list
 
 
-def _integer_grid(ifs: DiagonalIFS) -> int | None:
-    """Common integer subdivision m when the system sits on the conformal
-    m-adic grid."""
-    a = ifs.A
-    if not np.all(a == a.flat[0]):
-        return None
-    m = round(1.0 / float(a.flat[0]))
-    if m < 2 or abs(a.flat[0] - 1.0 / m) > 1e-12:
-        return None
-    cells = ifs.T * m
-    if not np.all(np.abs(cells - np.round(cells)) <= 1e-9):
-        return None
-    return m
-
-
-def box_count(source, ifs: DiagonalIFS, N_list, guard: int = MEMORY_GUARD) -> np.ndarray:
-    """Occupied e^{-N}-grid boxes of the sampled set at each N.
-
-    When e^N rounds (within 1e-9 relative) to a power of the system's
-    conformal integer grid, counts come straight from the tree levels;
-    otherwise the deepest-level rectangles are rasterized onto the grid
-    under the node budget."""
-    if isinstance(source, PercolationTree):
-        tree = source
-        rect_cache = {}
-    else:
-        tree = None
-        lo, size = source
-        lo = np.asarray(lo, dtype=np.float64)
-        size = np.asarray(size, dtype=np.float64)
-    m_grid = _integer_grid(ifs) if tree is not None else None
+def box_count(tree: PercolationTree, ifs: DiagonalIFS, N_list) -> np.ndarray:
+    """Occupied e^{-N}-grid boxes of the sampled set at each N: the boxes
+    that the deepest cells of the tree meet, rasterized under the node
+    budget.  A grid whose e^N is within 1e-9 relative of an integer gets
+    that integer as its side count."""
+    lo, size = tree_rects(tree, ifs, tree.depth)
     counts = []
     for N in np.asarray(N_list, dtype=np.float64):
         try:
-            k_real = math.exp(N)
+            k = math.exp(N)
         except OverflowError:
             raise ResourceCapError("grid e^N at N = %g exceeds the float range"
                                    % N) from None
-        k = round(k_real)
-        aligned = abs(k_real - k) <= 1e-9 * max(1.0, k_real)
-        if tree is not None and aligned and m_grid is not None and k >= 1:
-            j = round(math.log(k) / math.log(m_grid))
-            if 0 <= j <= tree.depth and m_grid ** j == k:
-                counts.append(int(tree.levels[j].size))
-                continue
-        if tree is not None:
-            level = tree.depth
-            if level not in rect_cache:
-                rect_cache[level] = tree_rects(tree, ifs, level)
-            lo, size = rect_cache[level]
-        counts.append(_raster_count(lo, size, k_real if not aligned else k, guard))
+        if abs(k - round(k)) <= 1e-9 * max(1.0, k):
+            k = round(k)
+        counts.append(_raster_count(lo, size, k, MEMORY_GUARD))
     return np.array(counts, dtype=np.int64)
 
 
@@ -466,14 +400,15 @@ def _raster_count(lo: np.ndarray, size: np.ndarray, k: float, guard: int) -> int
     return int(_sorted_distinct(np.concatenate(chunks)).size)
 
 
-def box_count_fit(source, ifs: DiagonalIFS, N_list, fit_window=None,
-                  guard: int = MEMORY_GUARD) -> BoxCountReport:
+def box_count_fit(tree: PercolationTree, ifs: DiagonalIFS, N_list,
+                  fit_window=None) -> BoxCountReport:
     """Least-squares slope of log counts against N.
 
     The default window keeps the middle two quartiles of the scales, where
-    neither the root nor the sampling horizon distorts the count."""
+    neither the root nor the sampling horizon distorts the count.  A given
+    window (i, j) is half-open and must hold at least two scales."""
     N = np.asarray(N_list, dtype=np.float64)
-    counts = box_count(source, ifs, N, guard=guard)
+    counts = box_count(tree, ifs, N)
     flags = []
     if np.any(np.diff(counts) < 0):
         flags.append("nonmonotone-counts")
@@ -481,10 +416,11 @@ def box_count_fit(source, ifs: DiagonalIFS, N_list, fit_window=None,
         a, b = len(N) // 4, max(len(N) // 4 + 2, (3 * len(N)) // 4)
     else:
         a, b = fit_window
+    if not (0 <= a and a + 2 <= b <= len(N)):
+        raise ValueError("fit window [%d, %d) of %d scales holds fewer than "
+                         "two or runs past them" % (a, b, len(N)))
     x = N[a:b]
     y = np.log(np.maximum(counts[a:b], 1))
-    if x.size < 2:
-        raise ValueError("fit window holds fewer than two scales")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     dof = max(x.size - 2, 1)

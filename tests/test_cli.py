@@ -112,7 +112,10 @@ def test_parse_error_exits_two(workdir):
                  ("boxcount", "--ifs", "ifs.json", "--alpha", "0.8",
                   "--depth", "3", "--scales", "nan,2"),
                  ("optimize-packing", "--ifs", "ifs.json", "--alpha", "1",
-                  "--lengths", "4,5,inf", "--eps", "0.1", "--scales", "20")):
+                  "--lengths", "4,5,inf", "--eps", "0.1", "--scales", "20"),
+                 # a law that does not sum to 1, and one letter too many
+                 ("coding", "--ifs", "ifs.json", "--p", "0.5,0.3,0.1"),
+                 ("coding", "--ifs", "ifs.json", "--p", "0.25,0.25,0.25,0.25")):
         r = run_cli(*args, "--out", "o", cwd=workdir)
         assert r.returncode == 2, args
 
@@ -266,6 +269,22 @@ def test_boxcount_csv(workdir):
     assert r.returncode == 0
     lines = (workdir / "b0" / "boxcount.csv").read_text().splitlines()
     assert lines[1].split(",")[1] == "1"
+
+
+def test_boxcount_window_is_checked_before_sampling(workdir):
+    # depth 39 would exit 4 in sampling: a bad window exits 2 before it
+    for window in ("3,1", "0,100", "-1,2", "1,2", "0,1,2", "0.5,3"):
+        r = run_cli("boxcount", "--ifs", "ifs.json", "--alpha", "0.8",
+                    "--depth", "39", "--scales", "1,2,3,4",
+                    "--window", window, "--out", "b", cwd=workdir)
+        assert r.returncode == 2, (window, r.stderr)
+        assert "Traceback" not in r.stderr
+    assert not (workdir / "b").exists()
+    r = run_cli("boxcount", "--ifs", "ifs.json", "--alpha", "0.8",
+                "--depth", "5", "--scales", "1,2,3,4", "--window", "1,4",
+                "--out", "b", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    assert read_json(workdir / "b" / "boxcount.json")["window"] == [1, 4]
 
 
 def test_tree_dump_is_compact_and_indented_dumps_still_load(workdir):

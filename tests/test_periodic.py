@@ -6,7 +6,8 @@ the oracle's T grid it equals, to 1e-12, the oracle's minimum sampled at
 every breakpoint, and never lies above the one sampled at 4096 inner
 points.  Its tail minimum also counts the empty tail at g_s, and its
 dimensions refine the grid's extremes.  The tables keep one period, so
-the memory does not grow as lam approaches 1.
+the memory does not grow as lam approaches 1.  On a two-clock model the
+dimensions match the at-horizon bounds of the discretized schedule.
 """
 
 import math
@@ -17,7 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spongedim import DiagonalIFS, DiagonalMap, scales
-from spongedim.engine import PeriodicSpec, _PeriodTables, dim_exp_periodic
+from spongedim.engine import (PeriodicSpec, _PeriodTables, dim_exp_periodic,
+                              dim_imm_bounds)
 from spongedim.weights import DegenerateError
 
 import periodic_oracle
@@ -144,3 +146,15 @@ def test_small_period_ratio_in_constant_memory():
     assert np.all(res.delta2 <= d2 + 1e-12)
     assert np.all(res.delta1 <= d1 + 1e-12)
     assert res.dim_H <= res.dim_P < res.dim_H + 1e-5
+
+
+def test_two_clock_model_agrees_with_its_discretization():
+    """On gap-demo's 3x2 carpet the two clocks run apart, so dim_H and
+    dim_P differ (by about 0.145); each still matches the at-horizon bounds
+    of the schedule discretized to 20,000 generations (gaps near 6e-5)."""
+    ifs, pspec = gap_demo_model()
+    res = dim_exp_periodic(ifs, pspec)
+    bounds = dim_imm_bounds(pspec.discretize(20000), ifs)
+    assert res.dim_P - res.dim_H > 0.1
+    assert abs(res.dim_H - bounds.dim_H_estimate) <= 1e-3
+    assert abs(res.dim_P - bounds.dim_P_estimate) <= 1e-3

@@ -156,11 +156,21 @@ def test_resource_cap_raises(mcmullen):
         sample_tree(mcmullen, np.ones(3), depth=30, seed=0, guard=10 ** 5)
 
 
+def test_sample_tree_takes_a_survival_vector_only():
+    with pytest.raises(ValueError):
+        sample_tree(3, np.full((4, 3), 0.9), depth=4)
+    with pytest.raises(ValueError):
+        sample_tree(3, [0.9, math.nan, 0.9], depth=4)
+
+
 def test_heap_code_depth_boundary():
-    # keeping only the last letter walks the largest code of every level;
-    # at arity 3 it is (5 * 3**n - 3) / 2, below 2**63 up to n = 38
+    # keeping (almost surely) only the last letter walks the largest code
+    # of every level; at arity 3 it is (5 * 3**n - 3) / 2, below 2**63 up
+    # to n = 38.  A draw is below 2**-60 only when it is 0.
     last = np.array([0.0, 0.0, 1.0])
-    tree = sample_tree(3, np.tile(last, (38, 1)), depth=38, seed=0)
+    keep_last = np.array([2.0 ** -60, 2.0 ** -60, 1.0])
+    tree = sample_tree(3, keep_last, depth=38, seed=0)
+    assert np.array_equal(tree.counts, np.ones(39))
     top = int(tree.levels[-1][0])
     assert top == (5 * 3 ** 38 - 3) // 2 < 2 ** 63
     back = io.tree_from_dict(io.tree_to_dict(tree, {}))
@@ -168,7 +178,7 @@ def test_heap_code_depth_boundary():
     cascade = sample_cascade(WeightModel.deterministic(last), depth=38)
     assert int(cascade.levels[-1][0]) == top
     with pytest.raises(ResourceCapError):
-        sample_tree(3, np.tile(last, (39, 1)), depth=39, seed=0)
+        sample_tree(3, keep_last, depth=39, seed=0)
     with pytest.raises(ResourceCapError):
         sample_cascade(WeightModel.deterministic(last), depth=39)
 
@@ -231,6 +241,22 @@ def test_deterministic_box_counts_exact(sierpinski):
     rep = box_count_fit(tree, sierpinski, N_list)
     assert [int(c) for c in rep.counts] == [8 ** j for j in (1, 2, 3, 4, 5)]
     assert abs(rep.slope - math.log(8) / math.log(3)) < 0.03
+
+
+def test_box_counts_come_from_the_deepest_cells(sierpinski):
+    # at e^N = 3^j the level-j size of a percolated tree also counts cells
+    # whose lineages die before its depth; the boxes that the depth-7
+    # cells meet are their distinct level-j ancestors
+    tree = sample_tree(sierpinski, np.full(8, 0.6), depth=7, seed=0)
+    lo, size = tree_rects(tree, sierpinski, 7)
+    counts = box_count(tree, sierpinski, [j * math.log(3.0) for j in (5, 6)])
+    assert counts.tolist() == [4225, 20162]
+    for j, count in zip((5, 6), counts):
+        ancestors = tree.levels[7]
+        for _ in range(7 - j):
+            ancestors = (ancestors - np.uint64(1)) // np.uint64(8)
+        assert count == np.unique(ancestors).size < tree.counts[j]
+        assert count == _raster_count(lo, size, 3 ** j, 10 ** 8)
 
 
 def test_box_count_unaligned_scales(sierpinski):
