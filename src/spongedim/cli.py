@@ -1,17 +1,23 @@
 """Command line front end.
 
-Every subcommand writes its results (JSON, plus CSV where tabular) and a
+Every result command writes its results (JSON, plus CSV where tabular) and a
 manifest into --out; --json additionally prints the result object to stdout.
+One driver, `_command`, writes them once the command's body has returned:
+the manifest records every given option under its flag name (values None or
+False left out) plus the effective seed of commands with --seed, and every
+given input file.  A body that fails leaves nothing written.
 Exit codes: 2 for parse/validation failures, 3 for numeric infeasibility,
 4 for resource caps.  Logs go to stderr, results to files and stdout.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -30,7 +36,8 @@ from .weights import DegenerateError, WeightModel, as_prob_vector
 
 
 # sizes fail while parsing, with exit 2 before any output: depths (0 is
-# the root alone), and counts (local-dim's points and depth)
+# the root alone), and counts (local-dim's points and depth, dim-imm's
+# horizon)
 SIZE, COUNT = click.IntRange(min=0), click.IntRange(min=1)
 
 
@@ -42,7 +49,9 @@ def _fail(code: int, msg: str):
 def _load(fn, path, what):
     try:
         return fn(path)
-    except (ValueError, OSError) as exc:
+    # an integer literal past the float range overflows where numbers are
+    # converted, not while the JSON parses
+    except (ValueError, OverflowError, OSError) as exc:
         _fail(2, "%s %s: %s" % (what, path, exc))
 
 
@@ -127,34 +136,6 @@ def _jconv(x):
     return x
 
 
-def common_options(fn):
-    fn = click.option("--json", "json_mode", is_flag=True,
-                      help="Print the JSON result to stdout.")(fn)
-    fn = click.option("--out", default=".", show_default=True,
-                      type=click.Path(file_okay=False),
-                      help="Directory for result files and the manifest.")(fn)
-    return fn
-
-
-def _ensure_out(out):
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _finish(command, params, inputs, result, out, json_mode,
-            extra_outputs=(), seed=None):
-    body = {"schema": "spongedim.%s.v1" % command, "version": io.VERSION}
-    body.update(_jconv(result))
-    rpath = os.path.join(out, command + ".json")
-    io.write_json(rpath, body)
-    manifest = io.make_manifest(command, _jconv(params), list(inputs),
-                                [rpath] + list(extra_outputs), seed=seed)
-    io.write_json(os.path.join(out, "manifest.json"), manifest)
-    if json_mode:
-        click.echo(json.dumps(body, sort_keys=True))
-    return body
-
-
 @click.group()
 def cli():
     """Dimensions of Mandelbrot measures and percolated self-affine sponges."""
@@ -164,32 +145,96 @@ def main():
     cli(prog_name="spongedim")
 
 
+class Outcome(NamedTuple):
+    """What a command body returns: its result object and one-line summary,
+    the further files to write (path -> function writing that path), the
+    effective seed where it differs from the parsed --seed, and the exit
+    code once everything is written."""
+    result: dict
+    summary: str
+    files: dict = {}
+    seed: int | None = None
+    status: int = 0
+
+
+def _command(name):
+    """Register a body as the result command `name`, adding --out and --json.
+
+    The body gets the parsed options (with `out`), parses, loads and
+    computes, and returns an Outcome.  Only then are the result JSON, the
+    body's files and the manifest written, so a body that exits writes
+    nothing."""
+    def register(body):
+        @functools.wraps(body)
+        def run(json_mode, **options):
+            done = body(**options)
+            ctx = click.get_current_context()
+            params, inputs = {}, []
+            for opt in ctx.command.params:
+                value = ctx.params[opt.name]
+                if opt.name == "json_mode" or value is None or value is False:
+                    continue
+                params[opt.opts[0].lstrip("-")] = value
+                if isinstance(opt.type, click.Path) and opt.type.exists:
+                    inputs.append(value)
+            seed = options.get("seed") if done.seed is None else done.seed
+            if "seed" in options:
+                params["seed"] = seed
+            out = options["out"]
+            os.makedirs(out, exist_ok=True)
+            doc = {"schema": "spongedim.%s.v1" % name, "version": io.VERSION}
+            doc.update(_jconv(done.result))
+            rpath = os.path.join(out, name + ".json")
+            io.write_json(rpath, doc)
+            for path, write in done.files.items():
+                write(path)
+            io.write_json(os.path.join(out, "manifest.json"), io.make_manifest(
+                name, _jconv(params), inputs, [rpath, *done.files], seed=seed))
+            click.echo(json.dumps(doc, sort_keys=True) if json_mode
+                       else done.summary)
+            if done.status:
+                sys.exit(done.status)
+
+        command = cli.command(name)(run)
+        command.params += [
+            click.Option(["--out"], default=".", show_default=True,
+                         type=click.Path(file_okay=False),
+                         help="Directory for result files and the manifest."),
+            click.Option(["--json", "json_mode"], is_flag=True,
+                         help="Print the JSON result to stdout.")]
+        return command
+    return register
+
+
+def _csv(out, command, header, *columns):
+    """The path of `command`.csv in out, and its files entry."""
+    path = os.path.join(out, command + ".csv")
+    return path, {path: lambda p: io.write_csv(p, header, zip(*columns))}
+
+
+IFS_OPTION = click.option("--ifs", "ifs_path", required=True,
+                          type=click.Path(exists=True))
+ALPHA_HELP = "Survival probabilities (scalar or per-letter list)."
+
+
 # ---------------------------------------------------------------------------
 
 
-@cli.command("validate")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
-@common_options
-def cmd_validate(ifs_path, out, json_mode):
+@_command("validate")
+@IFS_OPTION
+def cmd_validate(ifs_path, out):
     """Check separation and face conditions of a diagonal system."""
-    out = _ensure_out(out)
-    ifs = _load(io.load_ifs, ifs_path, "ifs")
-    rep = validate_ifs(ifs)
-    result = {"ok": rep.ok, "violations": rep.violations}
-    _finish("validate", {"ifs": ifs_path, "out": out}, [ifs_path], result,
-            out, json_mode)
-    if not json_mode:
-        click.echo("ok" if rep.ok else "\n".join(rep.violations))
-    if not rep.ok:
-        sys.exit(2)
+    rep = validate_ifs(_load(io.load_ifs, ifs_path, "ifs"))
+    # a failing system still gets its report, then exits 2
+    return Outcome({"ok": rep.ok, "violations": rep.violations},
+                   "ok" if rep.ok else "\n".join(rep.violations),
+                   status=0 if rep.ok else 2)
 
 
-@cli.command("classify")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
-@common_options
-def cmd_classify(ifs_path, out, json_mode):
+@_command("classify")
+@IFS_OPTION
+def cmd_classify(ifs_path, out):
     """Name the sponge class of a diagonal system."""
-    out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     c = _compute(lambda: classify(ifs))
     result = {
@@ -203,26 +248,20 @@ def cmd_classify(ifs_path, out, json_mode):
         "feasible_axis_sets": [[int(k) + 1 for k in f.axes] for f in c.feasible_sets],
         "failures": c.failures,
     }
-    _finish("classify", {"ifs": ifs_path, "out": out}, [ifs_path], result,
-            out, json_mode)
-    if not json_mode:
-        click.echo(result["label"])
+    return Outcome(result, c.label)
 
 
-@cli.command("coding")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
+@_command("coding")
+@IFS_OPTION
 @click.option("--p", "p_text", default=None,
               help="Comma-separated letter masses; default uniform.")
-@common_options
-def cmd_coding(ifs_path, p_text, out, json_mode):
+def cmd_coding(ifs_path, p_text, out):
     """Letter identifications along the clock-ordered projection chain."""
-    out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     p = np.full(ifs.n, 1.0 / ifs.n) if p_text is None else _p_arg(p_text, ifs.n)
     groups, chain, chi_tilde, coding = _compute(lambda: stable_chain(ifs, p))
-    classes = []
-    for r in range(1, coding.levels + 1):
-        classes.append([sorted(int(x) for x in fib) for fib in coding.fibers[r - 1]])
+    classes = [[sorted(int(x) for x in fib) for fib in level]
+               for level in coding.fibers]
     result = {
         "levels": coding.levels,
         "chi": [float(c) for c in chi_tilde],
@@ -230,41 +269,28 @@ def cmd_coding(ifs_path, p_text, out, json_mode):
         "chain_axes": [[int(k) + 1 for k in D] for D in chain],
         "classes": classes,
     }
-    _finish("coding", {"ifs": ifs_path, "out": out,
-                       **({"p": p_text} if p_text is not None else {})},
-            [ifs_path], result, out, json_mode)
-    if not json_mode:
-        click.echo("levels %d, classes per level %s"
+    return Outcome(result, "levels %d, classes per level %s"
                    % (coding.levels, [len(c) for c in classes]))
 
 
-@cli.command("decompose")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
+@_command("decompose")
+@IFS_OPTION
 @click.option("--sequence", "seq_path", required=True, type=click.Path(exists=True))
 @click.option("--N", "n_scale", required=True, type=float)
-@common_options
-def cmd_decompose(ifs_path, seq_path, n_scale, out, json_mode):
+def cmd_decompose(ifs_path, seq_path, n_scale, out):
     """Axis groups and clock values of a schedule at one scale."""
-    out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     seq = _load(io.load_sequence, seq_path, "sequence")
     _resolution(n_scale, "--N")
-    dec = _compute(lambda: decompose(ifs, seq, n_scale))
-    result = dec.as_dict()
-    _finish("decompose", {"ifs": ifs_path, "sequence": seq_path,
-                          "N": n_scale, "out": out},
-            [ifs_path, seq_path], result, out, json_mode)
-    if not json_mode:
-        click.echo("s=%d g=%s A=%s" % (result["s"], result["g"], result["A"]))
+    result = _compute(lambda: decompose(ifs, seq, n_scale)).as_dict()
+    return Outcome(result, "s=%(s)d g=%(g)s A=%(A)s" % result)
 
 
-@cli.command("dim-mm")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
+@_command("dim-mm")
+@IFS_OPTION
 @click.option("--weights", "weights_path", required=True, type=click.Path(exists=True))
-@common_options
-def cmd_dim_mm(ifs_path, weights_path, out, json_mode):
+def cmd_dim_mm(ifs_path, weights_path, out):
     """Dimension of the limit measure of a constant weight law."""
-    out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     model = _load(io.load_weights, weights_path, "weights")
     if model.n_letters != ifs.n:
@@ -273,70 +299,49 @@ def cmd_dim_mm(ifs_path, weights_path, out, json_mode):
     result = {"value": res.value, "entropy": res.H,
               "chi": [float(c) for c in res.chi_tilde],
               "breakdown": res.breakdown, "flags": res.flags}
-    _finish("dim-mm", {"ifs": ifs_path, "weights": weights_path, "out": out},
-            [ifs_path, weights_path], result, out, json_mode)
-    if not json_mode:
-        click.echo("dim %.6f" % res.value)
+    return Outcome(result, "dim %.6f" % res.value)
 
 
-@cli.command("dim-imm")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
+@_command("dim-imm")
+@IFS_OPTION
 @click.option("--sequence", "seq_path", required=True, type=click.Path(exists=True))
 @click.option("--scales", default=None, help="Comma-separated N grid.")
-@click.option("--horizon", type=int, default=None, help="Tail search horizon.")
-@common_options
-def cmd_dim_imm(ifs_path, seq_path, scales, horizon, out, json_mode):
+@click.option("--horizon", type=COUNT, default=None, help="Tail search horizon.")
+def cmd_dim_imm(ifs_path, seq_path, scales, horizon, out):
     """At-horizon dimension bounds of an inhomogeneous schedule."""
-    out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     seq = _load(io.load_sequence, seq_path, "sequence")
     N_grid = None if scales is None else _scales(scales)
-    if horizon is not None and horizon < 1:
-        _fail(2, "--horizon must be at least 1, got %d" % horizon)
     res = _compute(lambda: dim_imm_bounds(seq, ifs, N_grid=N_grid,
                                           tail_horizon=horizon))
-    csv_path = os.path.join(out, "dim-imm.csv")
-    io.write_csv(csv_path, ["N", "d", "d_tilde"],
-                 zip(res.profile.N.tolist(), res.profile.d.tolist(),
-                     res.profile.d_tilde.tolist()))
+    csv_path, files = _csv(out, "dim-imm", ["N", "d", "d_tilde"],
+                           res.profile.N.tolist(), res.profile.d.tolist(),
+                           res.profile.d_tilde.tolist())
     result = {"dim_H_estimate": res.dim_H_estimate,
               "dim_P_estimate": res.dim_P_estimate,
               "liminf_d_tilde": res.liminf_d_tilde,
               "oscillation": res.oscillation,
               "converged": res.converged, "flags": res.flags,
               "csv": csv_path}
-    params = {"ifs": ifs_path, "sequence": seq_path, "out": out}
-    if scales is not None:
-        params["scales"] = scales
-    if horizon is not None:
-        params["horizon"] = horizon
-    _finish("dim-imm", params, [ifs_path, seq_path], result, out, json_mode,
-            extra_outputs=[csv_path])
-    if not json_mode:
-        click.echo("dim_H ~ %.6f  dim_P ~ %.6f  (converged: %s)"
-                   % (res.dim_H_estimate, res.dim_P_estimate, res.converged))
+    return Outcome(
+        result, "dim_H ~ %.6f  dim_P ~ %.6f  (converged: %s)"
+        % (res.dim_H_estimate, res.dim_P_estimate, res.converged), files)
 
 
-@cli.command("dim-periodic")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
+@_command("dim-periodic")
+@IFS_OPTION
 @click.option("--periodic", "periodic_path", required=True, type=click.Path(exists=True))
-@common_options
-def cmd_dim_periodic(ifs_path, periodic_path, out, json_mode):
+def cmd_dim_periodic(ifs_path, periodic_path, out):
     """Exact dimensions of an exponentially periodic schedule."""
-    out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     pspec = _load(io.load_periodic, periodic_path, "periodic")
     res = _compute(lambda: dim_exp_periodic(ifs, pspec))
-    csv_path = os.path.join(out, "dim-periodic.csv")
-    io.write_csv(csv_path, ["T", "delta1", "delta2"],
-                 zip(res.T.tolist(), res.delta1.tolist(), res.delta2.tolist()))
+    csv_path, files = _csv(out, "dim-periodic", ["T", "delta1", "delta2"],
+                           res.T.tolist(), res.delta1.tolist(), res.delta2.tolist())
     result = {"dim_H": res.dim_H, "dim_P": res.dim_P, "flags": res.flags,
               "csv": csv_path}
-    params = {"ifs": ifs_path, "periodic": periodic_path, "out": out}
-    _finish("dim-periodic", params, [ifs_path, periodic_path], result, out,
-            json_mode, extra_outputs=[csv_path])
-    if not json_mode:
-        click.echo("dim_H %.6f  dim_P %.6f" % (res.dim_H, res.dim_P))
+    return Outcome(result, "dim_H %.6f  dim_P %.6f" % (res.dim_H, res.dim_P),
+                   files)
 
 
 def _trace_summary(res):
@@ -347,10 +352,9 @@ def _trace_summary(res):
     return out
 
 
-@cli.command("optimize-hausdorff")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
-@click.option("--alpha", "alpha_text", default=None,
-              help="Survival probabilities (scalar or per-letter list).")
+@_command("optimize-hausdorff")
+@IFS_OPTION
+@click.option("--alpha", "alpha_text", default=None, help=ALPHA_HELP)
 @click.option("--lengths", default=None,
               help="Block lengths of a slowly varying schedule; constant law if omitted.")
 @click.option("--eps", type=float, default=None,
@@ -362,16 +366,13 @@ def _trace_summary(res):
               help="Multistart size; used only for constant laws on systems "
                    "with unequal linear parts (equal linear parts take one "
                    "concave solve).")
-@common_options
 def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, seed, starts,
-                           out, json_mode):
+                           out):
     """Largest Hausdorff dimension over weight laws (constant or scheduled)."""
-    out = _ensure_out(out)
+    if (lengths is None) != (eps is None):
+        _fail(2, "--eps and --lengths go together: give both or neither")
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = None if alpha_text is None else _alpha_arg(alpha_text, ifs.n)
-    params = {"ifs": ifs_path, "seed": seed, "starts": starts, "out": out}
-    if alpha_text is not None:
-        params["alpha"] = alpha_text
     if lengths is None:
         res = _compute(lambda: optimize_mandelbrot(ifs, alpha=alpha,
                                                    starts=starts, seed=seed))
@@ -379,61 +380,42 @@ def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, seed, starts,
         certificate = {"closed_form_value": res.extras["closed_form_value"],
                        "entropy": res.extras["H"]}
     else:
-        if eps is None:
-            _fail(2, "--eps is required with --lengths")
         blocks = _ints(lengths)
         res = _compute(lambda: optimize_type_ell_hausdorff(
             ifs, alpha, blocks, eps))
         argument = io.sequence_to_dict(res.argument)
         certificate = {k: res.extras[k]
                        for k in ("eps", "eta", "grid_value", "grid_certificate")}
-        params["lengths"] = lengths
-        params["eps"] = eps
     result = {"value": res.value, "argument": argument,
               "certificate": certificate, "trace": _trace_summary(res)}
-    _finish("optimize-hausdorff", params, [ifs_path], result, out, json_mode,
-            seed=seed)
-    if not json_mode:
-        click.echo("sup dim_H %.6f" % res.value)
+    return Outcome(result, "sup dim_H %.6f" % res.value)
 
 
-@cli.command("optimize-packing")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
-@click.option("--alpha", "alpha_text", required=True,
-              help="Survival probabilities (scalar or per-letter list).")
+@_command("optimize-packing")
+@IFS_OPTION
+@click.option("--alpha", "alpha_text", required=True, help=ALPHA_HELP)
 @click.option("--lengths", required=True, help="Block lengths of the schedule.")
 @click.option("--eps", type=float, required=True)
 @click.option("--scales", required=True, help="Comma-separated N grid.")
-@common_options
-def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, out,
-                         json_mode):
+def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, out):
     """Largest at-horizon packing dimension over admissible schedules."""
-    out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = _alpha_arg(alpha_text, ifs.n)
     blocks = _ints(lengths)
     N_grid = _scales(scales)
     res = _compute(lambda: optimize_packing(ifs, alpha, blocks, eps, N_grid))
     result = {"value": res.value, "argument": io.sequence_to_dict(res.argument),
-              "certificate": {"eps": res.extras.get("eps"),
-                              "per_N": res.extras.get("per_N"),
-                              "windows": res.extras.get("windows")},
+              "certificate": {k: res.extras.get(k)
+                              for k in ("eps", "per_N", "windows")},
               "trace": _trace_summary(res)}
-    params = {"ifs": ifs_path, "alpha": alpha_text, "lengths": lengths,
-              "eps": eps, "scales": scales, "out": out}
-    _finish("optimize-packing", params, [ifs_path], result, out, json_mode)
-    if not json_mode:
-        click.echo("sup dim_P %.6f" % res.value)
+    return Outcome(result, "sup dim_P %.6f" % res.value)
 
 
-@cli.command("dim-attractor")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
-@click.option("--alpha", "alpha_text", required=True,
-              help="Survival probabilities (scalar or per-letter list).")
-@common_options
-def cmd_dim_attractor(ifs_path, alpha_text, out, json_mode):
+@_command("dim-attractor")
+@IFS_OPTION
+@click.option("--alpha", "alpha_text", required=True, help=ALPHA_HELP)
+def cmd_dim_attractor(ifs_path, alpha_text, out):
     """A.s. dimension of the percolation set (equal linear parts)."""
-    out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = _alpha_arg(alpha_text, ifs.n)
     res = _compute(lambda: dim_attractor_equal_linear(ifs, alpha))
@@ -441,53 +423,39 @@ def cmd_dim_attractor(ifs_path, alpha_text, out, json_mode):
               "theta_star": res.theta_star,
               "weights": io.weights_to_dict(res.weight_model),
               "mm_value": res.mm_value, "flags": res.flags}
-    _finish("dim-attractor", {"ifs": ifs_path, "alpha": alpha_text, "out": out},
-            [ifs_path], result, out, json_mode)
-    if not json_mode:
-        click.echo("dim %.6f" % res.value)
+    return Outcome(result, "dim %.6f" % res.value)
 
 
-@cli.command("simulate")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
-@click.option("--alpha", "alpha_text", required=True,
-              help="Survival probabilities (scalar or per-letter list).")
+@_command("simulate")
+@IFS_OPTION
+@click.option("--alpha", "alpha_text", required=True, help=ALPHA_HELP)
 @click.option("--depth", type=SIZE, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--conditioned", is_flag=True,
               help="Resample until the tree survives to the full depth.")
 @click.option("--guard", type=int, default=10 ** 8, show_default=True)
-@common_options
-def cmd_simulate(ifs_path, alpha_text, depth, seed, conditioned, guard, out,
-                 json_mode):
+def cmd_simulate(ifs_path, alpha_text, depth, seed, conditioned, guard, out):
     """Sample a fractal percolation tree and dump it."""
-    out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = _alpha_arg(alpha_text, ifs.n)
-    attempts = 1
     if conditioned:
         tree, attempts = _compute(lambda: sample_tree_conditioned(
             ifs, alpha, depth, seed=seed, guard=guard))
     else:
-        tree = _compute(lambda: sample_tree(ifs, alpha, depth, seed=seed,
-                                            guard=guard))
+        tree, attempts = _compute(lambda: sample_tree(
+            ifs, alpha, depth, seed=seed, guard=guard)), 1
     descriptor = {"type": "percolation-tree", "arity": ifs.n,
                   "alpha": [float(a) for a in alpha]}
     tree_path = os.path.join(out, "tree.json")
-    io.write_json(tree_path, io.tree_to_dict(tree, descriptor), compact=True)
     result = {"counts": tree.counts, "survived": tree.survived(),
               "attempts": attempts, "tree_file": tree_path}
-    params = {"ifs": ifs_path, "alpha": alpha_text, "depth": depth,
-              "seed": seed, "guard": guard, "out": out}
-    if conditioned:
-        params["conditioned"] = True
-    _finish("simulate", params, [ifs_path], result, out, json_mode,
-            extra_outputs=[tree_path], seed=seed)
-    if not json_mode:
-        click.echo("levels %s" % result["counts"])
+    return Outcome(result, "levels %s" % result["counts"], files={
+        tree_path: lambda p: io.write_json(
+            p, io.tree_to_dict(tree, descriptor), compact=True)})
 
 
-@cli.command("boxcount")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
+@_command("boxcount")
+@IFS_OPTION
 @click.option("--tree", "tree_path", default=None, type=click.Path(exists=True),
               help="Tree dump to count; mutually exclusive with sampling options.")
 @click.option("--alpha", "alpha_text", default=None)
@@ -496,9 +464,8 @@ def cmd_simulate(ifs_path, alpha_text, depth, seed, conditioned, guard, out,
               help="Sampling seed (0 if omitted); not allowed with --tree.")
 @click.option("--scales", required=True, help="Comma-separated N list.")
 @click.option("--window", default=None, help="Fit window as i,j (half-open).")
-@common_options
 def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
-                 out, json_mode):
+                 out):
     """Grid box counts of a sampled set and the fitted log-slope."""
     if tree_path is not None and (alpha_text is not None or depth is not None
                                   or seed is not None):
@@ -512,13 +479,10 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
             _fail(2, "window must be two integers i, j with 0 <= i and "
                   "i + 2 <= j <= %d (the number of scales), got %r"
                   % (len(N_list), window))
-    out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
-    inputs = [ifs_path]
     if tree_path is not None:
         tree = _load(lambda p: io.tree_from_dict(io.load_json(p)), tree_path,
                      "tree")
-        inputs.append(tree_path)
     else:
         if alpha_text is None or depth is None:
             _fail(2, "either --tree or both --alpha and --depth are required")
@@ -527,80 +491,54 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
         tree = _compute(lambda: sample_tree(ifs, alpha, depth, seed=seed))
     rep = _compute(lambda: box_count_fit(tree, ifs, N_list,
                                          fit_window=fit_window))
-    csv_path = os.path.join(out, "boxcount.csv")
-    io.write_csv(csv_path, ["N", "count"], zip(rep.N.tolist(), rep.counts.tolist()))
+    csv_path, files = _csv(out, "boxcount", ["N", "count"], rep.N.tolist(),
+                           rep.counts.tolist())
     result = {"slope": rep.slope, "intercept": rep.intercept,
               "std_error": rep.std_error, "window": list(rep.window),
               "flags": rep.flags, "csv": csv_path}
-    params = {"ifs": ifs_path, "scales": scales, "seed": seed, "out": out}
-    if tree_path is not None:
-        params["tree"] = tree_path
-    if alpha_text is not None:
-        params["alpha"] = alpha_text
-    if depth is not None:
-        params["depth"] = depth
-    if window is not None:
-        params["window"] = window
-    _finish("boxcount", params, inputs, result, out, json_mode,
-            extra_outputs=[csv_path], seed=seed)
-    if not json_mode:
-        click.echo("slope %.4f +- %.4f" % (rep.slope, rep.std_error))
+    return Outcome(result, "slope %.4f +- %.4f" % (rep.slope, rep.std_error),
+                   files, seed=seed)
 
 
-@cli.command("cascade")
+@_command("cascade")
 @click.option("--weights", "weights_path", default=None, type=click.Path(exists=True))
 @click.option("--sequence", "seq_path", default=None, type=click.Path(exists=True))
 @click.option("--depth", type=SIZE, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@common_options
-def cmd_cascade(weights_path, seq_path, depth, seed, out, json_mode):
+def cmd_cascade(weights_path, seq_path, depth, seed, out):
     """Sample a multiplicative cascade; emit node masses at the deepest level."""
-    out = _ensure_out(out)
     if (weights_path is None) == (seq_path is None):
         _fail(2, "exactly one of --weights or --sequence is required")
     if weights_path is not None:
         source = _load(io.load_weights, weights_path, "weights")
         descriptor = io.weights_to_dict(source)
-        inputs = [weights_path]
     else:
         source = _load(io.load_sequence, seq_path, "sequence")
         if depth > source.horizon:
             _fail(2, "depth %d exceeds the schedule horizon %d"
                   % (depth, source.horizon))
         descriptor = io.sequence_to_dict(source)
-        inputs = [seq_path]
     cas = _compute(lambda: sample_cascade(source, depth, seed=seed))
     arity = source.n_letters
     codes, masses = cas.node_table(depth)
     words = codes_to_words(codes, depth, arity)
-    csv_path = os.path.join(out, "cascade.csv")
-    io.write_csv(csv_path, ["word", "Q"],
-                 zip(io.word_strings(words, arity), masses.tolist()))
+    csv_path, files = _csv(out, "cascade", ["word", "Q"],
+                           io.word_strings(words, arity), masses.tolist())
     result = {"Y": cas.Y, "counts": [int(l.size) for l in cas.levels],
               "model_hash": io.model_hash(descriptor), "csv": csv_path}
-    params = {"depth": depth, "seed": seed, "out": out}
-    if weights_path is not None:
-        params["weights"] = weights_path
-    else:
-        params["sequence"] = seq_path
-    _finish("cascade", params, inputs, result, out, json_mode,
-            extra_outputs=[csv_path], seed=seed)
-    if not json_mode:
-        click.echo("Y by level %s" % np.array2string(cas.Y, precision=4))
+    return Outcome(result, "Y by level %s" % np.array2string(cas.Y, precision=4),
+                   files)
 
 
-@cli.command("local-dim")
-@click.option("--ifs", "ifs_path", required=True, type=click.Path(exists=True))
+@_command("local-dim")
+@IFS_OPTION
 @click.option("--weights", "weights_path", required=True, type=click.Path(exists=True))
 @click.option("--depth", type=COUNT, required=True)
 @click.option("--points", type=COUNT, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--scales", default=None, help="Comma-separated N list.")
-@common_options
-def cmd_local_dim(ifs_path, weights_path, depth, points, seed, scales, out,
-                  json_mode):
+def cmd_local_dim(ifs_path, weights_path, depth, points, seed, scales, out):
     """Local dimension slopes at measure-typical points."""
-    out = _ensure_out(out)
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     model = _load(io.load_weights, weights_path, "weights")
     N_list = None if scales is None else _floats(scales)
@@ -612,26 +550,14 @@ def cmd_local_dim(ifs_path, weights_path, depth, points, seed, scales, out,
         theory = None
     result = {"median_slope": rep.median_slope, "slopes": rep.slopes,
               "N": rep.N, "theory_value": theory}
-    params = {"ifs": ifs_path, "weights": weights_path, "depth": depth,
-              "points": points, "seed": seed, "out": out}
-    if scales is not None:
-        params["scales"] = scales
-    _finish("local-dim", params, [ifs_path, weights_path], result, out,
-            json_mode, seed=seed)
-    if not json_mode:
-        if theory is None:
-            click.echo("median slope %.4f" % rep.median_slope)
-        else:
-            click.echo("median slope %.4f (formula %.4f)"
-                       % (rep.median_slope, theory))
+    return Outcome(result, "median slope %.4f" % rep.median_slope
+                   + ("" if theory is None else " (formula %.4f)" % theory))
 
 
-@cli.command("gap-demo")
-@common_options
-def cmd_gap_demo(out, json_mode):
+@_command("gap-demo")
+def cmd_gap_demo(out):
     """Built-in periodic percolation model whose schedule lowers the
     dimension below every constant law with the same average."""
-    out = _ensure_out(out)
     from .ifs import DiagonalIFS, DiagonalMap
     ifs = DiagonalIFS([
         DiagonalMap([1 / 3, 1 / 2], [0.0, 0.0]),
@@ -645,11 +571,6 @@ def cmd_gap_demo(out, json_mode):
     pspec = PeriodicSpec(lam,
                          [1.0, lam ** 0.4, lam ** 0.6, lam ** 0.9],
                          [p_a, p_b, p_b, p_a], alpha=alpha)
-    ifs_path = os.path.join(out, "gap-ifs.json")
-    periodic_path = os.path.join(out, "gap-periodic.json")
-    io.write_json(ifs_path, io.ifs_to_dict(ifs))
-    io.write_json(periodic_path, io.periodic_to_dict(pspec))
-
     res = _compute(lambda: dim_exp_periodic(ifs, pspec))
     xs = np.linspace(0.0, np.log(lam), 513)[:-1]
     p_bar = pspec.p_at_x(xs).mean(axis=0)
@@ -657,6 +578,8 @@ def cmd_gap_demo(out, json_mode):
     mm_avg = _compute(lambda: dim_mandelbrot(
         ifs, WeightModel.percolation(p_bar, alpha)).value)
     best = _compute(lambda: optimize_mandelbrot(ifs, alpha=np.asarray(alpha)))
+    ifs_path = os.path.join(out, "gap-ifs.json")
+    periodic_path = os.path.join(out, "gap-periodic.json")
     result = {
         "dim_H": res.dim_H, "dim_P": res.dim_P,
         "mm_at_average_p": mm_avg, "best_constant_mm": best.value,
@@ -666,22 +589,19 @@ def cmd_gap_demo(out, json_mode):
         "average_p": p_bar,
         "ifs_file": ifs_path, "periodic_file": periodic_path,
     }
-    _finish("gap-demo", {"out": out}, [], result, out, json_mode,
-            extra_outputs=[ifs_path, periodic_path])
-    if not json_mode:
-        click.echo("periodic dim_H %.6f, best constant law %.6f, gap %.6f"
-                   % (res.dim_H, best.value, best.value - res.dim_H))
+    return Outcome(
+        result, "periodic dim_H %.6f, best constant law %.6f, gap %.6f"
+        % (res.dim_H, best.value, best.value - res.dim_H),
+        files={ifs_path: lambda p: io.write_json(p, io.ifs_to_dict(ifs)),
+               periodic_path: lambda p: io.write_json(p, io.periodic_to_dict(pspec))})
 
 
 def _argv_from_params(params: dict) -> list:
     argv = []
-    for key in sorted(params):
-        val = params[key]
-        if val is None or val is False:
-            continue
+    for key, val in sorted(params.items()):
         if val is True:
             argv.append("--" + key)
-        else:
+        elif val is not None and val is not False:
             argv.extend(["--" + key, str(val)])
     return argv
 

@@ -86,9 +86,10 @@ class DiagonalIFS:
         self._codings = {}      # see build_projection_coding
 
     def lyapunov(self, p) -> np.ndarray:
-        """chi_k(p) = -sum_i p_i log a_{i,k}, for all axes k."""
+        """chi_k(p) = -sum_i p_i log a_{i,k}, for all axes k, each sum
+        rounded once (fsum): axes summing the same products tie exactly."""
         p = np.asarray(p, dtype=np.float64)
-        return p @ self.C
+        return np.array([math.fsum(col) for col in (p[:, None] * self.C).T.tolist()])
 
     def equal_linear_parts(self, tol: float = RECT_TOL) -> bool:
         """Whether every map has the same contraction ratios, within tol."""

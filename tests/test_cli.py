@@ -12,11 +12,13 @@ import os
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 
 import spongedim
 from spongedim import io
+from spongedim.cli import cli
 from spongedim.engine import (PeriodicSpec, d_sequences,
                               three_weight_gap_sequence)
 from spongedim.simulate import sample_cascade, sample_tree
@@ -102,7 +104,7 @@ def test_parse_error_exits_two(workdir):
                 cwd=workdir)
     assert r.returncode == 2
     # numbers must be finite, resolutions also positive, a tail horizon
-    # at least 1
+    # at least 1; --eps goes with --lengths
     seq = ("--ifs", "ifs.json", "--sequence", "sequence.json")
     for args in (("decompose", *seq, "--N", "nan"),
                  ("decompose", *seq, "--N", "-3"),
@@ -115,9 +117,11 @@ def test_parse_error_exits_two(workdir):
                   "--lengths", "4,5,inf", "--eps", "0.1", "--scales", "20"),
                  # a law that does not sum to 1, and one letter too many
                  ("coding", "--ifs", "ifs.json", "--p", "0.5,0.3,0.1"),
-                 ("coding", "--ifs", "ifs.json", "--p", "0.25,0.25,0.25,0.25")):
+                 ("coding", "--ifs", "ifs.json", "--p", "0.25,0.25,0.25,0.25"),
+                 ("optimize-hausdorff", "--ifs", "ifs.json", "--eps", "0.1")):
         r = run_cli(*args, "--out", "o", cwd=workdir)
         assert r.returncode == 2, args
+    assert not (workdir / "o").exists()
 
 
 # negative sizes, and counts below one, exit 2 before anything is written
@@ -169,6 +173,7 @@ def test_numeric_failure_exits_three(workdir):
     r = run_cli("dim-mm", "--ifs", "ifs.json", "--weights", "dead.json",
                 "--out", "o", cwd=workdir)
     assert r.returncode == 3
+    assert not (workdir / "o").exists()
     # a scale past the schedule's resolution
     r = run_cli("dim-imm", "--ifs", "ifs.json", "--sequence", "sequence.json",
                 "--scales", "20,1e6", "--out", "o", cwd=workdir)
@@ -191,6 +196,7 @@ def test_resource_cap_exits_four(workdir):
                 "--depth", "24", "--seed", "1", "--guard", "100000",
                 "--out", "o", cwd=workdir)
     assert r.returncode == 4
+    assert not (workdir / "o").exists()
 
 
 def test_simulate_heap_code_depth(workdir):
@@ -216,6 +222,30 @@ def test_bad_sequence_numbers_exit_two(workdir):
                     "--out", "o", cwd=workdir)
         assert r.returncode == 2
         assert "sequence" in r.stderr
+
+
+def test_integers_past_the_float_range_exit_two(workdir):
+    # the strict parser checks floats, not ints: an integer past the float
+    # range overflows where the loader converts it, still invalid input
+    big = "1" + "0" * 400
+    cases = (
+        ("sequence", '{"blocks": [{"len": 2, "p": [%s, 0.5, 0.5]}]}' % big,
+         ("dim-imm", "--ifs", "ifs.json")),
+        ("weights", '{"type": "percolation", "p": [0.4, 0.35, 0.25], '
+                    '"alpha": [%s, 0.8, 0.85]}' % big,
+         ("dim-mm", "--ifs", "ifs.json")),
+        ("ifs", '{"dimension": 2, "maps": [{"a": [%s, 0.5], "t": [0, 0]}, '
+                '{"a": [0.3, 0.5], "t": [0.5, 0]}]}' % big, ("validate",)),
+        ("periodic", '{"lambda": %s, "knots": [{"t": 1.0, '
+                     '"p": [0.5, 0.25, 0.25]}]}' % big,
+         ("dim-periodic", "--ifs", "ifs.json")))
+    for flag, text, args in cases:
+        name = "big-%s.json" % flag
+        (workdir / name).write_text(text)
+        r = run_cli(*args, "--" + flag, name, "--out", "o", cwd=workdir)
+        assert r.returncode == 2, (args, r.stderr)
+        assert name in r.stderr and "Traceback" not in r.stderr, r.stderr
+    assert not (workdir / "o").exists()
 
 
 def test_json_flag_prints_versioned_document(workdir):
@@ -456,6 +486,129 @@ def test_rerun_detects_tampered_input(workdir):
     r = run_cli("rerun", "--manifest", "m/manifest.json", cwd=workdir)
     assert r.returncode == 3
     assert "changed" in r.stderr
+
+
+# === the manifest rule, in-process ===
+
+# name -> (argv, params, seed, inputs, outputs in --out) of the manifest:
+# params are the given options under their flag names (with "out", the
+# name, added below) and the effective seed of commands with --seed; the
+# inputs are the given input files.  Pinned as the hand-written manifests
+# of each command recorded them.
+I, W, S = ("--ifs", "ifs.json"), ("--weights", "weights.json"), \
+    ("--sequence", "sequence.json")
+IFS_P, SEQ_P = {"ifs": "ifs.json"}, {"sequence": "sequence.json"}
+SCHEDULE = ("--alpha", "0.9", "--lengths", "20,40,80", "--eps", "0.1")
+SCHEDULE_P = {"alpha": "0.9", "lengths": "20,40,80", "eps": 0.1}
+MANIFEST_CASES = {
+    "validate": (["validate", *I], IFS_P, None, ["ifs.json"], ["validate.json"]),
+    "classify": (["classify", *I], IFS_P, None, ["ifs.json"], ["classify.json"]),
+    "coding": (["coding", *I], IFS_P, None, ["ifs.json"], ["coding.json"]),
+    "coding-p": (["coding", *I, "--p", "0.4,0.35,0.25"],
+                 {**IFS_P, "p": "0.4,0.35,0.25"}, None, ["ifs.json"],
+                 ["coding.json"]),
+    "decompose": (["decompose", *I, *S, "--N", "20"],
+                  {**IFS_P, **SEQ_P, "N": 20.0}, None,
+                  ["ifs.json", "sequence.json"], ["decompose.json"]),
+    "dim-mm": (["dim-mm", *I, *W], {**IFS_P, "weights": "weights.json"}, None,
+               ["ifs.json", "weights.json"], ["dim-mm.json"]),
+    "dim-imm": (["dim-imm", *I, *S], {**IFS_P, **SEQ_P}, None,
+                ["ifs.json", "sequence.json"], ["dim-imm.csv", "dim-imm.json"]),
+    "dim-imm-opts": (["dim-imm", *I, *S, "--scales", "20,40", "--horizon", "150"],
+                     {**IFS_P, **SEQ_P, "scales": "20,40", "horizon": 150}, None,
+                     ["ifs.json", "sequence.json"], ["dim-imm.csv", "dim-imm.json"]),
+    "dim-periodic": (["dim-periodic", *I, "--periodic", "periodic.json"],
+                     {**IFS_P, "periodic": "periodic.json"}, None,
+                     ["ifs.json", "periodic.json"],
+                     ["dim-periodic.csv", "dim-periodic.json"]),
+    "hausdorff": (["optimize-hausdorff", *I], {**IFS_P, "seed": 0, "starts": 32},
+                  0, ["ifs.json"], ["optimize-hausdorff.json"]),
+    "hausdorff-schedule": (["optimize-hausdorff", *I, *SCHEDULE, "--starts", "4"],
+                           {**IFS_P, **SCHEDULE_P, "seed": 0, "starts": 4}, 0,
+                           ["ifs.json"], ["optimize-hausdorff.json"]),
+    "packing": (["optimize-packing", *I, *SCHEDULE, "--scales", "20,40"],
+                {**IFS_P, **SCHEDULE_P, "scales": "20,40"}, None, ["ifs.json"],
+                ["optimize-packing.json"]),
+    "attractor": (["dim-attractor", *I, "--alpha", "0.9,0.8,0.85"],
+                  {**IFS_P, "alpha": "0.9,0.8,0.85"}, None, ["ifs.json"],
+                  ["dim-attractor.json"]),
+    "simulate": (["simulate", *I, "--alpha", "0.8", "--depth", "6", "--seed", "2"],
+                 {**IFS_P, "alpha": "0.8", "depth": 6, "seed": 2,
+                  "guard": 10 ** 8}, 2, ["ifs.json"], ["simulate.json", "tree.json"]),
+    "simulate-conditioned": (["simulate", *I, "--alpha", "0.5", "--depth", "5",
+                              "--conditioned", "--guard", "100000"],
+                             {**IFS_P, "alpha": "0.5", "depth": 5, "seed": 0,
+                              "conditioned": True, "guard": 100000}, 0,
+                             ["ifs.json"], ["simulate.json", "tree.json"]),
+    "boxcount-tree": (["boxcount", *I, "--tree", "simulate/tree.json",
+                       "--scales", "1,2,3"],
+                      {**IFS_P, "tree": "simulate/tree.json", "scales": "1,2,3",
+                       "seed": None}, None, ["ifs.json", "simulate/tree.json"],
+                      ["boxcount.csv", "boxcount.json"]),
+    "boxcount-window": (["boxcount", *I, "--alpha", "0.8", "--depth", "5",
+                         "--scales", "1,2,3,4", "--window", "1,4"],
+                        {**IFS_P, "alpha": "0.8", "depth": 5, "scales": "1,2,3,4",
+                         "window": "1,4", "seed": 0}, 0, ["ifs.json"],
+                        ["boxcount.csv", "boxcount.json"]),
+    "cascade-weights": (["cascade", *W, "--depth", "5", "--seed", "3"],
+                        {"weights": "weights.json", "depth": 5, "seed": 3}, 3,
+                        ["weights.json"], ["cascade.csv", "cascade.json"]),
+    "cascade-sequence": (["cascade", *S, "--depth", "5"],
+                         {**SEQ_P, "depth": 5, "seed": 0}, 0, ["sequence.json"],
+                         ["cascade.csv", "cascade.json"]),
+    "local-dim": (["local-dim", *I, *W, "--depth", "5", "--points", "10",
+                   "--scales", "1,2,3", "--seed", "7"],
+                  {**IFS_P, "weights": "weights.json", "depth": 5, "points": 10,
+                   "scales": "1,2,3", "seed": 7}, 7, ["ifs.json", "weights.json"],
+                  ["local-dim.json"]),
+    "gap-demo": (["gap-demo"], {}, None, [],
+                 ["gap-demo.json", "gap-ifs.json", "gap-periodic.json"]),
+}
+INPUT_FLAGS = {"--ifs", "--weights", "--sequence", "--periodic", "--tree"}
+SIZE_FLAGS = {"--depth", "--points", "--horizon"}
+
+
+def invoke(argv):
+    """Exit code of one in-process run, as the console script returns it."""
+    try:
+        cli.main(args=argv, standalone_mode=False)
+    except SystemExit as exc:
+        return exc.code
+    except click.ClickException as exc:
+        return exc.exit_code
+    return 0
+
+
+@pytest.mark.parametrize("name", list(MANIFEST_CASES))
+def test_manifest_records_the_given_options(workdir, monkeypatch, name):
+    argv, params, seed, inputs, outputs = MANIFEST_CASES[name]
+    monkeypatch.chdir(workdir)
+    pspec = PeriodicSpec(4.0, [1.0, 2.0, 3.0], [[0.45, 0.45, 0.10],
+                                                [0.25, 0.25, 0.50],
+                                                [0.45, 0.45, 0.10]],
+                         alpha=[0.85] * 3)
+    io.write_json("periodic.json", io.periodic_to_dict(pspec))
+    (workdir / "broken.json").write_text('{"dimension": 2,')
+    # a broken input file, and a bad size, exit 2 and write nothing
+    for flags, value in ((INPUT_FLAGS, "broken.json"), (SIZE_FLAGS, "-1")):
+        at = [i for i, arg in enumerate(argv) if arg in flags]
+        if at:
+            bad = argv[:at[0] + 1] + [value] + argv[at[0] + 2:]
+            assert invoke(bad + ["--out", "failed"]) == 2, bad
+            assert not (workdir / "failed").exists(), bad
+    if "--tree" in argv:
+        assert invoke(MANIFEST_CASES["simulate"][0] + ["--out", "simulate"]) == 0
+    assert invoke(argv + ["--out", name]) == 0
+    man = read_json(workdir / name / "manifest.json")
+    assert man["command"] == argv[0]
+    assert man["params"] == {**params, "out": name}
+    assert man["seed"] == seed
+    assert sorted(man["inputs"]) == inputs
+    assert sorted(man["outputs"]) == [os.path.join(name, f) for f in outputs]
+    before = {p.name: p.read_bytes() for p in (workdir / name).iterdir()}
+    assert sorted(before) == sorted(outputs + ["manifest.json"])
+    assert invoke(["rerun", "--manifest", os.path.join(name, "manifest.json")]) == 0
+    assert {p.name: p.read_bytes() for p in (workdir / name).iterdir()} == before
 
 
 # === cold start ===

@@ -218,3 +218,24 @@ def test_project_rows_matches_scatter(seed):
         want = np.zeros((rows.shape[0], coding.n_classes(r)))
         np.add.at(want, (slice(None), coding.class_index[r - 1]), rows)
         assert np.allclose(coding.project_rows(rows, r), want, rtol=1e-15, atol=0)
+
+
+# exponent ties: on this Barański carpet chi_1(p) = chi_2(p) exactly for
+# p = (a, 1 - 2a, a), since the two axes sum the same products
+TIE_CARPET = DiagonalIFS([
+    DiagonalMap([1 / 2, 1 / 3], [0.0, 0.0]),
+    DiagonalMap([1 / 6, 1 / 6], [1 / 2, 1 / 3]),
+    DiagonalMap([1 / 3, 1 / 2], [2 / 3, 1 / 2]),
+])
+
+
+@given(st.floats(1e-6, 0.5 - 1e-6))
+@settings(max_examples=200, deadline=None)
+def test_exact_exponent_ties_give_one_clock_group(a):
+    from spongedim.engine import stable_chain
+    p = np.array([a, 1 - 2 * a, a])
+    chi = TIE_CARPET.lyapunov(p)
+    assert chi[0] == chi[1]
+    assert np.allclose(chi, p @ TIE_CARPET.C, rtol=1e-15, atol=0)
+    groups, chain, chi_tilde, coding = stable_chain(TIE_CARPET, p)
+    assert groups == [[0, 1]] and coding.levels == 1
