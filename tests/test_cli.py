@@ -491,10 +491,10 @@ def test_rerun_detects_tampered_input(workdir):
 # === the manifest rule, in-process ===
 
 # name -> (argv, params, seed, inputs, outputs in --out) of the manifest:
-# params are the given options under their flag names (with "out", the
-# name, added below) and the effective seed of commands with --seed; the
-# inputs are the given input files.  Pinned as the hand-written manifests
-# of each command recorded them.
+# params are the given options but --json under their flag names (with
+# "out", the name, added below) and the effective seed of commands with
+# --seed; the inputs are the given input files.  Pinned as the
+# hand-written manifests of each command recorded them.
 I, W, S = ("--ifs", "ifs.json"), ("--weights", "weights.json"), \
     ("--sequence", "sequence.json")
 IFS_P, SEQ_P = {"ifs": "ifs.json"}, {"sequence": "sequence.json"}
@@ -510,8 +510,8 @@ MANIFEST_CASES = {
     "decompose": (["decompose", *I, *S, "--N", "20"],
                   {**IFS_P, **SEQ_P, "N": 20.0}, None,
                   ["ifs.json", "sequence.json"], ["decompose.json"]),
-    "dim-mm": (["dim-mm", *I, *W], {**IFS_P, "weights": "weights.json"}, None,
-               ["ifs.json", "weights.json"], ["dim-mm.json"]),
+    "dim-mm": (["dim-mm", *I, *W, "--json"], {**IFS_P, "weights": "weights.json"},
+               None, ["ifs.json", "weights.json"], ["dim-mm.json"]),
     "dim-imm": (["dim-imm", *I, *S], {**IFS_P, **SEQ_P}, None,
                 ["ifs.json", "sequence.json"], ["dim-imm.csv", "dim-imm.json"]),
     "dim-imm-opts": (["dim-imm", *I, *S, "--scales", "20,40", "--horizon", "150"],
