@@ -26,13 +26,14 @@ from . import io
 from .engine import (PeriodicSpec, dim_exp_periodic, dim_imm_bounds,
                      dim_mandelbrot, stable_chain)
 from .ifs import classify, validate_ifs
-from .scales import decompose
+from .scales import TailHorizonError, decompose
 from .simulate import (ResourceCapError, box_count_fit, codes_to_words,
                        empirical_local_dimension, sample_cascade, sample_tree,
                        sample_tree_conditioned)
 from .variational import (dim_attractor_equal_linear, optimize_mandelbrot,
                           optimize_packing, optimize_type_ell_hausdorff)
-from .weights import DegenerateError, WeightModel, as_prob_vector
+from .weights import (DegenerateError, WeightModel, as_prob_vector,
+                      as_survival_vector)
 
 
 # sizes fail while parsing, with exit 2 before any output: depths (0 is
@@ -60,6 +61,10 @@ def _compute(thunk):
         return thunk()
     except DegenerateError as exc:
         _fail(3, "degenerate model: %s" % exc)
+    except TailHorizonError as exc:
+        # only dim-imm passes a tail horizon, its --horizon
+        _fail(2, "--horizon must be at least %d, the last clock of the "
+              "scale grid" % exc.least)
     except ResourceCapError as exc:
         _fail(4, "resource cap: %s" % exc)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
@@ -78,10 +83,10 @@ def _floats(text):
     return np.array(vals)
 
 
-def _resolution(N, what):
-    if not (math.isfinite(N) and N > 0):
-        _fail(2, "%s must be finite and positive, got %r" % (what, N))
-    return N
+def _positive(x, what):
+    if not (math.isfinite(x) and x > 0):
+        _fail(2, "%s must be finite and positive, got %r" % (what, x))
+    return x
 
 
 def _scales(text):
@@ -89,7 +94,7 @@ def _scales(text):
     schedule's clocks need (box counts take any N)."""
     vals = _floats(text)
     for N in vals:
-        _resolution(float(N), "scale")
+        _positive(float(N), "scale")
     return vals
 
 
@@ -102,11 +107,11 @@ def _ints(text):
 
 def _alpha_arg(text, n):
     vals = _floats(text)
-    if vals.size == 1:
-        return np.full(n, float(vals[0]))
-    if vals.size != n:
-        _fail(2, "alpha needs 1 or %d entries, got %d" % (n, vals.size))
-    return vals
+    try:
+        # one value squeezes to a 0-d array, which the check broadcasts
+        return as_survival_vector(vals.squeeze(), n)
+    except ValueError as exc:
+        _fail(2, "alpha: %s" % exc)
 
 
 def _p_arg(text, n):
@@ -281,7 +286,7 @@ def cmd_decompose(ifs_path, seq_path, n_scale, out):
     """Axis groups and clock values of a schedule at one scale."""
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     seq = _load(io.load_sequence, seq_path, "sequence")
-    _resolution(n_scale, "--N")
+    _positive(n_scale, "--N")
     result = _compute(lambda: decompose(ifs, seq, n_scale)).as_dict()
     return Outcome(result, "s=%(s)d g=%(g)s A=%(A)s" % result)
 
@@ -359,23 +364,16 @@ def _trace_summary(res):
               help="Block lengths of a slowly varying schedule; constant law if omitted.")
 @click.option("--eps", type=float, default=None,
               help="Admissibility margin for the schedule search.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed of the random multistart; used only for constant "
-                   "laws on systems with unequal linear parts.")
-@click.option("--starts", type=int, default=32, show_default=True,
-              help="Multistart size; used only for constant laws on systems "
-                   "with unequal linear parts (equal linear parts take one "
-                   "concave solve).")
-def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, seed, starts,
-                           out):
+def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, out):
     """Largest Hausdorff dimension over weight laws (constant or scheduled)."""
     if (lengths is None) != (eps is None):
         _fail(2, "--eps and --lengths go together: give both or neither")
+    if eps is not None:
+        _positive(eps, "--eps")
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = None if alpha_text is None else _alpha_arg(alpha_text, ifs.n)
     if lengths is None:
-        res = _compute(lambda: optimize_mandelbrot(ifs, alpha=alpha,
-                                                   starts=starts, seed=seed))
+        res = _compute(lambda: optimize_mandelbrot(ifs, alpha=alpha))
         argument = {"p": [float(x) for x in res.argument]}
         certificate = {"closed_form_value": res.extras["closed_form_value"],
                        "entropy": res.extras["H"]}
@@ -399,6 +397,7 @@ def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, seed, starts,
 @click.option("--scales", required=True, help="Comma-separated N grid.")
 def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, out):
     """Largest at-horizon packing dimension over admissible schedules."""
+    _positive(eps, "--eps")
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = _alpha_arg(alpha_text, ifs.n)
     blocks = _ints(lengths)

@@ -492,7 +492,6 @@ class ThreeWeightSchedule:
     seq: WeightSequence
     rounds: list            # dicts with N1, N2, M0..M3
     models: list
-    H_values: tuple
 
 
 def three_weight_gap_sequence(ifs: DiagonalIFS, p, H1: float, H3: float,
@@ -545,5 +544,4 @@ def three_weight_gap_sequence(ifs: DiagonalIFS, p, H1: float, H3: float,
             N1 -= 1
     models = [W1, W2, W3]
     seq = WeightSequence.from_models([models[j] for j in idx], lengths)
-    return ThreeWeightSchedule(seq=seq, rounds=rounds, models=models,
-                               H_values=(W1.entropy_H(), H2, W3.entropy_H()))
+    return ThreeWeightSchedule(seq=seq, rounds=rounds, models=models)

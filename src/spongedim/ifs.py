@@ -91,9 +91,9 @@ class DiagonalIFS:
         p = np.asarray(p, dtype=np.float64)
         return np.array([math.fsum(col) for col in (p[:, None] * self.C).T.tolist()])
 
-    def equal_linear_parts(self, tol: float = RECT_TOL) -> bool:
-        """Whether every map has the same contraction ratios, within tol."""
-        return bool(np.all(np.abs(self.A - self.A[0]) <= tol))
+    def equal_linear_parts(self) -> bool:
+        """Whether every map has the same contraction ratios, within RECT_TOL."""
+        return bool(np.all(np.abs(self.A - self.A[0]) <= RECT_TOL))
 
     def contraction_span(self):
         """(Lambda', Lambda): min over (i,k) of 1/|log a| and 1 + its max.
@@ -108,21 +108,21 @@ class DiagonalIFS:
         return self.n
 
 
-def compare_projections(ifs: DiagonalIFS, i: int, j: int, axes, tol: float = RECT_TOL) -> str:
+def compare_projections(ifs: DiagonalIFS, i: int, j: int, axes) -> str:
     """Classify the pair (i, j) on the axes of ``axes``.
 
     Returns "exact" when the maps coincide there coordinate-wise (within
-    tol), "disjoint" when the open projected images miss each other on at
+    RECT_TOL), "disjoint" when the open projected images miss each other on at
     least one of the axes, and "violation" otherwise.
     """
     axes = sorted(axes)
     ai, aj = ifs.A[i, axes], ifs.A[j, axes]
     ti, tj = ifs.T[i, axes], ifs.T[j, axes]
-    if np.all(np.abs(ai - aj) <= tol) and np.all(np.abs(ti - tj) <= tol):
+    if np.all(np.abs(ai - aj) <= RECT_TOL) and np.all(np.abs(ti - tj) <= RECT_TOL):
         return "exact"
     lo = np.maximum(ti, tj)
     hi = np.minimum(ti + ai, tj + aj)
-    if np.any(hi - lo <= tol):
+    if np.any(hi - lo <= RECT_TOL):
         return "disjoint"
     return "violation"
 
@@ -133,7 +133,7 @@ class ValidationReport:
     violations: list[str] = field(default_factory=list)
 
 
-def validate_ifs(ifs: DiagonalIFS, tol: float = RECT_TOL) -> ValidationReport:
+def validate_ifs(ifs: DiagonalIFS) -> ValidationReport:
     """Report-style check of the system-level invariants.
 
     Per-map invariants are enforced at construction; here we verify that the
@@ -143,12 +143,12 @@ def validate_ifs(ifs: DiagonalIFS, tol: float = RECT_TOL) -> ValidationReport:
     violations = []
     full = range(ifs.d)
     for i, j in itertools.combinations(range(ifs.n), 2):
-        if compare_projections(ifs, i, j, full, tol) != "disjoint":
+        if compare_projections(ifs, i, j, full) != "disjoint":
             violations.append("open images of maps %d and %d overlap" % (i, j))
     for k in range(ifs.d):
-        if np.all(ifs.T[:, k] <= tol):
+        if np.all(ifs.T[:, k] <= RECT_TOL):
             violations.append("all maps touch face (axis %d, side 0)" % k)
-        if np.all(ifs.T[:, k] + ifs.A[:, k] >= 1.0 - tol):
+        if np.all(ifs.T[:, k] + ifs.A[:, k] >= 1.0 - RECT_TOL):
             violations.append("all maps touch face (axis %d, side 1)" % k)
     return ValidationReport(ok=not violations, violations=violations)
 
@@ -185,11 +185,11 @@ def _direction_lp(ifs: DiagonalIFS, axes: frozenset) -> float:
     return float(res.x[-1])
 
 
-def feasible_direction_sets(ifs: DiagonalIFS, slack: float = LP_SLACK) -> list[FeasibleSet]:
+def feasible_direction_sets(ifs: DiagonalIFS) -> list[FeasibleSet]:
     """All nonempty axis sets D realizable as {k : chi_k(p) <= x}.
 
-    A set is strictly feasible when the separating margin exceeds ``slack``;
-    margins within ``slack`` of zero are kept with strict=False (boundary
+    A set is strictly feasible when the separating margin exceeds LP_SLACK;
+    margins within LP_SLACK of zero are kept with strict=False (boundary
     cases, realizable only in the closure).
     """
     out = []
@@ -197,16 +197,16 @@ def feasible_direction_sets(ifs: DiagonalIFS, slack: float = LP_SLACK) -> list[F
         for combo in itertools.combinations(range(ifs.d), r):
             axes = frozenset(combo)
             s = _direction_lp(ifs, axes)
-            if s > slack:
+            if s > LP_SLACK:
                 out.append(FeasibleSet(axes, True, s))
-            elif s >= -slack:
+            elif s >= -LP_SLACK:
                 out.append(FeasibleSet(axes, False, s))
     return out
 
 
-def _pairs_exact_or_disjoint(ifs, axes, tol):
+def _pairs_exact_or_disjoint(ifs, axes):
     for i, j in itertools.combinations(range(ifs.n), 2):
-        if compare_projections(ifs, i, j, axes, tol) == "violation":
+        if compare_projections(ifs, i, j, axes) == "violation":
             return (i, j)
     return None
 
@@ -241,7 +241,7 @@ class Classification:
         return "not-good"
 
 
-def classify(ifs: DiagonalIFS, tol: float = RECT_TOL, slack: float = LP_SLACK) -> Classification:
+def classify(ifs: DiagonalIFS) -> Classification:
     """Membership flags for the named sponge classes.
 
     Good sponge: exact-overlap-or-disjoint projections on every feasible
@@ -253,11 +253,11 @@ def classify(ifs: DiagonalIFS, tol: float = RECT_TOL, slack: float = LP_SLACK) -
     additionally pins all maps to one integer grid.
     """
     failures = []
-    feas = feasible_direction_sets(ifs, slack)
+    feas = feasible_direction_sets(ifs)
 
     good = True
     for fs in feas:
-        bad = _pairs_exact_or_disjoint(ifs, fs.axes, tol)
+        bad = _pairs_exact_or_disjoint(ifs, fs.axes)
         if bad is not None:
             good = False
             failures.append("good: pair %s on axes %s" % (bad, tuple(sorted(fs.axes))))
@@ -272,7 +272,7 @@ def classify(ifs: DiagonalIFS, tol: float = RECT_TOL, slack: float = LP_SLACK) -
                     if sub in seen:
                         continue
                     seen.add(sub)
-                    bad = _pairs_exact_or_disjoint(ifs, sub, tol)
+                    bad = _pairs_exact_or_disjoint(ifs, sub)
                     if bad is not None:
                         sppc = False
                         failures.append("sppc: pair %s on axes %s" % (bad, sub))
@@ -292,7 +292,7 @@ def classify(ifs: DiagonalIFS, tol: float = RECT_TOL, slack: float = LP_SLACK) -
             break
     if gl:
         for k in range(1, ifs.d):
-            bad = _pairs_exact_or_disjoint(ifs, order[:k], tol)
+            bad = _pairs_exact_or_disjoint(ifs, order[:k])
             if bad is not None:
                 gl = False
                 failures.append("gl: pair %s on axes %s" % (bad, tuple(sorted(order[:k]))))
@@ -301,23 +301,23 @@ def classify(ifs: DiagonalIFS, tol: float = RECT_TOL, slack: float = LP_SLACK) -
 
     baranski = True
     for k in range(ifs.d):
-        bad = _pairs_exact_or_disjoint(ifs, (k,), tol)
+        bad = _pairs_exact_or_disjoint(ifs, (k,))
         if bad is not None:
             baranski = False
             failures.append("baranski: pair %s on axis %d" % (bad, k))
             break
 
-    equal_linear = ifs.equal_linear_parts(tol)
-    conformal = bool(np.all(np.abs(ifs.A - ifs.A[:, :1]) <= tol))
+    equal_linear = ifs.equal_linear_parts()
+    conformal = bool(np.all(np.abs(ifs.A - ifs.A[:, :1]) <= RECT_TOL))
 
     sierpinski = False
     grid = None
     if baranski and equal_linear:
         m = np.round(1.0 / ifs.A[0])
-        on_grid = (m >= 2) & (np.abs(ifs.A[0] - 1.0 / m) <= tol)
+        on_grid = (m >= 2) & (np.abs(ifs.A[0] - 1.0 / m) <= RECT_TOL)
         if np.all(on_grid):
             cells = ifs.T * m[None, :]
-            if np.all(np.abs(cells - np.round(cells)) <= m.max() * tol):
+            if np.all(np.abs(cells - np.round(cells)) <= m.max() * RECT_TOL):
                 sierpinski = True
                 grid = tuple(int(v) for v in m)
 

@@ -26,6 +26,15 @@ from .ifs import DiagonalIFS, build_projection_coding, ProjectionCoding
 from .weights import as_survival_vector, drift_scan
 
 
+class TailHorizonError(ValueError):
+    """A tail horizon below the last clock of some scale of a grid;
+    ``least`` is the smallest horizon that covers every scale."""
+
+    def __init__(self, T: int, least: int):
+        self.least = least
+        super().__init__("tail horizon %d below the last clock %d" % (T, least))
+
+
 def kahan_cumsum(rows: np.ndarray) -> np.ndarray:
     """Compensated prefix sums along axis 0; out[0] = 0, out[n] = sum of
     the first n rows.  Column count stays small so the row loop is cheap."""
@@ -267,7 +276,7 @@ class _RunTable:
         if T is not None:
             T = min(int(T), self.horizon)
             if T < self.horizon and G.max() > T:
-                raise ValueError("need 0 <= N <= horizon")
+                raise TailHorizonError(T, int(G.max()))
             tail = (np.empty(m), np.empty(m), np.empty(m, dtype=bool))
         HP = self.HP
         for coding, rows, g in _chain_groups(G, self.ev):

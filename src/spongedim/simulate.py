@@ -21,6 +21,7 @@ from .engine import stable_chain
 from .scales import _const_gamma
 
 MEMORY_GUARD = 10 ** 8
+SURVIVAL_CAP = 100_000      # population cap of gw_survival_frequency
 MAX_ATTEMPTS = 10 ** 6      # tries of sample_tree_conditioned
 
 
@@ -89,9 +90,9 @@ class SurvivalEstimate:
     depth: int
 
 
-def gw_survival_frequency(alpha, depth: int, runs: int, seed: int = 0,
-                          cap: int = 100_000) -> SurvivalEstimate:
-    counts = simulate_level_counts(alpha, depth, runs, seed=seed, cap=cap)
+def gw_survival_frequency(alpha, depth: int, runs: int,
+                          seed: int = 0) -> SurvivalEstimate:
+    counts = simulate_level_counts(alpha, depth, runs, seed=seed, cap=SURVIVAL_CAP)
     alive = counts[-1] > 0
     freq = float(alive.mean())
     se = math.sqrt(max(freq * (1.0 - freq), 1.0 / runs) / runs)

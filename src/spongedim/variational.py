@@ -40,7 +40,6 @@ class OptimizationResult:
     residual: float
     iterations: int
     n_starts: int
-    trace: list = field(repr=False, default_factory=list)
     flags: list = field(default_factory=list)
     extras: dict = field(repr=False, default_factory=dict)
 
@@ -48,9 +47,12 @@ class OptimizationResult:
 NM_ITER_PER_LETTER = 300   # Nelder-Mead iterations per start and letter
 POLISH_ITER = 500           # most ascent steps of the polish
 POLISH_TOL = 1e-8           # gradient residual at which the polish stops
+# the constant-law search on unequal linear parts: starts and their seed
+MULTISTARTS = 32
+MULTISTART_SEED = 0
 
 
-def maximize_on_simplex(f, n: int, starts: int = 32, seed: int = 0,
+def maximize_on_simplex(f, n: int, starts: int, seed: int,
                         extra_starts=()) -> OptimizationResult:
     """Multistart Nelder-Mead in softmax coordinates, then gradient-ascent
     polish with finite differences.  The residual is the sup norm of the
@@ -66,13 +68,11 @@ def maximize_on_simplex(f, n: int, starts: int = 32, seed: int = 0,
         return f(softmax(x))
 
     best_x, best_v = None, -math.inf
-    trace = []
     for x0 in xs:
         res = minimize(lambda x: -F(x), x0, method="Nelder-Mead",
                        options={"maxiter": NM_ITER_PER_LETTER * n,
                                 "fatol": 1e-13, "xatol": 1e-9})
         v = -res.fun
-        trace.append((float(F(x0)), float(v)))
         if v > best_v:
             best_v, best_x = v, res.x.copy()
 
@@ -108,26 +108,25 @@ def maximize_on_simplex(f, n: int, starts: int = 32, seed: int = 0,
     if abs(f(p) - fx) > 1e-9:
         flags.append("re-evaluation-mismatch")
     return OptimizationResult(value=float(fx), argument=p, residual=residual,
-                              iterations=it, n_starts=len(xs), trace=trace,
-                              flags=flags)
+                              iterations=it, n_starts=len(xs), flags=flags)
 
 
 # ---------------------------------------------------------------------------
 # sup over fixed weight laws
 
 
-def optimize_mandelbrot(ifs: DiagonalIFS, alpha=None, starts: int = 32,
-                        seed: int = 0) -> OptimizationResult:
+def optimize_mandelbrot(ifs: DiagonalIFS, alpha=None) -> OptimizationResult:
     """Largest dimension among fixed weight laws: deterministic laws when
     alpha is None, percolation laws W_i = p_i 1{c_i}/alpha_i otherwise.
 
     With equal linear parts the clocks do not move with p, and the
     objective is one concave program (``_constant_law_rows``), solved once
     from the entropy maximizer.  Elsewhere chi(p) moves the chain, so the
-    multistart ``maximize_on_simplex`` (``starts``, ``seed``) searches it.
-    The value is the objective at the returned law; a maximum that is not
-    above DEGENERATE_TOL (a zero sup computed to rounding included) is
-    reported as dimension zero with a degenerate-sup flag."""
+    multistart ``maximize_on_simplex`` searches it, from MULTISTARTS starts
+    drawn with MULTISTART_SEED.  The value is the objective at the
+    returned law; a maximum that is not above DEGENERATE_TOL (a zero sup
+    computed to rounding included) is reported as dimension zero with a
+    degenerate-sup flag."""
     if alpha is None:
         log_alpha, p0 = np.zeros(ifs.n), np.full(ifs.n, 1.0 / ifs.n)
     else:
@@ -145,10 +144,10 @@ def optimize_mandelbrot(ifs: DiagonalIFS, alpha=None, starts: int = 32,
         p, value = (V[0], v) if v > v0 else (p0, v0)
         flags, solver, nit, residual = _solver_report([solve], True)
         res = OptimizationResult(value=value, argument=p, residual=residual,
-                                 iterations=nit, n_starts=1, trace=[(v0, v)],
-                                 flags=flags, extras={"solver": solver})
+                                 iterations=nit, n_starts=1, flags=flags,
+                                 extras={"solver": solver})
     else:
-        res = maximize_on_simplex(f, ifs.n, starts=starts, seed=seed,
+        res = maximize_on_simplex(f, ifs.n, MULTISTARTS, MULTISTART_SEED,
                                   extra_starts=[] if alpha is None else [p0])
     p = res.argument
     model = (WeightModel.deterministic(p) if alpha is None
@@ -283,7 +282,6 @@ class AttractorDimension:
     theta_star: float
     weight_model: WeightModel
     mm_value: float
-    pressure_scan: list
     flags: list
 
 
@@ -299,7 +297,6 @@ def dim_attractor_equal_linear(ifs: DiagonalIFS, alpha) -> AttractorDimension:
     if total <= 1.0:
         raise DegenerateError("subcritical survival: sum alpha = %g <= 1" % total)
     flags = []
-    scan = []
     if ctx.s == 1:
         value = math.log(total) / ctx.chi_tilde[0]
         r_star, theta_star = 1, 1.0
@@ -310,8 +307,6 @@ def dim_attractor_equal_linear(ifs: DiagonalIFS, alpha) -> AttractorDimension:
         for r in range(2, ctx.s + 1):
             lo = ctx.chi_tilde[r - 1] / ctx.chi_tilde[r - 2]
             t_star, (val, u) = _pressure_min_theta(ifs, alpha, r, lo, 1.0, ctx)
-            scan.append({"r": r, "theta_lo": float(lo), "theta_star": float(t_star),
-                         "value": float(val)})
             if val < best[0]:
                 best = (val, r, t_star, u)
         value, r_star, theta_star, u = best
@@ -322,7 +317,7 @@ def dim_attractor_equal_linear(ifs: DiagonalIFS, alpha) -> AttractorDimension:
         flags.append("variational-mismatch")
     return AttractorDimension(value=float(value), r_star=int(r_star),
                               theta_star=float(theta_star), weight_model=model,
-                              mm_value=float(mm), pressure_scan=scan, flags=flags)
+                              mm_value=float(mm), flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +327,6 @@ def dim_attractor_equal_linear(ifs: DiagonalIFS, alpha) -> AttractorDimension:
 @dataclass
 class PerturbResult:
     seq: WeightSequence
-    head_end: int
-    blend: float
-    certificate_ok: bool
-    margin: float
     flags: list
 
 
@@ -399,11 +390,8 @@ def perturb_sequence(seq: WeightSequence, eps: float, N: int,
     V[low] = (1.0 - blend) * V[low] + blend * pm
     out = WeightSequence.from_blocks(L, V, alpha=alpha)
     M, S = drift_scan(out.L, out.H, 1, M_hi)
-    margin = float((S - eps * M).min())
-    ok = margin >= -1e-9
-    return PerturbResult(seq=out, head_end=head_end, blend=blend,
-                         certificate_ok=ok, margin=margin,
-                         flags=[] if ok else ["postcondition-failed"])
+    ok = float((S - eps * M).min()) >= -1e-9
+    return PerturbResult(seq=out, flags=[] if ok else ["postcondition-failed"])
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +641,7 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     H_max = math.log(float(alpha.sum()))
     if H_max <= 0:
         raise DegenerateError("subcritical survival vector")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     N_grid = np.sort(np.asarray(N_grid, dtype=np.float64))
     _, lam_hi = ifs.contraction_span()
@@ -679,7 +667,7 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
                                                    N_grid, runs, lam_hi)
     solver_flags, solver, nit, residual = _solver_report(solves, settled)
     return OptimizationResult(value=value, argument=witness, residual=residual,
-                              iterations=nit, n_starts=1, trace=per_N,
+                              iterations=nit, n_starts=1,
                               flags=["at-horizon"] + solver_flags + wit_flags,
                               extras={"per_N": per_N, "windows": windows,
                                       "eps": eps, "runs": runs,
@@ -739,7 +727,6 @@ def _runs_between(L, V, a: int, b: int):
 
 
 def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
-                                horizon: int | None = None,
                                 N_points: int = 24) -> OptimizationResult:
     """Hausdorff-side schedule search: maximize the at-horizon lower
     dimension estimate (minimum of d_N over a scale grid) over block
@@ -753,8 +740,9 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
     bad = validate_type_ell(lengths)
     if bad:
         raise ValueError("; ".join(bad))
-    total = int(np.sum(lengths))
-    horizon = total if horizon is None else min(int(horizon), total)
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    horizon = int(np.sum(lengths))
     if alpha is not None:
         H_max = math.log(float(alpha.sum()))
         if eps >= H_max:
@@ -790,8 +778,7 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
     if not grid_ok:
         flags.append("grid-certificate-failed")
     return OptimizationResult(value=value, argument=seq, residual=residual,
-                              iterations=nit, n_starts=1, trace=[],
-                              flags=flags,
+                              iterations=nit, n_starts=1, flags=flags,
                               extras={"eps": eps, "eta": eta,
                                       "grid_value": grid_val,
                                       "grid_certificate": grid_ok,

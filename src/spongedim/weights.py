@@ -129,14 +129,6 @@ class WeightModel:
             return self.atom_probs @ self.atom_w
         return self.p.copy()
 
-    def survival(self) -> np.ndarray:
-        """alpha_i = P(c_i = 1)."""
-        if self.kind == "deterministic":
-            return np.ones(self.p.size)
-        if self.kind == "percolation":
-            return self.alpha.copy()
-        return self.atom_probs @ self.atom_c
-
     def entropy_H(self) -> float:
         if self.kind == "deterministic":
             return entropy(self.p)
@@ -312,11 +304,16 @@ def _positive_lengths(lengths, count: int) -> list:
     return lengths
 
 
-def validate_type_ell(lengths, m0: int = 3, ratio_bound: float = 0.5) -> list[str]:
+# type-ell schedules: blocks exempt from the ratio bound, and that bound
+TYPE_ELL_WARMUP = 3
+TYPE_ELL_RATIO = 0.5
+
+
+def validate_type_ell(lengths) -> list[str]:
     """Violations of the type-ell schedule conditions (empty when valid).
 
-    Strict increase everywhere; after a warm-up of m0 blocks,
-    l_m <= ratio_bound * L_{m-1} (finite truncation of l_m = o(L_{m-1})).
+    Strict increase everywhere; after a warm-up of TYPE_ELL_WARMUP blocks,
+    l_m <= TYPE_ELL_RATIO * L_{m-1} (finite truncation of l_m = o(L_{m-1})).
     The asymptotic condition says nothing about small m, and binding it on
     block 3 would contradict strict increase for every integer schedule, so
     the warm-up blocks are exempt."""
@@ -331,9 +328,9 @@ def validate_type_ell(lengths, m0: int = 3, ratio_bound: float = 0.5) -> list[st
                        % (m + 1, lengths[m], lengths[m - 1]))
     L = 0
     for m, ell in enumerate(lengths, start=1):
-        if m > m0 and L > 0 and ell > ratio_bound * L:
+        if m > TYPE_ELL_WARMUP and L > 0 and ell > TYPE_ELL_RATIO * L:
             out.append("block %d: length %d exceeds %.3g * L_{m-1} = %.3g"
-                       % (m, ell, ratio_bound, ratio_bound * L))
+                       % (m, ell, TYPE_ELL_RATIO, TYPE_ELL_RATIO * L))
         L += ell
     return out
 
@@ -369,23 +366,22 @@ class NondegeneracyReport:
     N_eps: int | None            # burn-in for that drift
 
 
-def nondegeneracy_report(seq: WeightSequence, horizon: int | None = None,
-                         eps_grid=None) -> NondegeneracyReport:
+def nondegeneracy_report(seq: WeightSequence,
+                         horizon: int | None = None) -> NondegeneracyReport:
     """Finite-horizon drift certificate for sum_n H(W^{(n)}), in O(blocks).
 
-    Reports the minimal partial mean, and the largest grid eps for which
-    sum_{n<=N} H >= N*eps for every N in [N_eps, horizon].  Asymptotic
-    claims are out of reach; the verdict is explicitly at-horizon.
+    Reports the minimal partial mean, and the largest eps of a geometric
+    grid of 48 from 1e-4 to log(#letters) for which sum_{n<=N} H >= N*eps
+    for every N in [N_eps, horizon].  Asymptotic claims are out of reach;
+    the verdict is explicitly at-horizon.
     """
     horizon = seq.horizon if horizon is None else int(horizon)
     if not (1 <= horizon <= seq.horizon):
         raise ValueError("horizon outside sequence length")
     M, S = drift_scan(seq.L, seq.H, 1, horizon)
     means = S / M
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-4, math.log(seq.n_letters), 48)
     # no drift above the partial mean at the horizon is certifiable
-    fits = np.asarray(eps_grid, dtype=np.float64)
+    fits = np.geomspace(1e-4, math.log(seq.n_letters), 48)
     fits = fits[fits <= means[-1]]
     eps = N_eps = None
     if fits.size:

@@ -134,7 +134,7 @@ def type_ell_value(ifs, alpha, block_lengths, eps, N_grid, max_passes=4):
     horizon = int(np.sum(block_lengths))
     spans = blocks_covering(block_lengths, horizon)
     burn = int(math.ceil(1.0 / eps))
-    mm = optimize_mandelbrot(ifs, alpha, starts=8, seed=0)
+    mm = optimize_mandelbrot(ifs, alpha)
     best = -math.inf
     for v in (pm, mm.argument):
         best = max(best, ascend_blocks(ev, block_runs([(horizon, v)], spans),

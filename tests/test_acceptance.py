@@ -60,7 +60,7 @@ def sierpinski_carpet():
 
 def test_criterion_01_hausdorff_closed_form(mcmullen):
     t0 = time.time()
-    mm = optimize_mandelbrot(mcmullen, alpha=None, starts=32, seed=0)
+    mm = optimize_mandelbrot(mcmullen, alpha=None)
     att = dim_attractor_equal_linear(mcmullen, np.ones(3))
     elapsed = time.time() - t0
     err = max(abs(mm.value - HAUSDORFF_ORACLE),
@@ -74,7 +74,7 @@ def test_criterion_02_packing_closed_form(mcmullen):
     t0 = time.time()
     lengths = type_ell_lengths(11000)
     res = optimize_packing(mcmullen, np.ones(3), lengths, eps=0.1,
-                           N_grid=[512.0, 1024.0, 2048.0, 4096.0], seed=0)
+                           N_grid=[512.0, 1024.0, 2048.0, 4096.0])
     elapsed = time.time() - t0
     err = abs(res.value - PACKING_ORACLE)
     print("criterion 2: value %.6f err %.2e (tol 5e-3), %.1fs"
@@ -113,7 +113,7 @@ def test_criterion_04_route_equivalence(mcmullen, gl4x2, sponge3d):
     worst = 0.0
     for ifs, alpha in cases:
         att = dim_attractor_equal_linear(ifs, alpha)
-        mm = optimize_mandelbrot(ifs, alpha=alpha, starts=24, seed=3)
+        mm = optimize_mandelbrot(ifs, alpha=alpha)
         worst = max(worst, abs(att.value - mm.value))
     print("criterion 4: worst route gap %.2e over %d instances (tol 1e-6)"
           % (worst, len(cases)))
@@ -214,7 +214,7 @@ def test_criterion_08_cascade_martingale():
 def test_criterion_09_empirical_vs_theory():
     ifs = sierpinski_carpet()
     alpha = np.full(8, 0.9)
-    mm = optimize_mandelbrot(ifs, alpha=alpha, starts=16, seed=0)
+    mm = optimize_mandelbrot(ifs, alpha=alpha)
     model = WeightModel.percolation(mm.argument, alpha)
     rep = empirical_local_dimension(ifs, model, depth=12, n_points=100,
                                     seed=7)

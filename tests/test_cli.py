@@ -98,14 +98,27 @@ def test_validate_failure_exits_two(workdir):
     assert doc["ok"] is False and doc["violations"]
 
 
-def test_parse_error_exits_two(workdir):
+def test_parse_error_exits_two(workdir, monkeypatch, capsys):
     (workdir / "broken.json").write_text('{"dimension": 2,')
     r = run_cli("validate", "--ifs", "broken.json", "--out", "o",
                 cwd=workdir)
     assert r.returncode == 2
     # numbers must be finite, resolutions also positive, a tail horizon
-    # at least 1; --eps goes with --lengths
+    # at least 1 and past the grid's last clock; --eps goes with --lengths
+    # and is finite and positive; survival probabilities lie in (0, 1];
+    # optimize-hausdorff draws nothing and takes no --seed.  In-process,
+    # as the console script exits (see invoke)
+    monkeypatch.chdir(workdir)
     seq = ("--ifs", "ifs.json", "--sequence", "sequence.json")
+    schedule = ("--ifs", "ifs.json", "--lengths", "4,5,6,7")
+    alphas = [(*cmd, "--alpha", a) for a in ("0", "1.5", "0.9,0.8,1.2")
+              for cmd in (("simulate", "--ifs", "ifs.json", "--depth", "2"),
+                          ("boxcount", "--ifs", "ifs.json", "--depth", "2",
+                           "--scales", "1,2"),
+                          ("dim-attractor", "--ifs", "ifs.json"),
+                          ("optimize-hausdorff", "--ifs", "ifs.json"),
+                          ("optimize-packing", *schedule, "--eps", "0.1",
+                           "--scales", "20"))]
     for args in (("decompose", *seq, "--N", "nan"),
                  ("decompose", *seq, "--N", "-3"),
                  ("dim-imm", *seq, "--scales", "nan,100"),
@@ -118,10 +131,22 @@ def test_parse_error_exits_two(workdir):
                  # a law that does not sum to 1, and one letter too many
                  ("coding", "--ifs", "ifs.json", "--p", "0.5,0.3,0.1"),
                  ("coding", "--ifs", "ifs.json", "--p", "0.25,0.25,0.25,0.25"),
-                 ("optimize-hausdorff", "--ifs", "ifs.json", "--eps", "0.1")):
-        r = run_cli(*args, "--out", "o", cwd=workdir)
-        assert r.returncode == 2, args
+                 ("optimize-hausdorff", "--ifs", "ifs.json", "--eps", "0.1"),
+                 *[("optimize-hausdorff", *schedule, "--eps", eps)
+                   for eps in ("-1", "0", "nan", "inf")],
+                 ("optimize-packing", *schedule, "--alpha", "1", "--eps", "-1",
+                  "--scales", "20"),
+                 ("optimize-hausdorff", "--ifs", "ifs.json", "--seed", "1"),
+                 ("dim-imm", *seq, "--scales", "20,40", "--horizon", "5"),
+                 *alphas):
+        assert invoke([*args, "--out", "o"]) == 2, args
     assert not (workdir / "o").exists()
+    # the message names --horizon and the least horizon that works
+    capsys.readouterr()
+    dim_imm = ["dim-imm", *seq, "--scales", "20,40", "--out", "o", "--horizon"]
+    assert invoke(dim_imm + ["57"]) == 2
+    assert "--horizon must be at least 58" in capsys.readouterr().err
+    assert invoke(dim_imm + ["58"]) == 0
 
 
 # negative sizes, and counts below one, exit 2 before anything is written
@@ -521,11 +546,11 @@ MANIFEST_CASES = {
                      {**IFS_P, "periodic": "periodic.json"}, None,
                      ["ifs.json", "periodic.json"],
                      ["dim-periodic.csv", "dim-periodic.json"]),
-    "hausdorff": (["optimize-hausdorff", *I], {**IFS_P, "seed": 0, "starts": 32},
-                  0, ["ifs.json"], ["optimize-hausdorff.json"]),
-    "hausdorff-schedule": (["optimize-hausdorff", *I, *SCHEDULE, "--starts", "4"],
-                           {**IFS_P, **SCHEDULE_P, "seed": 0, "starts": 4}, 0,
-                           ["ifs.json"], ["optimize-hausdorff.json"]),
+    "hausdorff": (["optimize-hausdorff", *I], IFS_P, None, ["ifs.json"],
+                  ["optimize-hausdorff.json"]),
+    "hausdorff-schedule": (["optimize-hausdorff", *I, *SCHEDULE],
+                           {**IFS_P, **SCHEDULE_P}, None, ["ifs.json"],
+                           ["optimize-hausdorff.json"]),
     "packing": (["optimize-packing", *I, *SCHEDULE, "--scales", "20,40"],
                 {**IFS_P, **SCHEDULE_P, "scales": "20,40"}, None, ["ifs.json"],
                 ["optimize-packing.json"]),

@@ -40,16 +40,15 @@ MCMULLEN_H = math.log2(2.0 ** (LOG2 / LOG3) + 1.0)
 # === constant-law optimizer ===
 
 def test_optimizer_hits_closed_form(mcmullen):
-    res = optimize_mandelbrot(mcmullen, alpha=None, starts=16, seed=0)
+    res = optimize_mandelbrot(mcmullen, alpha=None)
     assert abs(res.value - MCMULLEN_H) < 1e-9
     assert res.residual < 1e-6
     assert abs(res.argument.sum() - 1.0) < 1e-12
 
 
 def test_optimizer_percolation_below_full(mcmullen):
-    full = optimize_mandelbrot(mcmullen, alpha=None, starts=8, seed=0)
-    perc = optimize_mandelbrot(mcmullen, alpha=np.full(3, 0.8),
-                               starts=8, seed=0)
+    full = optimize_mandelbrot(mcmullen, alpha=None)
+    perc = optimize_mandelbrot(mcmullen, alpha=np.full(3, 0.8))
     assert perc.value < full.value
 
 
@@ -57,7 +56,7 @@ def test_routes_agree(mcmullen, gl4x2):
     for ifs, alpha in ((mcmullen, np.full(3, 0.8)),
                        (gl4x2, np.full(4, 0.9))):
         att = dim_attractor_equal_linear(ifs, alpha)
-        mm = optimize_mandelbrot(ifs, alpha=alpha, starts=16, seed=1)
+        mm = optimize_mandelbrot(ifs, alpha=alpha)
         assert abs(att.value - mm.value) < 1e-6
 
 
@@ -105,18 +104,19 @@ def test_constant_law_solve_matches_multistart_and_pressure(seed, kind):
 
 
 # the multistart's values on a Baranski carpet, pinned to 1e-9: with
-# unequal linear parts optimize_mandelbrot still runs that search
-BARANSKI_VALUES = [(None, 8, 0, 0.7878849110258701),
-                   ((0.9, 0.8), 6, 1, 0.6088136173383337)]
+# unequal linear parts optimize_mandelbrot still runs that search, from
+# its 32 starts
+BARANSKI_VALUES = [(None, 0.7878849110258701),
+                   ((0.9, 0.8), 0.6088136173383337)]
 
 
-@pytest.mark.parametrize("alpha,starts,seed,value", BARANSKI_VALUES)
-def test_unequal_linear_parts_keep_the_multistart(alpha, starts, seed, value):
+@pytest.mark.parametrize("alpha,value", BARANSKI_VALUES)
+def test_unequal_linear_parts_keep_the_multistart(alpha, value):
     # unequal linear parts: chi(p) moves the chain, so no concave program
     ifs = DiagonalIFS([DiagonalMap([1 / 2, 1 / 3], [0, 0]),
                        DiagonalMap([1 / 3, 1 / 2], [2 / 3, 1 / 2])])
-    res = optimize_mandelbrot(ifs, alpha=alpha, starts=starts, seed=seed)
-    assert res.n_starts == starts
+    res = optimize_mandelbrot(ifs, alpha=alpha)
+    assert res.n_starts == 32
     assert "solver" not in res.extras
     assert abs(res.value - value) <= 1e-9
 
@@ -191,6 +191,7 @@ def test_perturbation_restores_drift(seed):
             perturb_sequence(seq, eps, N, ifs)
         return
     res = perturb_sequence(seq, eps, N, ifs)
+    assert res.flags == []
     H = res.seq.H_array()
     M_hi = int(math.floor(lam_hi * N))
     pref = np.cumsum(H[:M_hi])
@@ -227,7 +228,7 @@ def test_packing_rejects_bad_schedule(mcmullen):
 def test_packing_search_small(mcmullen):
     lengths = type_ell_lengths(700)
     res = optimize_packing(mcmullen, np.ones(3), lengths, eps=0.1,
-                           N_grid=[64.0, 128.0, 256.0], seed=2)
+                           N_grid=[64.0, 128.0, 256.0])
     assert "at-horizon" in res.flags
     assert MCMULLEN_H - 5e-2 < res.value < 2.0
     per_N = res.extras["per_N"]
@@ -256,7 +257,7 @@ def test_type_ell_hausdorff_search_small(mcmullen):
     alpha = np.array([0.9, 0.85, 0.8])
     res = optimize_type_ell_hausdorff(mcmullen, alpha, lengths, eps=0.05,
                                       N_points=8)
-    const = optimize_mandelbrot(mcmullen, alpha=alpha, starts=8, seed=0)
+    const = optimize_mandelbrot(mcmullen, alpha=alpha)
     assert res.value <= const.value + 2e-2
     assert res.value >= 0.5 * const.value
     assert res.extras["grid_certificate"] is True

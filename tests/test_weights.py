@@ -147,14 +147,15 @@ def test_non_increasing_rejected():
 
 def test_ratio_violation_rejected_past_warmup():
     # fourth block longer than half the total of the first three
-    lengths = [4, 5, 6, 9]
-    msgs = validate_type_ell(lengths, m0=3)
-    assert msgs
-    # the same schedule with the warm-up extended is fine
-    assert validate_type_ell(lengths, m0=4) == []
+    msgs = validate_type_ell([4, 5, 6, 9])
+    assert msgs and "block 4" in msgs[0]
+    # the bound is inclusive, past the warm-up on every block: 7 <= 7.5
+    # and 11 <= 11 pass, 12 > 11 does not
+    assert validate_type_ell([4, 5, 6, 7, 11]) == []
+    assert validate_type_ell([4, 5, 6, 7, 12])
 
 
 def test_early_blocks_exempt_from_ratio():
     # strict increase forces every integer schedule to violate the ratio
     # condition in its first blocks; those are warm-up and must pass
-    assert validate_type_ell([4, 5, 6], m0=3) == []
+    assert validate_type_ell([4, 5, 6]) == []
