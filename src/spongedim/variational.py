@@ -630,8 +630,8 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
 
     Per N the variables are the blocks cut at the scale's clocks and at
     floor(N*eps), one concave solve each (``_solve_schedule``).  The search
-    is deterministic; ``seed`` is accepted for the common optimizer
-    interface and ignored.  The witness concatenates entropy-lifted
+    is deterministic; ``seed`` is ignored (``bench/reference.py`` still
+    passes it).  The witness concatenates entropy-lifted
     maximizers on exponentially separated windows; it is reported, with its
     admissibility scan, rather than certified optimal."""
     alpha = as_survival_vector(alpha, ifs.n)
