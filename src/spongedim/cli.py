@@ -31,9 +31,10 @@ from .simulate import (ResourceCapError, box_count_fit, codes_to_words,
                        empirical_local_dimension, sample_cascade, sample_tree,
                        sample_tree_conditioned)
 from .variational import (dim_attractor_equal_linear, optimize_mandelbrot,
-                          optimize_packing, optimize_type_ell_hausdorff)
+                          optimize_packing, optimize_type_ell_hausdorff,
+                          packing_budget, top_entropy)
 from .weights import (DegenerateError, WeightModel, as_prob_vector,
-                      as_survival_vector)
+                      as_survival_vector, validate_type_ell)
 
 
 # sizes fail while parsing, with exit 2 before any output: depths (0 is
@@ -103,6 +104,15 @@ def _ints(text):
     if np.any(vals != np.round(vals)):
         _fail(2, "expected integers, got %r" % text)
     return [int(v) for v in vals]
+
+
+def _lengths_arg(text):
+    """--lengths of a schedule search: a type-ell schedule."""
+    blocks = _ints(text)
+    bad = validate_type_ell(blocks)
+    if bad:
+        _fail(2, "--lengths: %s" % "; ".join(bad))
+    return blocks
 
 
 def _alpha_arg(text, n):
@@ -378,7 +388,11 @@ def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, out):
         certificate = {"closed_form_value": res.extras["closed_form_value"],
                        "entropy": res.extras["H"]}
     else:
-        blocks = _ints(lengths)
+        blocks = _lengths_arg(lengths)
+        # a subcritical alpha (top entropy <= 0) is degenerate: exit 3 below
+        top = top_entropy(ifs.n, alpha)
+        if 0 < top <= eps:
+            _fail(2, "--eps %g must lie below the top entropy %g" % (eps, top))
         res = _compute(lambda: optimize_type_ell_hausdorff(
             ifs, alpha, blocks, eps))
         argument = io.sequence_to_dict(res.argument)
@@ -400,8 +414,12 @@ def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, out):
     _positive(eps, "--eps")
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = _alpha_arg(alpha_text, ifs.n)
-    blocks = _ints(lengths)
+    blocks = _lengths_arg(lengths)
     N_grid = _scales(scales)
+    rows = packing_budget(ifs, N_grid.max())
+    if sum(blocks) < rows:
+        _fail(2, "--lengths cover %d rows; the scale N = %g reads %d"
+              % (sum(blocks), N_grid.max(), rows))
     res = _compute(lambda: optimize_packing(ifs, alpha, blocks, eps, N_grid))
     result = {"value": res.value, "argument": io.sequence_to_dict(res.argument),
               "certificate": {k: res.extras.get(k)
@@ -480,8 +498,7 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
                   % (len(N_list), window))
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     if tree_path is not None:
-        tree = _load(lambda p: io.tree_from_dict(io.load_json(p)), tree_path,
-                     "tree")
+        tree = _load(io.load_tree, tree_path, "tree")
     else:
         if alpha_text is None or depth is None:
             _fail(2, "either --tree or both --alpha and --depth are required")

@@ -6,10 +6,14 @@ identical runs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
 import math
+import re
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,17 +37,68 @@ def _finite_float(token: str) -> float:
     return x
 
 
+def _non_finite_constant(token: str):
+    raise ValueError("non-finite constant %r" % token)
+
+
+# A float literal passes the double range only with an exponent of three or
+# more digits, or with an integer part of 210 or more digits: below that it
+# is under 10**209 * 10**99.  With signs dropped, E read as e and every
+# digit as 0, such a literal holds "e000" or a run of 210 zeros.  The text
+# is scanned in windows that overlap by more than either pattern, so no
+# second copy of the whole text is made.
+_AS_ZEROS = str.maketrans({**dict.fromkeys("123456789", "0"), "E": "e",
+                           "+": None, "-": None})
+_LONG_EXPONENT = re.compile("e000")
+_LONG_INTEGER = "0" * 210
+_SCAN_WINDOW, _SCAN_OVERLAP = 1 << 20, 256
+
+
+def _may_overflow(text: str) -> bool:
+    """False only when no float literal in the text can overflow."""
+    for start in range(0, len(text), _SCAN_WINDOW):
+        window = text[start:start + _SCAN_WINDOW + _SCAN_OVERLAP].translate(_AS_ZEROS)
+        if _LONG_EXPONENT.search(window) or _LONG_INTEGER in window:
+            return True
+    return False
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """The cyclic GC off, then back in its previous state.  A parsed
+    document holds no reference cycles, so a collection finds nothing in
+    it; with the GC on, each one would traverse all of it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def strict_loads(text: str):
-    """json.loads that rejects NaN/Infinity tokens and overflowed floats
-    while it parses."""
-    def bad(token):
-        raise ValueError("non-finite constant %r" % token)
-    return json.loads(text, parse_constant=bad, parse_float=_finite_float)
+    """json.loads that rejects NaN/Infinity tokens and overflowed floats.
+
+    Floats are checked one by one only when the text may hold a literal
+    past the double range; otherwise json's C scanner converts them, to
+    the same doubles.  The cyclic GC is paused during the parse."""
+    hook = _finite_float if _may_overflow(text) else None
+    with _gc_paused():
+        return json.loads(text, parse_constant=_non_finite_constant,
+                          parse_float=hook)
 
 
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return strict_loads(fh.read())
+
+
+def _load(path: str, from_dict):
+    """from_dict of the file's document, with the GC paused until the
+    document is dropped: its objects are freed without being traversed."""
+    with _gc_paused():
+        return from_dict(load_json(path))
 
 
 def canonical_json(obj) -> str:
@@ -117,7 +172,7 @@ def ifs_to_dict(ifs: DiagonalIFS) -> dict:
 
 
 def load_ifs(path: str) -> DiagonalIFS:
-    return ifs_from_dict(load_json(path))
+    return _load(path, ifs_from_dict)
 
 
 def weights_from_dict(obj) -> WeightModel:
@@ -156,31 +211,28 @@ def weights_to_dict(model: WeightModel) -> dict:
 
 
 def load_weights(path: str) -> WeightModel:
-    return weights_from_dict(load_json(path))
+    return _load(path, weights_from_dict)
 
 
-_P_BLOCK, _ATOM_BLOCK = {"len", "p"}, {"len", "atoms"}
+_P_BLOCK, _ATOM_BLOCK = frozenset({"len", "p"}), frozenset({"len", "atoms"})
 
 
-def sequence_from_dict(obj) -> WeightSequence:
-    """Block schedule.  {"len", "p"} blocks hold mean vectors under an
-    optional shared survival vector alpha; a schedule with {"len", "atoms"}
-    blocks has one law per block (a mean vector block is then
-    deterministic) and no shared alpha."""
-    _require_keys(obj, {"blocks"}, optional={"alpha"}, ctx="sequence")
-    blocks = obj["blocks"]
-    if not isinstance(blocks, list):
-        raise ValueError("sequence: blocks must be a list")
-    has_atoms = False
+def _block_kinds(blocks) -> set:
+    """The key sets of a schedule's blocks.  Each must be {"len", "p"} or
+    {"len", "atoms"}; the first block that is neither is named."""
+    if set(map(type, blocks)) <= {dict}:
+        kinds = set(map(frozenset, blocks))
+        if kinds <= {_P_BLOCK, _ATOM_BLOCK}:
+            return kinds
     for j, b in enumerate(blocks):
-        keys = b.keys() if isinstance(b, dict) else None
-        if keys == _P_BLOCK:
-            continue
-        if keys != _ATOM_BLOCK:
-            _require_keys(b, _ATOM_BLOCK if keys and "atoms" in keys else _P_BLOCK,
-                          ctx="sequence.blocks[%d]" % j)
-        has_atoms = True
-    lengths = [b["len"] for b in blocks]
+        keys = b.keys() if isinstance(b, dict) else ()
+        _require_keys(b, _ATOM_BLOCK if "atoms" in keys else _P_BLOCK,
+                      ctx="sequence.blocks[%d]" % j)
+    return set(map(frozenset, blocks))
+
+
+def _name_bad_length(lengths) -> None:
+    """Raise for the first block whose len is not an integer >= 1, if any."""
     for j, L in enumerate(lengths):
         # bool is an int subclass; a JSON true is not a length
         if not isinstance(L, int) or isinstance(L, bool):
@@ -188,15 +240,37 @@ def sequence_from_dict(obj) -> WeightSequence:
                              % (j, L))
         if L < 1:
             raise ValueError("sequence.blocks[%d]: len must be >= 1" % j)
-    if not has_atoms:
-        return WeightSequence.from_blocks(lengths, [b["p"] for b in blocks],
-                                          alpha=obj.get("alpha"))
-    if "alpha" in obj:
-        raise ValueError("sequence: atom blocks carry their own survival; "
-                         "a shared alpha is not allowed with them")
-    models = [weights_from_dict({"type": "atoms", "atoms": b["atoms"]}) if "atoms" in b
-              else WeightModel.deterministic(b["p"]) for b in blocks]
-    return WeightSequence.from_models(models, lengths)
+
+
+def sequence_from_dict(obj) -> WeightSequence:
+    """Block schedule.  {"len", "p"} blocks hold mean vectors under an
+    optional shared survival vector alpha; a schedule with {"len", "atoms"}
+    blocks has one law per block (a mean vector block is then
+    deterministic) and no shared alpha.
+
+    Keys and lengths are checked in bulk; a bad length is looked for block
+    by block only once the schedule has failed, so that it can be named
+    before any other fault."""
+    _require_keys(obj, {"blocks"}, optional={"alpha"}, ctx="sequence")
+    blocks = obj["blocks"]
+    if not isinstance(blocks, list):
+        raise ValueError("sequence: blocks must be a list")
+    kinds = _block_kinds(blocks)
+    lengths = list(map(itemgetter("len"), blocks))
+    try:
+        if _ATOM_BLOCK not in kinds:
+            return WeightSequence.from_blocks(lengths, list(map(itemgetter("p"), blocks)),
+                                              alpha=obj.get("alpha"))
+        if "alpha" in obj:
+            raise ValueError("sequence: atom blocks carry their own survival; "
+                             "a shared alpha is not allowed with them")
+        models = [weights_from_dict({"type": "atoms", "atoms": b["atoms"]})
+                  if "atoms" in b else WeightModel.deterministic(b["p"])
+                  for b in blocks]
+        return WeightSequence.from_models(models, lengths)
+    except ValueError:
+        _name_bad_length(lengths)
+        raise
 
 
 def _block_dict(L: int, model: WeightModel) -> dict:
@@ -221,7 +295,7 @@ def sequence_to_dict(seq: WeightSequence) -> dict:
 
 
 def load_sequence(path: str) -> WeightSequence:
-    return sequence_from_dict(load_json(path))
+    return _load(path, sequence_from_dict)
 
 
 def periodic_from_dict(obj) -> PeriodicSpec:
@@ -244,7 +318,7 @@ def periodic_to_dict(pspec: PeriodicSpec) -> dict:
 
 
 def load_periodic(path: str) -> PeriodicSpec:
-    return periodic_from_dict(load_json(path))
+    return _load(path, periodic_from_dict)
 
 
 def model_hash(descriptor: dict) -> str:
@@ -363,6 +437,10 @@ def tree_from_dict(obj) -> PercolationTree:
     if obj["counts"] != tree.counts.tolist():
         raise ValueError("tree: counts do not match level data")
     return tree
+
+
+def load_tree(path: str) -> PercolationTree:
+    return _load(path, tree_from_dict)
 
 
 # ---------------------------------------------------------------------------

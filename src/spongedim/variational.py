@@ -330,12 +330,18 @@ class PerturbResult:
     flags: list
 
 
+def top_entropy(n_letters: int, alpha=None) -> float:
+    """Largest entropy of a law on n letters: log n, or log sum(alpha)
+    under survival alpha.  A schedule's certified drift lies below it."""
+    return math.log(n_letters if alpha is None else float(np.sum(alpha)))
+
+
 def _drift_limits(ifs: DiagonalIFS, alpha):
     """(top entropy H_max, blend threshold lam_thr, eps bound): the
     perturbation drift stays below 1/lam_thr, the slow-clock budget and
     the inverse alphabet size."""
     alpha = as_survival_vector(alpha, ifs.n)
-    H_max = math.log(float(alpha.sum()))
+    H_max = top_entropy(ifs.n, alpha)
     if H_max <= 0:
         raise DegenerateError("subcritical survival vector")
     H_min = float(np.log(alpha).min())
@@ -405,6 +411,13 @@ _P_FLOOR = 1e-12
 _CLOCK_ROUNDS = 8
 
 
+def packing_budget(ifs: DiagonalIFS, N: float) -> int:
+    """Schedule rows the packing search reads at scale N,
+    floor(Lambda_a * N) + 2: the block lengths must cover them."""
+    _, lam_hi = ifs.contraction_span()
+    return int(math.floor(lam_hi * N)) + 2
+
+
 def _block_ends(lengths, budget: int) -> np.ndarray:
     """Ends of the blocks that cover the first ``budget`` rows, the last
     one cut at the budget."""
@@ -417,11 +430,13 @@ def _block_ends(lengths, budget: int) -> np.ndarray:
 
 def _cut_runs(L, cuts):
     """Split the runs of lengths L at the positions ``cuts``: the pieces'
-    lengths and the run each piece lies in."""
+    lengths, as integers (runs and cuts count generations), and the run
+    each piece lies in."""
     E = np.concatenate([[0.0], np.cumsum(L)])
     cuts = np.asarray(cuts, dtype=np.float64)
     bounds = np.union1d(E, cuts[(cuts > 0.0) & (cuts < E[-1])])
-    return np.diff(bounds), E.searchsorted(bounds[:-1], side="right") - 1
+    return (np.diff(bounds).astype(np.int64),
+            E.searchsorted(bounds[:-1], side="right") - 1)
 
 
 def _rows_in(E, x):
@@ -638,7 +653,7 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     bad = validate_type_ell(lengths)
     if bad:
         raise ValueError("; ".join(bad))
-    H_max = math.log(float(alpha.sum()))
+    H_max = top_entropy(ifs.n, alpha)
     if H_max <= 0:
         raise DegenerateError("subcritical survival vector")
     if not eps > 0:
@@ -649,7 +664,7 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     ev = _RunEvaluator(ifs, alpha)
     per_N, runs, solves, settled = [], {}, [], True
     for N in N_grid:
-        budget = int(math.floor(lam_hi * N)) + 2
+        budget = packing_budget(ifs, N)
         M_lo = max(1, int(math.floor(N * eps)))
         L, _ = _cut_runs([budget], np.append(_block_ends(lengths, budget), M_lo))
         table, value, solved, done = _solve_schedule(ev, L, np.tile(pm, (L.size, 1)),
@@ -743,15 +758,12 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
     if not eps > 0:
         raise ValueError("eps must be positive")
     horizon = int(np.sum(lengths))
-    if alpha is not None:
-        H_max = math.log(float(alpha.sum()))
-        if eps >= H_max:
-            raise ValueError("eps = %g not below the top entropy %g" % (eps, H_max))
-        pm = p_max_vector(alpha)
-    else:
-        pm = np.full(ifs.n, 1.0 / ifs.n)
-        if eps >= math.log(ifs.n):
-            raise ValueError("eps = %g not below log #letters" % eps)
+    H_max = top_entropy(ifs.n, alpha)
+    if H_max <= 0:
+        raise DegenerateError("subcritical survival vector")
+    if eps >= H_max:
+        raise ValueError("eps = %g not below the top entropy %g" % (eps, H_max))
+    pm = np.full(ifs.n, 1.0 / ifs.n) if alpha is None else p_max_vector(alpha)
     ev = _RunEvaluator(ifs, alpha)
     _, lam_hi = ifs.contraction_span()
     maxN = horizon / lam_hi * 0.98

@@ -297,11 +297,26 @@ class WeightSequence:
         return type(self).__new__(type(self))._hold(L, self.V[:R], self.alpha, models)
 
 
-def _positive_lengths(lengths, count: int) -> list:
-    lengths = [int(x) for x in lengths]
-    if len(lengths) != count or any(x <= 0 for x in lengths):
+def _is_integer_type(t) -> bool:
+    # bool is an int subclass; numpy's bool is no np.integer
+    return issubclass(t, (int, np.integer)) and t is not bool
+
+
+def _positive_lengths(lengths, count: int) -> np.ndarray:
+    """One positive length per block, as int64.  Python and numpy integers
+    are lengths; a bool, a float (int() would read 2.7 as 2) or any other
+    value is not."""
+    lengths = list(lengths)
+    if not all(map(_is_integer_type, set(map(type, lengths)))):
+        bad = next(x for x in lengths if not _is_integer_type(type(x)))
+        raise ValueError("block lengths must be integers, got %r" % (bad,))
+    try:
+        L = np.fromiter(lengths, dtype=np.int64, count=len(lengths))
+    except OverflowError:
+        raise ValueError("block lengths must be below 2**63") from None
+    if L.size != count or np.any(L <= 0):
         raise ValueError("need one positive length per block")
-    return lengths
+    return L
 
 
 # type-ell schedules: blocks exempt from the ratio bound, and that bound
@@ -317,11 +332,12 @@ def validate_type_ell(lengths) -> list[str]:
     The asymptotic condition says nothing about small m, and binding it on
     block 3 would contradict strict increase for every integer schedule, so
     the warm-up blocks are exempt."""
-    lengths = [int(x) for x in lengths]
+    lengths = list(lengths)
+    try:
+        lengths = _positive_lengths(lengths, len(lengths)).tolist()
+    except ValueError as exc:
+        return [str(exc)]
     out = []
-    if any(x <= 0 for x in lengths):
-        out.append("block lengths must be positive")
-        return out
     for m in range(1, len(lengths)):
         if lengths[m] <= lengths[m - 1]:
             out.append("block %d: length %d not > previous %d"

@@ -273,6 +273,58 @@ def test_integers_past_the_float_range_exit_two(workdir):
     assert not (workdir / "o").exists()
 
 
+@pytest.mark.parametrize("flag", ["ifs", "weights", "periodic", "tree"])
+def test_float_literals_past_the_double_range_exit_two(workdir, flag):
+    # every input file goes through the strict parser, which refuses a
+    # float literal that overflows before any loader sees the number
+    tree = io.tree_to_dict(sample_tree(3, [1.0] * 3, depth=2), {})
+    docs = {
+        "ifs": ('{"dimension": 2, "maps": [{"a": [1e999, 0.5], "t": [0, 0]}]}',
+                ("validate",)),
+        "weights": ('{"type": "percolation", "p": [0.4, 0.35, 0.25], '
+                    '"alpha": [1e999, 0.8, 0.85]}', ("dim-mm", "--ifs", "ifs.json")),
+        "periodic": ('{"lambda": 1e999, "knots": [{"t": 1.0, "p": [0.5, 0.25, 0.25]}]}',
+                     ("dim-periodic", "--ifs", "ifs.json")),
+        "tree": (json.dumps(tree).replace('"seed": 0', '"seed": 1e999'),
+                 ("boxcount", "--ifs", "ifs.json", "--scales", "2")),
+    }
+    text, args = docs[flag]
+    assert "1e999" in text
+    name = "huge-%s.json" % flag
+    (workdir / name).write_text(text)
+    r = run_cli(*args, "--" + flag, name, "--out", "o", cwd=workdir)
+    assert r.returncode == 2, r.stderr
+    assert name in r.stderr and "non-finite" in r.stderr, r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (workdir / "o").exists()
+
+
+def test_schedule_searches_check_their_bounds_before_computing(workdir, monkeypatch,
+                                                               capsys):
+    # lengths that are no type-ell schedule, a drift at or past the top
+    # entropy and a schedule shorter than the scales read are bad input
+    monkeypatch.chdir(workdir)
+    hausdorff = ("optimize-hausdorff", "--ifs", "ifs.json")
+    packing = ("optimize-packing", "--ifs", "ifs.json", "--alpha", "0.9")
+    for args, why in (
+            ((*hausdorff, "--lengths", "0,5,6", "--eps", "0.1"), "positive"),
+            ((*hausdorff, "--lengths", "6,5,4", "--eps", "0.1"), "not > previous"),
+            ((*hausdorff, "--lengths", "4,5,6,7", "--eps", "5"), "top entropy"),
+            ((*hausdorff, "--alpha", "0.9", "--lengths", "4,5,6,7", "--eps", "0.994"),
+             "top entropy"),
+            ((*packing, "--lengths", "4,5,6,7", "--eps", "5", "--scales", "20"),
+             "cover 22 rows"),
+            ((*packing, "--lengths", "4,5,6,7,12", "--eps", "0.1", "--scales", "20"),
+             "exceeds")):
+        assert invoke([*args, "--out", "o"]) == 2, args
+        assert why in capsys.readouterr().err, args
+    assert not (workdir / "o").exists()
+    # a subcritical survival vector stays a degenerate model
+    assert invoke([*hausdorff, "--alpha", "0.3", "--lengths", "4,5,6,7",
+                   "--eps", "0.1", "--out", "o"]) == 3
+    assert "degenerate" in capsys.readouterr().err
+
+
 def test_json_flag_prints_versioned_document(workdir):
     r = run_cli("dim-mm", "--ifs", "ifs.json", "--weights", "weights.json",
                 "--json", "--out", "o", cwd=workdir)

@@ -5,6 +5,7 @@ Round-trips must be exact: floats survive via repr, tree code sets via
 run-length spans, manifests via canonical hashing.
 """
 
+import gc
 import json
 import math
 import os
@@ -29,6 +30,73 @@ def test_strict_loads_rejects_non_finite():
                  '{"x": -1e999}'):
         with pytest.raises(ValueError):
             io.strict_loads(text)
+
+
+# past the double range: a long exponent, long digit runs before an
+# exponent, a long integer part
+OVERFLOW_SHAPES = ["1E+400", "-1e0309", "7" * 250 + "e60", "9" * 310 + ".0"]
+
+
+def _padded(literal, start, size):
+    """A JSON list of `size` characters, ordinary floats around `literal`,
+    which begins at offset `start`."""
+    head = "[" + "0.25, " * ((start - 1) // 6)
+    text = head + " " * (start - len(head)) + literal
+    tail = ", 0.25" * ((size - len(text) - 1) // 6)
+    return text + tail + " " * (size - len(text) - len(tail) - 1) + "]"
+
+
+@pytest.mark.parametrize("literal", OVERFLOW_SHAPES,
+                         ids=["E+400", "e0309", "250-digits-e60", "310-digit-integer"])
+def test_strict_loads_rejects_overflow_shapes_across_windows(literal):
+    with pytest.raises(ValueError, match="non-finite"):
+        io.strict_loads("[%s]" % literal)
+    # in a 2 MB document, ending at, straddling and starting at the
+    # boundary of the first scan window
+    W = io._SCAN_WINDOW
+    for start in (W - len(literal), W - len(literal) // 2, W - 1, W):
+        text = _padded(literal, start, 2 * W)
+        assert len(text) == 2 * W and text[start:start + len(literal)] == literal
+        with pytest.raises(ValueError, match="non-finite"):
+            io.strict_loads(text)
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]))
+
+
+@given(st.lists(FINITE, min_size=1, max_size=30), st.booleans(),
+       st.integers(1, 3 * io._SCAN_WINDOW // 2))
+@settings(max_examples=25, deadline=None)
+def test_strict_loads_matches_json_loads_bit_for_bit(xs, positional, start):
+    # repr writes exponents (three digits for subnormals and the largest
+    # doubles); the positional form writes none, so a subnormal becomes a
+    # long fraction and the largest double a 309-digit integer part
+    write = (lambda x: np.format_float_positional(x, trim="0")) if positional else repr
+    literals = ", ".join(map(write, xs))
+    text = _padded(literals, start, start + len(literals) + io._SCAN_WINDOW)
+    got, want = io.strict_loads(text), json.loads(text)
+    assert len(got) == len(want) and all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    first = (start - 1) // 6    # the padding floats before them
+    assert [x.hex() for x in got[first:first + len(xs)]] == [x.hex() for x in xs]
+
+
+def test_strict_loads_restores_the_gc_state():
+    enabled = gc.isenabled()
+    try:
+        for state in (False, True):
+            (gc.enable if state else gc.disable)()
+            io.strict_loads("[1.5]")
+            assert gc.isenabled() is state
+            with pytest.raises(ValueError):
+                io.strict_loads("[1e999]")
+            assert gc.isenabled() is state
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def test_strict_loads_accepts_plain():

@@ -100,6 +100,35 @@ def test_sequence_from_blocks_shape():
     assert np.allclose(seq.p_rows()[3], [0.2, 0.8])
 
 
+@pytest.mark.parametrize("lengths", [
+    [2.7, 1], [2.0, 1], [True, 1], [np.float64(2.0), 1], [np.bool_(True), 1],
+    ["2", 1], [None, 1], [2, 0], [2, -1], [2 ** 63, 1], [np.uint64(2 ** 64 - 1), 1],
+    [2], [2, 1, 1]])
+def test_schedule_rejects_lengths_that_are_not_positive_integers(lengths):
+    # int() would read 2.7 as 2 and True as 1: a shorter horizon, silently
+    vectors = [[0.5, 0.5], [0.25, 0.75]]
+    with pytest.raises(ValueError, match="length"):
+        WeightSequence.from_blocks(lengths, vectors)
+    models = [WeightModel.deterministic(v) for v in vectors]
+    with pytest.raises(ValueError, match="length"):
+        WeightSequence.from_models(models, lengths)
+
+
+def test_type_ell_check_reads_no_fraction_as_an_integer():
+    assert validate_type_ell([4, 5, 6, 7]) == []
+    for bad in ([4.5, 5, 6, 7], [4, 5, 6, True], [0, 5, 6, 7], [4, -5, 6, 7]):
+        assert validate_type_ell(bad), bad
+
+
+def test_schedule_accepts_python_and_numpy_integer_lengths():
+    vectors = [[0.5, 0.5], [0.25, 0.75]]
+    for lengths in ([2, 3], [np.int64(2), np.uint8(3)], np.array([2, 3]),
+                    np.array([2, 3], dtype=np.uint16), (2, 3)):
+        seq = WeightSequence.from_blocks(lengths, vectors)
+        assert seq.block_lengths == [2, 3] and seq.horizon == 5
+        assert seq.L.dtype == np.int64
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_schedule_rejects_non_finite_vectors(bad):
     with pytest.raises(ValueError, match="non-finite"):
