@@ -153,15 +153,37 @@ def _require_keys(obj: dict, required, optional=(), ctx="object"):
 # model files
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(x, ctx: str) -> float:
+    if not _is_number(x):
+        raise ValueError("%s: expected a number" % ctx)
+    return float(x)
+
+
+def _list(x, ctx: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError("%s: expected a list" % ctx)
+    return x
+
+
 def ifs_from_dict(obj) -> DiagonalIFS:
     _require_keys(obj, {"dimension", "maps"}, ctx="ifs")
-    d = int(obj["dimension"])
+    d = obj["dimension"]
+    if not (isinstance(d, int) and not isinstance(d, bool)):
+        raise ValueError("ifs: dimension must be an integer")
     maps = []
-    for j, m in enumerate(obj["maps"]):
+    for j, m in enumerate(_list(obj["maps"], "ifs.maps")):
         _require_keys(m, {"a", "t"}, ctx="ifs.maps[%d]" % j)
-        if len(m["a"]) != d or len(m["t"]) != d:
+        a, t = m["a"], m["t"]
+        if not (isinstance(a, list) and isinstance(t, list)
+                and all(map(_is_number, a + t))):
+            raise ValueError("ifs.maps[%d]: a and t must be lists of numbers" % j)
+        if len(a) != d or len(t) != d:
             raise ValueError("ifs.maps[%d]: expected %d coordinates" % (j, d))
-        maps.append(DiagonalMap(m["a"], m["t"]))
+        maps.append(DiagonalMap(a, t))
     return DiagonalIFS(maps)
 
 
@@ -301,11 +323,13 @@ def load_sequence(path: str) -> WeightSequence:
 def periodic_from_dict(obj) -> PeriodicSpec:
     _require_keys(obj, {"lambda", "knots"}, optional={"alpha"}, ctx="periodic")
     ts, ps = [], []
-    for j, kn in enumerate(obj["knots"]):
-        _require_keys(kn, {"t", "p"}, ctx="periodic.knots[%d]" % j)
-        ts.append(float(kn["t"]))
+    for j, kn in enumerate(_list(obj["knots"], "periodic.knots")):
+        ctx = "periodic.knots[%d]" % j
+        _require_keys(kn, {"t", "p"}, ctx=ctx)
+        ts.append(_number(kn["t"], ctx + ".t"))
         ps.append(kn["p"])
-    return PeriodicSpec(float(obj["lambda"]), ts, ps, alpha=obj.get("alpha"))
+    return PeriodicSpec(_number(obj["lambda"], "periodic.lambda"), ts, ps,
+                        alpha=obj.get("alpha"))
 
 
 def periodic_to_dict(pspec: PeriodicSpec) -> dict:

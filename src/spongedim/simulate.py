@@ -23,6 +23,7 @@ from .scales import _const_gamma
 MEMORY_GUARD = 10 ** 8
 SURVIVAL_CAP = 100_000      # population cap of gw_survival_frequency
 MAX_ATTEMPTS = 10 ** 6      # tries of sample_tree_conditioned
+BLOCK_ROWS = 2 ** 15        # cells per block of tree_rects and the box counts
 
 
 class ResourceCapError(RuntimeError):
@@ -178,21 +179,37 @@ def tree_rects(tree: PercolationTree, ifs: DiagonalIFS, level: int):
     """(corner, side) arrays of the surviving level cells, in code order and
     with each axis contiguous.
 
-    Each level is gathered from the one above: levels are sorted, and the
-    parent of code c is (c - 1) // arity.  The float operations are those
-    of composing the maps digit by digit, in the same order."""
-    d = ifs.d
-    lo = [np.zeros(1) for _ in range(d)]
-    scale = [np.ones(1) for _ in range(d)]
-    # codes stay below 2**63 (rng.max_code_depth), so int64 views are exact
+    Each level is gathered from the one above, in blocks of BLOCK_ROWS
+    cells.  Levels are sorted, and the children of code c are c * arity + 1
+    onwards, so the parents of a block are a slice of the level above and
+    each parent's first child is found by one search in the block.  The
+    float operations are those of composing the maps digit by digit, in the
+    same order."""
+    d, arity = ifs.d, tree.arity
+    T, A = ifs.T.T.copy(), ifs.A.T.copy()     # one contiguous row per axis
+    lo, scale = np.zeros((d, 1)), np.ones((d, 1))
+    # every code a level could hold stays below 2**63 (rng.max_code_depth),
+    # so int64 views and the first child codes c * arity + 1 are exact
     for n in range(1, level + 1):
-        parent, letter = np.divmod(tree.levels[n].view(np.int64) - 1, tree.arity)
-        idx = np.searchsorted(tree.levels[n - 1].view(np.int64), parent)
-        for t in range(d):
-            s = scale[t][idx]
-            lo[t] = lo[t][idx] + s * ifs.T[letter, t]
-            scale[t] = s * ifs.A[letter, t]
-    return np.vstack(lo).T, np.vstack(scale).T
+        codes = tree.levels[n].view(np.int64)
+        above = tree.levels[n - 1].view(np.int64)
+        lo_n, scale_n = np.empty((d, codes.size)), np.empty((d, codes.size))
+        for a in range(0, codes.size, BLOCK_ROWS):
+            b = a + BLOCK_ROWS
+            kids = codes[a:b]
+            i = np.searchsorted(above, (kids[0] - 1) // arity)
+            j = np.searchsorted(above, (kids[-1] - 1) // arity, side="right")
+            starts = np.searchsorted(kids, above[i:j] * arity + 1)
+            idx = np.repeat(np.arange(j - i), np.diff(starts, append=kids.size))
+            letter = (kids - 1) % arity
+            for t in range(d):
+                s = scale[t][i:j][idx]
+                # the parent's corner plus s * T, added in either order
+                np.multiply(s, T[t][letter], out=lo_n[t, a:b])
+                lo_n[t, a:b] += lo[t][i:j][idx]
+                np.multiply(s, A[t][letter], out=scale_n[t, a:b])
+        lo, scale = lo_n, scale_n
+    return lo.T, scale.T
 
 
 # ---------------------------------------------------------------------------
@@ -298,48 +315,81 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return _drop_repeats(np.sort(keys))
 
 
-def _grid_ranges(lo: np.ndarray, size: np.ndarray, k: float):
-    """Per axis, the first index and the number of indices (at least one)
-    of the grid boxes of side 1/k that each half-open rectangle meets, as
-    integer-valued float64 arrays.  Sides are nonnegative."""
-    eps = 1e-12
-    first, spans = [], []
-    for t in range(lo.shape[1]):
-        i = lo[:, t] * k
-        i += eps
-        np.floor(i, out=i)
-        n = lo[:, t] + size[:, t]
-        n *= k
-        n -= eps
-        np.ceil(n, out=n)
-        # exact: the difference of two integers is rounded only when it
-        # is past 2**53, and then the guard refuses it anyway
-        n -= i
-        first.append(i)
-        spans.append(np.maximum(n, 1.0, out=n))
-    return first, spans
-
-
-def _distinct_rows(cols: list) -> list:
-    """Distinct rows of equal-length integer-valued float64 columns, as
-    int64 columns.  Rows are packed into mixed-radix keys, exact in
-    float64; when those would pass 2**53 every row is kept."""
-    low = [int(c.min()) for c in cols]
-    radix = [int(c.max()) - m + 1 for c, m in zip(cols, low)]
+def _distinct_rows(rows: np.ndarray, low: list, high: list) -> np.ndarray:
+    """Distinct columns of an integer-valued (c, m) array whose row t lies
+    in [low[t], high[t]], as an int64 (c, r) array.  Columns are packed
+    into mixed-radix keys, exact in float64; when those would pass 2**53
+    every column is kept."""
+    radix = [h - m + 1 for m, h in zip(low, high)]
     if math.prod(radix) > 2 ** 53:
-        return [c.astype(np.int64) for c in cols]
-    key = cols[0] - low[0]
-    for c, m, r in zip(cols[1:], low[1:], radix[1:]):
+        return rows.astype(np.int64)
+    key = rows[0] - low[0]
+    for c, m, r in zip(rows[1:], low[1:], radix[1:]):
         key *= r
         key += c - m
     # neighbouring cells of a tree often share ranges: drop those first
-    key = _sorted_distinct(_drop_repeats(key)).astype(np.int64)
-    out = []
-    for m, r in zip(low[:0:-1], radix[:0:-1]):
-        key, digit = np.divmod(key, r)
-        out.append(digit + m)
-    out.append(key + low[0])
-    return out[::-1]
+    key = _sorted_distinct(_drop_repeats(key)).astype(np.int64, copy=False)
+    out = np.empty((len(radix), key.size), dtype=np.int64)
+    for t in range(len(radix) - 1, 0, -1):
+        key, out[t] = np.divmod(key, radix[t])
+        out[t] += low[t]
+    out[0] = key + low[0]
+    return out
+
+
+def _range_rows(lo: np.ndarray, size: np.ndarray, k: float, guard: int) -> np.ndarray:
+    """Distinct index ranges of the grid boxes of side 1/k that the
+    half-open rectangles meet, as an int64 (2d, r) array: per axis the
+    first index, then per axis the number of indices (at least one).
+
+    Rectangles are taken in blocks of BLOCK_ROWS; each block's ranges are
+    reduced to distinct rows, and those are merged once more.  Raises
+    ResourceCapError when an index or span may not fit in int64, or when
+    the boxes of all rectangles, counted before any merge, pass the guard."""
+    m, d = lo.shape
+    eps = 1e-12
+    lo_t, size_t = lo.T, size.T
+    buf = np.empty((2 * d, min(m, BLOCK_ROWS)))
+    low, high = np.full(2 * d, math.inf), np.full(2 * d, -math.inf)
+    total, blocks = 0.0, []
+    for a in range(0, m, BLOCK_ROWS):
+        b = min(a + BLOCK_ROWS, m)
+        first, spans = buf[:d, :b - a], buf[d:, :b - a]
+        np.multiply(lo_t[:, a:b], k, out=first)
+        first += eps
+        np.floor(first, out=first)
+        np.add(lo_t[:, a:b], size_t[:, a:b], out=spans)
+        spans *= k
+        spans -= eps
+        np.ceil(spans, out=spans)
+        # exact: the difference of two integers is rounded only when it
+        # is past 2**53, and then the guard refuses it anyway
+        spans -= first
+        np.maximum(spans, 1.0, out=spans)
+        rows = buf[:, :b - a]
+        b_low, b_high = rows.min(axis=1), rows.max(axis=1)
+        # np.minimum and np.maximum keep a NaN, and a NaN fails the test;
+        # the largest index and the largest span may come from two blocks
+        np.minimum(low, b_low, out=low)
+        np.maximum(high, b_high, out=high)
+        if not (np.all(low[:d] > -_INT_LIMIT)
+                and np.all(high[:d] + high[d:] < _INT_LIMIT)):
+            raise ResourceCapError("grid indices at k = %.6g do not fit in int64" % k)
+        # exact while the total is below 2**53, and it cannot wrap
+        boxes = spans[0].copy()
+        for n in spans[1:]:
+            boxes *= n
+        total += float(boxes.sum())
+        if total <= guard:
+            blocks.append(_distinct_rows(rows, [int(x) for x in b_low],
+                                         [int(x) for x in b_high]))
+    if total > guard:
+        raise ResourceCapError("rasterizing %d boxes exceeds guard %d"
+                               % (total, guard))
+    if len(blocks) == 1:
+        return blocks[0]
+    return _distinct_rows(np.concatenate(blocks, axis=1),
+                          [int(x) for x in low], [int(x) for x in high])
 
 
 def _raster_count(lo: np.ndarray, size: np.ndarray, k: float, guard: int) -> int:
@@ -351,19 +401,8 @@ def _raster_count(lo: np.ndarray, size: np.ndarray, k: float, guard: int) -> int
     if lo.size == 0:
         return 0
     d = lo.shape[1]
-    first, spans = _grid_ranges(lo, size, k)
-    # written so that NaN fails it too
-    if not all(i.min() > -_INT_LIMIT and i.max() + n.max() < _INT_LIMIT
-               for i, n in zip(first, spans)):
-        raise ResourceCapError("grid indices at k = %.6g do not fit in int64" % k)
-    # exact while the total is below 2**53, and it cannot wrap
-    boxes = math.prod(spans)
-    total = float(boxes.sum())
-    if total > guard:
-        raise ResourceCapError("rasterizing %d boxes exceeds guard %d"
-                               % (total, guard))
-    rows = _distinct_rows(first + spans)
-    first, spans = rows[:d], rows[d:]
+    rows = _range_rows(lo, size, k, guard)
+    first, spans = list(rows[:d]), list(rows[d:])
 
     # boxes get mixed-radix keys over the extent of the met boxes
     low = [int(i.min()) for i in first]

@@ -27,8 +27,17 @@ class DegenerateError(ValueError):
     and the input fails it."""
 
 
+def _float_array(x) -> np.ndarray:
+    """x as a float64 array.  An entry that is no number (a JSON object,
+    say) is a ValueError, as a string that is no number already is."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except TypeError:
+        raise ValueError("expected numbers or lists of numbers") from None
+
+
 def as_prob_vector(p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
+    p = _float_array(p)
     if p.ndim != 1:
         raise ValueError("probability vector must be 1-d and nonempty")
     return as_prob_rows(p[None, :])[0]
@@ -36,7 +45,7 @@ def as_prob_vector(p) -> np.ndarray:
 
 def as_prob_rows(rows) -> np.ndarray:
     """Validate every row of a matrix as a probability vector at once."""
-    P = np.asarray(rows, dtype=np.float64)
+    P = _float_array(rows)
     if P.ndim != 2 or P.shape[1] == 0:
         raise ValueError("probability vector must be 1-d and nonempty")
     if not np.all(np.isfinite(P)):
@@ -52,7 +61,7 @@ def as_prob_rows(rows) -> np.ndarray:
 
 
 def as_survival_vector(alpha, n: int | None = None) -> np.ndarray:
-    a = np.asarray(alpha, dtype=np.float64)
+    a = _float_array(alpha)
     if a.ndim == 0 and n is not None:
         a = np.full(n, float(a))
     if a.ndim != 1 or a.size == 0:
@@ -99,9 +108,9 @@ class WeightModel:
     @classmethod
     def atoms(cls, atoms) -> "WeightModel":
         """atoms: iterable of (prob, c, w) with c a 0/1 vector, w >= 0."""
-        probs = np.array([a[0] for a in atoms], dtype=np.float64)
-        c = np.array([a[1] for a in atoms], dtype=np.float64)
-        w = np.array([a[2] for a in atoms], dtype=np.float64)
+        probs = _float_array([a[0] for a in atoms])
+        c = _float_array([a[1] for a in atoms])
+        w = _float_array([a[2] for a in atoms])
         if probs.ndim != 1 or c.ndim != 2 or w.shape != c.shape:
             raise ValueError("malformed atom list")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > PROB_SUM_TOL:

@@ -251,7 +251,8 @@ def test_bad_sequence_numbers_exit_two(workdir):
 
 def test_integers_past_the_float_range_exit_two(workdir):
     # the strict parser checks floats, not ints: an integer past the float
-    # range overflows where the loader converts it, still invalid input
+    # range overflows where the loader converts it, still invalid input.
+    # So does a value of the wrong JSON type where the loader reads it.
     big = "1" + "0" * 400
     cases = (
         ("sequence", '{"blocks": [{"len": 2, "p": [%s, 0.5, 0.5]}]}' % big,
@@ -263,9 +264,14 @@ def test_integers_past_the_float_range_exit_two(workdir):
                 '{"a": [0.3, 0.5], "t": [0.5, 0]}]}' % big, ("validate",)),
         ("periodic", '{"lambda": %s, "knots": [{"t": 1.0, '
                      '"p": [0.5, 0.25, 0.25]}]}' % big,
-         ("dim-periodic", "--ifs", "ifs.json")))
-    for flag, text, args in cases:
-        name = "big-%s.json" % flag
+         ("dim-periodic", "--ifs", "ifs.json")),
+        ("ifs", '{"dimension": 2, "maps": 5}', ("validate",)),
+        ("ifs", '{"dimension": 2, "maps": [{"a": 5, "t": [0, 0]}]}', ("validate",)),
+        ("periodic", '{"lambda": 4.0, "knots": 5}', ("dim-periodic", "--ifs", "ifs.json")),
+        ("sequence", '{"blocks": [{"len": 1, "p": {"a": 1}}]}',
+         ("dim-imm", "--ifs", "ifs.json")))
+    for j, (flag, text, args) in enumerate(cases):
+        name = "bad%d-%s.json" % (j, flag)
         (workdir / name).write_text(text)
         r = run_cli(*args, "--" + flag, name, "--out", "o", cwd=workdir)
         assert r.returncode == 2, (args, r.stderr)

@@ -135,6 +135,32 @@ def test_ifs_dict_rejects_unknown_keys():
         io.ifs_from_dict({"dimension": 2, "maps": [], "extra": 1})
 
 
+WRONG_TYPES = [
+    (io.ifs_from_dict, {"dimension": 2, "maps": 5}),
+    (io.ifs_from_dict, {"dimension": "2", "maps": [{"a": [0.5, 0.5], "t": [0, 0]},
+                                                   {"a": [0.5, 0.5], "t": [0.5, 0.5]}]}),
+    (io.ifs_from_dict, {"dimension": 2, "maps": [{"a": 5, "t": [0, 0]}]}),
+    (io.ifs_from_dict, {"dimension": 2, "maps": [{"a": [{"x": 1}, 0.5], "t": [0, 0]}]}),
+    (io.periodic_from_dict, {"lambda": 4.0, "knots": 5}),
+    (io.periodic_from_dict, {"lambda": [4.0], "knots": [{"t": 1.0, "p": [0.5, 0.5]}]}),
+    (io.periodic_from_dict, {"lambda": 4.0, "knots": [{"t": {}, "p": [0.5, 0.5]}]}),
+    (io.periodic_from_dict, {"lambda": 4.0, "knots": [{"t": 1.0, "p": [0.5, 0.5]}],
+                             "alpha": {"a": 1}}),
+    (io.sequence_from_dict, {"blocks": [{"len": 1, "p": {"a": 1}}]}),
+    (io.sequence_from_dict, {"blocks": [{"len": 1, "p": [0.5, 0.5]}], "alpha": [{}, 1]}),
+    (io.weights_from_dict, {"type": "deterministic", "p": [{"a": 1}, 0.5]}),
+    (io.weights_from_dict, {"type": "atoms", "atoms": [{"prob": {}, "c": [1], "w": [1]}]}),
+]
+
+
+@pytest.mark.parametrize("from_dict, doc", WRONG_TYPES)
+def test_model_dicts_refuse_values_of_the_wrong_type(from_dict, doc):
+    # a ValueError, which the CLI reports as bad input (exit 2), not the
+    # TypeError of a conversion
+    with pytest.raises(ValueError):
+        from_dict(doc)
+
+
 def test_weights_roundtrip_all_kinds():
     models = [
         WeightModel.deterministic([0.5, 0.3, 0.2]),

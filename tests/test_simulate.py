@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 import dense_oracle
 from spongedim import io
-from spongedim.simulate import (PercolationTree, ResourceCapError,
+from spongedim.simulate import (BLOCK_ROWS, PercolationTree, ResourceCapError,
                                 _raster_count,
                                 box_count, box_count_fit, codes_to_words,
                                 empirical_local_dimension, gw_extinction,
@@ -148,6 +148,19 @@ def test_tree_rects_gather_matches_word_oracle(name, alpha, depth, seed, data):
     want_lo, want_size = dense_oracle.tree_rects(tree, ifs, level)
     assert lo.shape == want_lo.shape == (tree.counts[level], ifs.d)
     # bitwise: the same float operations in the same order
+    assert np.array_equal(lo, want_lo) and np.array_equal(size, want_size)
+
+
+@pytest.mark.parametrize("name, alpha, depth", [("3x2", 1.0, 11),
+                                                 ("4x3x2", 0.9, 9)])
+def test_tree_rects_matches_word_oracle_past_one_block(name, alpha, depth):
+    # levels of several blocks: parents straddle block edges, and in the
+    # percolated tree some parents have no child at all
+    ifs = SYSTEMS[name]
+    tree = sample_tree(ifs, np.full(ifs.n, alpha), depth=depth, seed=5)
+    assert tree.counts[depth] > 2 * BLOCK_ROWS
+    lo, size = tree_rects(tree, ifs, depth)
+    want_lo, want_size = dense_oracle.tree_rects(tree, ifs, depth)
     assert np.array_equal(lo, want_lo) and np.array_equal(size, want_size)
 
 
@@ -330,6 +343,53 @@ def test_raster_count_on_wide_grids(d, k, seed):
     lo[10:] = lo[:10]
     size = rng.uniform(0.0, 3.0 / k, (20, d))
     assert _raster_count(lo, size, k, 10 ** 8) == len(_boxes_met(lo, size, k))
+
+
+@pytest.mark.parametrize("d, k", [(2, 23.7), (3, 2.0 ** 19.5)])
+def test_raster_count_across_blocks_matches_enumerated_boxes(d, k):
+    # more rectangles than two blocks, in either memory order, in random
+    # order and sorted so that each block spans its own ranges; at d = 3
+    # the range keys pass 2**53 and rows are kept unmerged
+    rng = np.random.default_rng(11)
+    m = 2 * BLOCK_ROWS + 17
+    lo = rng.random((m, d))
+    size = rng.uniform(0.0, 3.0 / k, (m, d))
+    want = len(_boxes_met(lo, size, k))
+    for order in (np.arange(m), np.argsort(-lo[:, -1])):
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            assert _raster_count(layout(lo[order]), layout(size[order]),
+                                 k, 10 ** 8) == want
+
+
+def test_raster_count_refusals_from_the_last_block():
+    m = 2 * BLOCK_ROWS + 17
+    lo, size = np.zeros((m, 2)), np.zeros((m, 2))
+    # one box per rectangle but the last, which meets 4 x 4
+    size[-1] = 0.5
+    assert _raster_count(lo, size, 8.0, m + 15) == 16
+    with pytest.raises(ResourceCapError, match="exceeds guard"):
+        _raster_count(lo, size, 8.0, m + 14)
+    # indices past 2**62 in the last rectangle only, refused before the
+    # guard is compared
+    lo[-1], size[-1] = 0.5, 0.0
+    with pytest.raises(ResourceCapError, match="int64"):
+        _raster_count(lo, size, math.exp(50.0), 0)
+
+
+def test_raster_count_combines_index_and_span_across_blocks():
+    # at k = 2**62 a first index of 3 * 2**60 (first block) and a span of
+    # 2**61 (last block) each fit in int64, but not their sum
+    k = 2.0 ** 62
+    m = 2 * BLOCK_ROWS + 17
+    lo, size = np.zeros((m, 2)), np.zeros((m, 2))
+    lo[0, 0] = 0.75
+    assert _raster_count(lo, size, k, 10 ** 8) == 2
+    size[-1, 0] = 0.5
+    with pytest.raises(ResourceCapError, match="int64"):
+        _raster_count(lo, size, k, 10 ** 8)
+    lo[0, 0] = 0.0
+    with pytest.raises(ResourceCapError, match="exceeds guard"):
+        _raster_count(lo, size, k, 10 ** 8)
 
 
 def test_raster_count_box_keys_do_not_collide():
