@@ -9,11 +9,11 @@ local-dimension sampling for validation.
 from .ifs import (DiagonalIFS, DiagonalMap, ProjectionCoding,
                   ProjectionOverlapError, build_projection_coding, classify,
                   compare_projections, feasible_direction_sets, validate_ifs)
-from .weights import (DegenerateError, WeightModel,
+from .weights import (DegenerateError, InputError, WeightModel,
                       WeightSequence, as_prob_vector, as_survival_vector,
                       entropy, nondegeneracy_report, validate_type_ell)
-from .scales import (PrefixTable, ScaleDecomposition, clock_chain, decompose,
-                     kahan_cumsum, tail_min)
+from .scales import (PrefixTable, ScaleDecomposition, TailHorizonError,
+                     clock_chain, decompose, kahan_cumsum, tail_min)
 from .engine import (PeriodicSpec, d_sequences, dim_exp_periodic,
                      dim_imm_bounds, dim_mandelbrot, entropy_profile,
                      partition_function, stable_chain,
@@ -24,7 +24,7 @@ from .variational import (dim_attractor_equal_linear, maximize_on_simplex,
                           weighted_pressure)
 from .simulate import (BoxCountReport, CascadeSample, PercolationTree,
                        ResourceCapError, box_count, box_count_fit,
-                       empirical_local_dimension, gw_extinction,
+                       empirical_local_dimension, fit_range, gw_extinction,
                        gw_survival_frequency, localized_frequencies,
                        sample_cascade, sample_tree, sample_tree_conditioned,
                        simulate_level_counts)

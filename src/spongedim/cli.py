@@ -6,8 +6,11 @@ One driver, `_command`, writes them once the command's body has returned:
 the manifest records every given option under its flag name (values None or
 False left out) plus the effective seed of commands with --seed, and every
 given input file.  A body that fails leaves nothing written.
-Exit codes: 2 for parse/validation failures, 3 for numeric infeasibility,
-4 for resource caps.  Logs go to stderr, results to files and stdout.
+Exit codes: 2 for a failed parse and for InputError, raised by the library
+function that owns the broken rule; 3 for DegenerateError and other numeric
+failures; 4 for resource caps.  This module parses strings and files; the
+rules of the parsed arguments are the library's.  Logs go to stderr,
+results to files and stdout.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from .engine import (PeriodicSpec, dim_exp_periodic, dim_imm_bounds,
                      dim_mandelbrot, stable_chain)
 from .ifs import classify, validate_ifs
 from .scales import TailHorizonError, decompose
-from .simulate import (ResourceCapError, box_count_fit, codes_to_words,
-                       empirical_local_dimension, sample_cascade, sample_tree,
-                       sample_tree_conditioned)
+from .simulate import (MEMORY_GUARD, ResourceCapError, box_count_fit,
+                       codes_to_words, empirical_local_dimension, fit_range,
+                       sample_cascade, sample_tree, sample_tree_conditioned)
 from .variational import (dim_attractor_equal_linear, optimize_mandelbrot,
-                          optimize_packing, optimize_type_ell_hausdorff,
-                          packing_budget, top_entropy)
-from .weights import (DegenerateError, WeightModel, as_prob_vector,
-                      as_survival_vector, validate_type_ell)
+                          optimize_packing, optimize_type_ell_hausdorff)
+from .weights import (DegenerateError, InputError, WeightModel, as_prob_vector,
+                      as_survival_vector)
 
 
 # sizes fail while parsing, with exit 2 before any output: depths (0 is
@@ -66,6 +68,8 @@ def _compute(thunk):
         # only dim-imm passes a tail horizon, its --horizon
         _fail(2, "--horizon must be at least %d, the last clock of the "
               "scale grid" % exc.least)
+    except InputError as exc:
+        _fail(2, "invalid input: %s" % exc)
     except ResourceCapError as exc:
         _fail(4, "resource cap: %s" % exc)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
@@ -104,15 +108,6 @@ def _ints(text):
     if np.any(vals != np.round(vals)):
         _fail(2, "expected integers, got %r" % text)
     return [int(v) for v in vals]
-
-
-def _lengths_arg(text):
-    """--lengths of a schedule search: a type-ell schedule."""
-    blocks = _ints(text)
-    bad = validate_type_ell(blocks)
-    if bad:
-        _fail(2, "--lengths: %s" % "; ".join(bad))
-    return blocks
 
 
 def _alpha_arg(text, n):
@@ -308,8 +303,6 @@ def cmd_dim_mm(ifs_path, weights_path, out):
     """Dimension of the limit measure of a constant weight law."""
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     model = _load(io.load_weights, weights_path, "weights")
-    if model.n_letters != ifs.n:
-        _fail(2, "weights have %d letters, system has %d" % (model.n_letters, ifs.n))
     res = _compute(lambda: dim_mandelbrot(ifs, model))
     result = {"value": res.value, "entropy": res.H,
               "chi": [float(c) for c in res.chi_tilde],
@@ -378,8 +371,6 @@ def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, out):
     """Largest Hausdorff dimension over weight laws (constant or scheduled)."""
     if (lengths is None) != (eps is None):
         _fail(2, "--eps and --lengths go together: give both or neither")
-    if eps is not None:
-        _positive(eps, "--eps")
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = None if alpha_text is None else _alpha_arg(alpha_text, ifs.n)
     if lengths is None:
@@ -388,11 +379,7 @@ def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, out):
         certificate = {"closed_form_value": res.extras["closed_form_value"],
                        "entropy": res.extras["H"]}
     else:
-        blocks = _lengths_arg(lengths)
-        # a subcritical alpha (top entropy <= 0) is degenerate: exit 3 below
-        top = top_entropy(ifs.n, alpha)
-        if 0 < top <= eps:
-            _fail(2, "--eps %g must lie below the top entropy %g" % (eps, top))
+        blocks = _ints(lengths)
         res = _compute(lambda: optimize_type_ell_hausdorff(
             ifs, alpha, blocks, eps))
         argument = io.sequence_to_dict(res.argument)
@@ -411,15 +398,10 @@ def cmd_optimize_hausdorff(ifs_path, alpha_text, lengths, eps, out):
 @click.option("--scales", required=True, help="Comma-separated N grid.")
 def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, out):
     """Largest at-horizon packing dimension over admissible schedules."""
-    _positive(eps, "--eps")
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = _alpha_arg(alpha_text, ifs.n)
-    blocks = _lengths_arg(lengths)
+    blocks = _ints(lengths)
     N_grid = _scales(scales)
-    rows = packing_budget(ifs, N_grid.max())
-    if sum(blocks) < rows:
-        _fail(2, "--lengths cover %d rows; the scale N = %g reads %d"
-              % (sum(blocks), N_grid.max(), rows))
     res = _compute(lambda: optimize_packing(ifs, alpha, blocks, eps, N_grid))
     result = {"value": res.value, "argument": io.sequence_to_dict(res.argument),
               "certificate": {k: res.extras.get(k)
@@ -450,7 +432,7 @@ def cmd_dim_attractor(ifs_path, alpha_text, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--conditioned", is_flag=True,
               help="Resample until the tree survives to the full depth.")
-@click.option("--guard", type=int, default=10 ** 8, show_default=True)
+@click.option("--guard", type=int, default=MEMORY_GUARD, show_default=True)
 def cmd_simulate(ifs_path, alpha_text, depth, seed, conditioned, guard, out):
     """Sample a fractal percolation tree and dump it."""
     ifs = _load(io.load_ifs, ifs_path, "ifs")
@@ -490,12 +472,8 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
     N_list = _floats(scales)
     fit_window = None
     if window is not None:
-        fit_window = _ints(window)
-        if not (len(fit_window) == 2 and 0 <= fit_window[0]
-                and fit_window[0] + 2 <= fit_window[1] <= len(N_list)):
-            _fail(2, "window must be two integers i, j with 0 <= i and "
-                  "i + 2 <= j <= %d (the number of scales), got %r"
-                  % (len(N_list), window))
+        # checked before sampling, which may hit a resource cap
+        fit_window = _compute(lambda: fit_range(_ints(window), len(N_list)))
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     if tree_path is not None:
         tree = _load(io.load_tree, tree_path, "tree")
@@ -530,9 +508,6 @@ def cmd_cascade(weights_path, seq_path, depth, seed, out):
         descriptor = io.weights_to_dict(source)
     else:
         source = _load(io.load_sequence, seq_path, "sequence")
-        if depth > source.horizon:
-            _fail(2, "depth %d exceeds the schedule horizon %d"
-                  % (depth, source.horizon))
         descriptor = io.sequence_to_dict(source)
     cas = _compute(lambda: sample_cascade(source, depth, seed=seed))
     arity = source.n_letters

@@ -19,8 +19,9 @@ from .ifs import DiagonalIFS, build_projection_coding
 from .scales import (PrefixTable, ScaleDecomposition, TailMin, _chain_groups,
                      _const_gamma, _decomposition, _profile_min, _range_min,
                      _RunEvaluator, certified_tail_horizon, clock_chain)
-from .weights import (DegenerateError, WeightModel, WeightSequence, as_prob_vector,
-                      as_survival_vector, entropy, nondegeneracy_report)
+from .weights import (DegenerateError, InputError, WeightModel, WeightSequence,
+                      as_prob_vector, as_survival_vector, entropy,
+                      nondegeneracy_report)
 
 DEGENERATE_TOL = 1e-12
 
@@ -118,7 +119,11 @@ def dim_mandelbrot(ifs: DiagonalIFS, W: WeightModel) -> MandelbrotDimension:
     """Dimension of the limit measure of a fixed weight law: the closed
     form of ``mandelbrot_value`` at p = E(W), H = H(W), with its terms.
 
-    Requires H(W) >= 0; H(W) < 0 gives an a.s. vanishing measure and raises."""
+    Requires one letter per map, and H(W) >= 0; H(W) < 0 gives an a.s.
+    vanishing measure and raises."""
+    if W.n_letters != ifs.n:
+        raise InputError("weights have %d letters, system has %d"
+                         % (W.n_letters, ifs.n))
     H = W.entropy_H()
     if H < -DEGENERATE_TOL:
         raise DegenerateError("H(W) = %g < 0: the measure is degenerate" % H)

@@ -253,46 +253,30 @@ def _block_kinds(blocks) -> set:
     return set(map(frozenset, blocks))
 
 
-def _name_bad_length(lengths) -> None:
-    """Raise for the first block whose len is not an integer >= 1, if any."""
-    for j, L in enumerate(lengths):
-        # bool is an int subclass; a JSON true is not a length
-        if not isinstance(L, int) or isinstance(L, bool):
-            raise ValueError("sequence.blocks[%d]: len must be an integer, got %r"
-                             % (j, L))
-        if L < 1:
-            raise ValueError("sequence.blocks[%d]: len must be >= 1" % j)
-
-
 def sequence_from_dict(obj) -> WeightSequence:
     """Block schedule.  {"len", "p"} blocks hold mean vectors under an
     optional shared survival vector alpha; a schedule with {"len", "atoms"}
     blocks has one law per block (a mean vector block is then
     deterministic) and no shared alpha.
 
-    Keys and lengths are checked in bulk; a bad length is looked for block
-    by block only once the schedule has failed, so that it can be named
-    before any other fault."""
+    Keys are checked in bulk here, lengths by the WeightSequence
+    constructors, which name the first bad one."""
     _require_keys(obj, {"blocks"}, optional={"alpha"}, ctx="sequence")
     blocks = obj["blocks"]
     if not isinstance(blocks, list):
         raise ValueError("sequence: blocks must be a list")
     kinds = _block_kinds(blocks)
     lengths = list(map(itemgetter("len"), blocks))
-    try:
-        if _ATOM_BLOCK not in kinds:
-            return WeightSequence.from_blocks(lengths, list(map(itemgetter("p"), blocks)),
-                                              alpha=obj.get("alpha"))
-        if "alpha" in obj:
-            raise ValueError("sequence: atom blocks carry their own survival; "
-                             "a shared alpha is not allowed with them")
-        models = [weights_from_dict({"type": "atoms", "atoms": b["atoms"]})
-                  if "atoms" in b else WeightModel.deterministic(b["p"])
-                  for b in blocks]
-        return WeightSequence.from_models(models, lengths)
-    except ValueError:
-        _name_bad_length(lengths)
-        raise
+    if _ATOM_BLOCK not in kinds:
+        return WeightSequence.from_blocks(lengths, list(map(itemgetter("p"), blocks)),
+                                          alpha=obj.get("alpha"))
+    if "alpha" in obj:
+        raise ValueError("sequence: atom blocks carry their own survival; "
+                         "a shared alpha is not allowed with them")
+    models = [weights_from_dict({"type": "atoms", "atoms": b["atoms"]})
+              if "atoms" in b else WeightModel.deterministic(b["p"])
+              for b in blocks]
+    return WeightSequence.from_models(models, lengths)
 
 
 def _block_dict(L: int, model: WeightModel) -> dict:

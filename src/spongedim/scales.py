@@ -23,10 +23,10 @@ import numpy as np
 
 from ._scipy import entr
 from .ifs import DiagonalIFS, build_projection_coding, ProjectionCoding
-from .weights import as_survival_vector, drift_scan
+from .weights import InputError, as_survival_vector, drift_scan
 
 
-class TailHorizonError(ValueError):
+class TailHorizonError(InputError):
     """A tail horizon below the last clock of some scale of a grid;
     ``least`` is the smallest horizon that covers every scale."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ifs import DiagonalIFS
 from .rng import ROOT_CODE, child_codes, max_code_depth, uniform
-from .weights import WeightModel, WeightSequence, as_survival_vector
+from .weights import InputError, WeightModel, WeightSequence, as_survival_vector
 from .engine import stable_chain
 from .scales import _const_gamma
 
@@ -238,7 +238,11 @@ def sample_cascade(model_or_seq, depth: int, seed: int = 0) -> CascadeSample:
     """Multiplicative cascade of the weight law(s) down to ``depth``.
 
     Nodes with zero mass are dropped (the support condition keeps them
-    irrelevant for every moment).  Y_k is exact for the sampled tree."""
+    irrelevant for every moment).  Y_k is exact for the sampled tree.  A
+    schedule must cover the depth."""
+    if isinstance(model_or_seq, WeightSequence) and depth > model_or_seq.horizon:
+        raise InputError("depth %d exceeds the schedule horizon %d"
+                         % (depth, model_or_seq.horizon))
     masses = [np.ones(1)]
 
     def keep(n, codes, kids):
@@ -440,25 +444,31 @@ def _raster_count(lo: np.ndarray, size: np.ndarray, k: float, guard: int) -> int
     return int(_sorted_distinct(np.concatenate(chunks)).size)
 
 
+def fit_range(window, n_scales: int) -> tuple:
+    """The half-open range (i, j) of the scales a box-count fit uses: the
+    given window, or by default the middle two quartiles, where neither the
+    root nor the sampling horizon distorts the count.  It must be two
+    integers holding at least two of the n_scales scales."""
+    if window is None:
+        window = n_scales // 4, max(n_scales // 4 + 2, (3 * n_scales) // 4)
+    if not (len(window) == 2 and all(isinstance(x, (int, np.integer)) for x in window)
+            and 0 <= window[0] and window[0] + 2 <= window[1] <= n_scales):
+        raise InputError("fit window %r must be two integers i, j with "
+                         "0 <= i and i + 2 <= j <= %d, the number of scales"
+                         % (tuple(window), n_scales))
+    return int(window[0]), int(window[1])
+
+
 def box_count_fit(tree: PercolationTree, ifs: DiagonalIFS, N_list,
                   fit_window=None) -> BoxCountReport:
-    """Least-squares slope of log counts against N.
-
-    The default window keeps the middle two quartiles of the scales, where
-    neither the root nor the sampling horizon distorts the count.  A given
-    window (i, j) is half-open and must hold at least two scales."""
+    """Least-squares slope of log counts against N over the scales of
+    ``fit_range(fit_window, len(N_list))``."""
     N = np.asarray(N_list, dtype=np.float64)
     counts = box_count(tree, ifs, N)
     flags = []
     if np.any(np.diff(counts) < 0):
         flags.append("nonmonotone-counts")
-    if fit_window is None:
-        a, b = len(N) // 4, max(len(N) // 4 + 2, (3 * len(N)) // 4)
-    else:
-        a, b = fit_window
-    if not (0 <= a and a + 2 <= b <= len(N)):
-        raise ValueError("fit window [%d, %d) of %d scales holds fewer than "
-                         "two or runs past them" % (a, b, len(N)))
+    a, b = fit_range(fit_window, len(N))
     x = N[a:b]
     y = np.log(np.maximum(counts[a:b], 1))
     slope, intercept = np.polyfit(x, y, 1)

@@ -23,7 +23,7 @@ from ._scipy import entr, minimize
 from .engine import DEGENERATE_TOL, dim_mandelbrot, mandelbrot_value, stable_chain
 from .ifs import DiagonalIFS
 from .scales import _RunEvaluator, _RunTable, _chain_groups
-from .weights import (DegenerateError, WeightModel, WeightSequence,
+from .weights import (DegenerateError, InputError, WeightModel, WeightSequence,
                       as_survival_vector, drift_scan, entropy, p_max_vector,
                       validate_type_ell)
 
@@ -418,14 +418,16 @@ def packing_budget(ifs: DiagonalIFS, N: float) -> int:
     return int(math.floor(lam_hi * N)) + 2
 
 
-def _block_ends(lengths, budget: int) -> np.ndarray:
-    """Ends of the blocks that cover the first ``budget`` rows, the last
-    one cut at the budget."""
-    ends = np.cumsum(lengths)
-    if ends[-1] < budget:
-        raise ValueError("schedule covers %d rows, budget needs %d"
-                         % (ends[-1], budget))
-    return np.minimum(ends[:int(ends.searchsorted(budget)) + 1], budget)
+def _schedule_lengths(lengths, eps: float) -> list:
+    """The block lengths of a schedule search, as Python ints, once its
+    drift eps is found finite and positive and the lengths a type-ell
+    schedule."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError("eps must be finite and positive, got %r" % eps)
+    bad = validate_type_ell(lengths)
+    if bad:
+        raise InputError("lengths: " + "; ".join(bad))
+    return list(map(int, lengths))
 
 
 def _cut_runs(L, cuts):
@@ -648,17 +650,18 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     is deterministic; ``seed`` is ignored (``bench/reference.py`` still
     passes it).  The witness concatenates entropy-lifted
     maximizers on exponentially separated windows; it is reported, with its
-    admissibility scan, rather than certified optimal."""
+    admissibility scan, rather than certified optimal.  Bad eps or lengths,
+    and lengths short of the largest scale's budget, raise InputError
+    before a subcritical alpha raises DegenerateError."""
     alpha = as_survival_vector(alpha, ifs.n)
-    bad = validate_type_ell(lengths)
-    if bad:
-        raise ValueError("; ".join(bad))
-    H_max = top_entropy(ifs.n, alpha)
-    if H_max <= 0:
-        raise DegenerateError("subcritical survival vector")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    lengths = _schedule_lengths(lengths, eps)
     N_grid = np.sort(np.asarray(N_grid, dtype=np.float64))
+    rows = packing_budget(ifs, N_grid.max())
+    if sum(lengths) < rows:
+        raise InputError("lengths cover %d rows; the scale N = %g reads %d"
+                         % (sum(lengths), N_grid.max(), rows))
+    if top_entropy(ifs.n, alpha) <= 0:
+        raise DegenerateError("subcritical survival vector")
     _, lam_hi = ifs.contraction_span()
     pm = p_max_vector(alpha)
     ev = _RunEvaluator(ifs, alpha)
@@ -666,7 +669,8 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     for N in N_grid:
         budget = packing_budget(ifs, N)
         M_lo = max(1, int(math.floor(N * eps)))
-        L, _ = _cut_runs([budget], np.append(_block_ends(lengths, budget), M_lo))
+        L, _ = _cut_runs(lengths, [M_lo, budget])
+        L = L[np.cumsum(L) <= budget]
         table, value, solved, done = _solve_schedule(ev, L, np.tile(pm, (L.size, 1)),
                                                      [N], M_lo, -eps, cut=True)
         solves += solved
@@ -750,26 +754,24 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
     One vector per block, one concave solve (``_solve_schedule``) from the
     entropy maximizer.  The certificate re-scans the returned schedule
     after projecting each block vector to the eps^2 grid; both the
-    continuous and the projected values are reported."""
+    continuous and the projected values are reported.  Bad eps or lengths
+    raise InputError before a subcritical alpha raises DegenerateError, an
+    eps at or past the top entropy after it."""
     alpha = None if alpha is None else as_survival_vector(alpha, ifs.n)
-    bad = validate_type_ell(lengths)
-    if bad:
-        raise ValueError("; ".join(bad))
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    horizon = int(np.sum(lengths))
+    block_lengths = _schedule_lengths(lengths, eps)
+    horizon = sum(block_lengths)
     H_max = top_entropy(ifs.n, alpha)
     if H_max <= 0:
         raise DegenerateError("subcritical survival vector")
     if eps >= H_max:
-        raise ValueError("eps = %g not below the top entropy %g" % (eps, H_max))
+        raise InputError("eps = %g must lie below the top entropy %g"
+                         % (eps, H_max))
     pm = np.full(ifs.n, 1.0 / ifs.n) if alpha is None else p_max_vector(alpha)
     ev = _RunEvaluator(ifs, alpha)
     _, lam_hi = ifs.contraction_span()
     maxN = horizon / lam_hi * 0.98
     N_grid = np.geomspace(max(4.0, maxN / 16.0), maxN, N_points)
     burn = int(math.ceil(1.0 / eps))
-    block_lengths = np.diff(_block_ends(lengths, horizon), prepend=0).tolist()
     # the entropy maximizer has the largest sums, so it lies in the class
     start = np.repeat(pm[None, :], len(block_lengths), axis=0)
     table, value, solves, settled = _solve_schedule(ev, block_lengths, start,

@@ -12,6 +12,7 @@ outside of tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +28,22 @@ class DegenerateError(ValueError):
     and the input fails it."""
 
 
+class InputError(ValueError):
+    """An argument breaks a rule of the function it was passed to.  The
+    function that owns the rule raises it; the CLI exits 2 on it."""
+
+
 def _float_array(x) -> np.ndarray:
-    """x as a float64 array.  An entry that is no number (a JSON object,
-    say) is a ValueError, as a string that is no number already is."""
-    try:
-        return np.asarray(x, dtype=np.float64)
-    except TypeError:
-        raise ValueError("expected numbers or lists of numbers") from None
+    """x as a float64 array.  Only numbers (bools included) convert: a
+    string, even one that spells a number, or a JSON object is a
+    ValueError.  An integer past int64 leaves the inferred dtype object;
+    such entries are checked one by one and convert as float() does."""
+    a = np.asarray(x)
+    if a.dtype.kind in "biuf":
+        return a.astype(np.float64, copy=False)
+    if a.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in a.flat):
+        return a.astype(np.float64)
+    raise ValueError("expected numbers or lists of numbers")
 
 
 def as_prob_vector(p) -> np.ndarray:
@@ -206,11 +216,15 @@ class WeightSequence:
         self._hold(np.ones(V.shape[0], dtype=np.int64), V, alpha=alpha)
 
     def _hold(self, lengths, V, alpha=None, models=None) -> "WeightSequence":
-        """Keep validated blocks: at least one positive length, mean vectors
-        V (blocks x letters), and either alpha or one model per block."""
+        """Keep validated blocks: positive lengths, one per row of the mean
+        vectors V (blocks x letters), at least one, and either alpha or one
+        model per block."""
         self.L = np.asarray(lengths, dtype=np.int64)
         if self.L.size == 0:
-            raise ValueError("a schedule needs at least one block")
+            raise InputError("a schedule needs at least one block")
+        if self.L.size != V.shape[0]:
+            raise InputError("%d block lengths for %d blocks"
+                             % (self.L.size, V.shape[0]))
         self.ends = np.cumsum(self.L)
         self.V = V
         self.models = models
@@ -234,9 +248,8 @@ class WeightSequence:
 
     @classmethod
     def from_blocks(cls, lengths, vectors, alpha=None) -> "WeightSequence":
-        V = as_prob_rows(vectors)
-        return cls.__new__(cls)._hold(_positive_lengths(lengths, V.shape[0]), V,
-                                      alpha=alpha)
+        L = _positive_lengths(lengths)
+        return cls.__new__(cls)._hold(L, as_prob_rows(vectors), alpha=alpha)
 
     @classmethod
     def from_models(cls, models, lengths) -> "WeightSequence":
@@ -244,7 +257,7 @@ class WeightSequence:
         models = list(models)
         if len({m.n_letters for m in models}) > 1:
             raise ValueError("block laws differ in their number of letters")
-        return cls.__new__(cls)._hold(_positive_lengths(lengths, len(models)),
+        return cls.__new__(cls)._hold(_positive_lengths(lengths),
                                       np.array([m.mean() for m in models]),
                                       models=models)
 
@@ -311,20 +324,22 @@ def _is_integer_type(t) -> bool:
     return issubclass(t, (int, np.integer)) and t is not bool
 
 
-def _positive_lengths(lengths, count: int) -> np.ndarray:
-    """One positive length per block, as int64.  Python and numpy integers
-    are lengths; a bool, a float (int() would read 2.7 as 2) or any other
-    value is not."""
+def _positive_lengths(lengths) -> np.ndarray:
+    """Block lengths, each an integer >= 1, as int64; the first that is
+    not is named by its block.  Python and numpy integers are lengths; a
+    bool, a float (int() would read 2.7 as 2) or any other value is not."""
     lengths = list(lengths)
-    if not all(map(_is_integer_type, set(map(type, lengths)))):
-        bad = next(x for x in lengths if not _is_integer_type(type(x)))
-        raise ValueError("block lengths must be integers, got %r" % (bad,))
-    try:
-        L = np.fromiter(lengths, dtype=np.int64, count=len(lengths))
-    except OverflowError:
-        raise ValueError("block lengths must be below 2**63") from None
-    if L.size != count or np.any(L <= 0):
-        raise ValueError("need one positive length per block")
+    L = None
+    if all(map(_is_integer_type, set(map(type, lengths)))):
+        try:
+            L = np.fromiter(lengths, dtype=np.int64, count=len(lengths))
+        except OverflowError:
+            raise InputError("block lengths must be below 2**63") from None
+    if L is None or np.any(L < 1):
+        j = next(j for j, x in enumerate(lengths)
+                 if not (_is_integer_type(type(x)) and x >= 1))
+        raise InputError("block length %r of blocks[%d] is not a positive "
+                         "integer" % (lengths[j], j))
     return L
 
 
@@ -341,10 +356,9 @@ def validate_type_ell(lengths) -> list[str]:
     The asymptotic condition says nothing about small m, and binding it on
     block 3 would contradict strict increase for every integer schedule, so
     the warm-up blocks are exempt."""
-    lengths = list(lengths)
     try:
-        lengths = _positive_lengths(lengths, len(lengths)).tolist()
-    except ValueError as exc:
+        lengths = _positive_lengths(lengths).tolist()
+    except InputError as exc:
         return [str(exc)]
     out = []
     for m in range(1, len(lengths)):

@@ -269,7 +269,9 @@ def test_integers_past_the_float_range_exit_two(workdir):
         ("ifs", '{"dimension": 2, "maps": [{"a": 5, "t": [0, 0]}]}', ("validate",)),
         ("periodic", '{"lambda": 4.0, "knots": 5}', ("dim-periodic", "--ifs", "ifs.json")),
         ("sequence", '{"blocks": [{"len": 1, "p": {"a": 1}}]}',
-         ("dim-imm", "--ifs", "ifs.json")))
+         ("dim-imm", "--ifs", "ifs.json")),
+        ("weights", '{"type": "deterministic", "p": ["0.5", "0.25", "0.25"]}',
+         ("dim-mm", "--ifs", "ifs.json")))
     for j, (flag, text, args) in enumerate(cases):
         name = "bad%d-%s.json" % (j, flag)
         (workdir / name).write_text(text)
@@ -329,6 +331,54 @@ def test_schedule_searches_check_their_bounds_before_computing(workdir, monkeypa
     assert invoke([*hausdorff, "--alpha", "0.3", "--lengths", "4,5,6,7",
                    "--eps", "0.1", "--out", "o"]) == 3
     assert "degenerate" in capsys.readouterr().err
+
+
+HAUSDORFF = ("optimize-hausdorff", "--ifs", "ifs.json")
+PACKING = ("optimize-packing", "--ifs", "ifs.json", "--scales", "20")
+DEEP_BOXCOUNT = ("boxcount", "--ifs", "ifs.json", "--alpha", "0.8", "--depth", "39")
+SEQ_FILE = ("dim-imm", "--ifs", "ifs.json", "--sequence")
+
+
+# each input rule has one owner, a library function that raises InputError
+# (exit 2) before a subcritical alpha raises DegenerateError (exit 3); the
+# boxcount cases would exit 4 in sampling, after their window check
+@pytest.mark.parametrize("args, code", [
+    ((*HAUSDORFF, "--lengths", "0,5,6", "--eps", "0.1"), 2),
+    ((*HAUSDORFF, "--lengths", "6,5,4", "--eps", "0.1"), 2),
+    *[((*HAUSDORFF, "--lengths", "4,5,6,7", "--eps", eps), 2)
+      for eps in ("5", "inf", "nan", "-1")],
+    ((*HAUSDORFF, "--alpha", "0.3", "--lengths", "6,5", "--eps", "0.1"), 2),
+    ((*HAUSDORFF, "--lengths", "4.5,5,6", "--eps", "0.1"), 2),
+    ((*HAUSDORFF, "--alpha", "0.3", "--lengths", "4,5,6,7", "--eps", "0.1"), 3),
+    ((*PACKING, "--alpha", "0.9", "--lengths", "4,5,6,7", "--eps", "5"), 2),
+    ((*PACKING, "--alpha", "0.9", "--lengths", "4,5,6,7,12", "--eps", "0.1"), 2),
+    *[((*PACKING, "--alpha", "0.9", "--lengths", "20,40,80", "--eps", eps), 2)
+      for eps in ("inf", "0")],
+    ((*PACKING, "--alpha", "0.3", "--lengths", "4,5,6,7", "--eps", "0.1"), 2),
+    ((*PACKING, "--alpha", "0.3", "--lengths", "20,40,80", "--eps", "0.1"), 3),
+    *[((*DEEP_BOXCOUNT, "--scales", "1,2,3,4", "--window", w), 2)
+      for w in ("3,1", "0,1,2", "0.5,3")],
+    # the default window of one scale holds fewer than two
+    (("boxcount", "--ifs", "ifs.json", "--alpha", "0.8", "--depth", "3",
+      "--scales", "2"), 2),
+    (("cascade", "--sequence", "sequence.json", "--depth", "500"), 2),
+    (("dim-mm", "--ifs", "ifs.json", "--weights", "two-letters.json"), 2),
+    ((*SEQ_FILE, "fraction.json"), 2),
+    ((*SEQ_FILE, "zero.json"), 2),
+    ((*SEQ_FILE, "sequence.json", "--horizon", "5"), 2),
+], ids=lambda x: str(x) if isinstance(x, int)
+   else " ".join(a for a in x if a not in ("--ifs", "ifs.json")))
+def test_exit_code_matrix(workdir, monkeypatch, capsys, args, code):
+    monkeypatch.chdir(workdir)
+    p = [0.5, 0.25, 0.25]
+    for name, doc in (("two-letters.json", {"type": "deterministic", "p": [0.5, 0.5]}),
+                      ("fraction.json", {"blocks": [{"len": 2.7, "p": p}]}),
+                      ("zero.json", {"blocks": [{"len": 0, "p": p}]})):
+        with open(name, "w") as fh:
+            json.dump(doc, fh)
+    assert invoke([*args, "--out", "o"]) == code
+    assert ("degenerate" if code == 3 else "spongedim:") in capsys.readouterr().err
+    assert not (workdir / "o").exists()
 
 
 def test_json_flag_prints_versioned_document(workdir):

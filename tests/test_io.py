@@ -150,6 +150,16 @@ WRONG_TYPES = [
     (io.sequence_from_dict, {"blocks": [{"len": 1, "p": [0.5, 0.5]}], "alpha": [{}, 1]}),
     (io.weights_from_dict, {"type": "deterministic", "p": [{"a": 1}, 0.5]}),
     (io.weights_from_dict, {"type": "atoms", "atoms": [{"prob": {}, "c": [1], "w": [1]}]}),
+    # strings that spell numbers are no numbers either
+    (io.sequence_from_dict, {"blocks": [{"len": 2, "p": ["0.5", "0.25", "0.25"]}]}),
+    (io.sequence_from_dict, {"blocks": [{"len": 1, "p": [0.5, 0.5]}], "alpha": ["0.9", 1]}),
+    (io.weights_from_dict, {"type": "deterministic", "p": ["0.5", "0.25", "0.25"]}),
+    (io.weights_from_dict, {"type": "deterministic", "p": [10 ** 20, "0.5"]}),
+    (io.weights_from_dict, {"type": "percolation", "p": [0.4, 0.35, 0.25],
+                            "alpha": ["0.9", 0.8, 0.85]}),
+    (io.periodic_from_dict, {"lambda": 4.0, "knots": [{"t": 1.0, "p": ["0.5", "0.5"]}]}),
+    (io.periodic_from_dict, {"lambda": 4.0, "knots": [{"t": 1.0, "p": [0.5, 0.5]}],
+                             "alpha": [0.9, "0.9"]}),
 ]
 
 

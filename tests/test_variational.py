@@ -18,15 +18,17 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from spongedim import DiagonalIFS, DiagonalMap, io, variational
-from spongedim.engine import mandelbrot_value
-from spongedim.scales import _RunEvaluator, _RunTable
+from spongedim.engine import dim_imm_bounds, dim_mandelbrot, mandelbrot_value
+from spongedim.scales import TailHorizonError, _RunEvaluator, _RunTable
+from spongedim.simulate import box_count_fit, fit_range, sample_cascade, sample_tree
 from spongedim.variational import (admissible_eps_bound,
                                    dim_attractor_equal_linear,
                                    maximize_on_simplex, optimize_mandelbrot,
                                    optimize_packing,
                                    optimize_type_ell_hausdorff,
                                    perturb_sequence, weighted_pressure)
-from spongedim.weights import WeightSequence, entropy, validate_type_ell
+from spongedim.weights import (DegenerateError, InputError, WeightModel,
+                               WeightSequence, entropy, validate_type_ell)
 
 from conftest import carpet, type_ell_lengths
 from dense_oracle import DensePrefixTable, d_sequences
@@ -223,6 +225,52 @@ def test_packing_rejects_bad_schedule(mcmullen):
     assert validate_type_ell(bad)
     with pytest.raises(ValueError):
         optimize_packing(mcmullen, np.ones(3), bad, 0.1, [64.0])
+
+
+P3 = [0.5, 0.25, 0.25]
+SCHEDULE = WeightSequence.from_blocks([40, 60, 80], [P3, [0.2, 0.5, 0.3], P3],
+                                      alpha=[0.9, 0.8, 0.85])
+# each input rule at the library function that owns it, with the argument
+# that breaks it; alpha 0.3 is subcritical, so the packing case also shows
+# that the input rules come before the degeneracy check
+INPUT_RULES = {
+    "packing-lengths": lambda ifs: optimize_packing(ifs, 0.9, [6, 5, 4], 0.1, [20.0]),
+    "packing-eps-inf": lambda ifs: optimize_packing(ifs, 0.9, [20, 40, 80], math.inf,
+                                                    [20.0]),
+    "packing-budget": lambda ifs: optimize_packing(ifs, 0.3, [4, 5, 6, 7], 0.1, [20.0]),
+    "hausdorff-lengths": lambda ifs: optimize_type_ell_hausdorff(ifs, None, [0, 5, 6],
+                                                                 0.1),
+    "hausdorff-eps-nan": lambda ifs: optimize_type_ell_hausdorff(ifs, None, [4, 5, 6, 7],
+                                                                 math.nan),
+    "hausdorff-eps-top": lambda ifs: optimize_type_ell_hausdorff(ifs, 0.9, [4, 5, 6, 7],
+                                                                 0.994),
+    "fit-window": lambda ifs: box_count_fit(sample_tree(ifs, [0.8] * 3, depth=3), ifs,
+                                            [1.0, 2.0, 3.0, 4.0], fit_window=(3, 1)),
+    "fit-range": lambda ifs: fit_range((0.5, 3), 4),
+    "cascade-depth": lambda ifs: sample_cascade(SCHEDULE, 500),
+    "dim-mm-letters": lambda ifs: dim_mandelbrot(ifs, WeightModel.deterministic([0.5, 0.5])),
+    "block-length": lambda ifs: WeightSequence.from_blocks([2.7], [P3]),
+    # lengths are checked before the vectors
+    "length-before-vector": lambda ifs: WeightSequence.from_blocks([0], [["x"]]),
+    "model-length": lambda ifs: WeightSequence.from_models(
+        [WeightModel.deterministic(P3)], [True]),
+    "tail-horizon": lambda ifs: dim_imm_bounds(SCHEDULE, ifs, tail_horizon=5),
+}
+
+
+@pytest.mark.parametrize("rule", list(INPUT_RULES))
+def test_input_rules_raise_input_error(mcmullen, rule):
+    with pytest.raises(InputError):
+        INPUT_RULES[rule](mcmullen)
+
+
+def test_subcritical_alpha_stays_degenerate(mcmullen):
+    assert issubclass(TailHorizonError, InputError)
+    for search in (lambda: optimize_packing(mcmullen, 0.3, [20, 40, 80], 0.1, [20.0]),
+                   lambda: optimize_type_ell_hausdorff(mcmullen, 0.3, [4, 5, 6, 7], 0.1)):
+        with pytest.raises(DegenerateError) as info:
+            search()
+        assert not isinstance(info.value, InputError)
 
 
 def test_packing_search_small(mcmullen):

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spongedim.weights import (DegenerateError, WeightModel, WeightSequence,
-                               entropy, validate_type_ell)
+                               as_prob_vector, as_survival_vector, entropy,
+                               validate_type_ell)
 
 from conftest import type_ell_lengths
 
@@ -45,6 +46,18 @@ def test_probability_vector_validation():
         WeightModel.deterministic([0.5, 0.6])
     with pytest.raises((DegenerateError, ValueError)):
         WeightModel.percolation([0.5, 0.5], [0.0, 0.9])
+
+
+def test_vectors_take_numbers_not_strings():
+    assert as_survival_vector([1, True, 0.5]).tolist() == [1.0, 1.0, 0.5]
+    for bad in (["0.5", "0.5"], [0.5, "0.5"], [None, 1.0]):
+        with pytest.raises(ValueError, match="expected numbers"):
+            as_prob_vector(bad)
+    # an integer past int64 converts as float() does, or overflows as it does
+    with pytest.raises(ValueError, match="sum to 1e\\+20"):
+        as_prob_vector([10 ** 20, 0.5])
+    with pytest.raises(OverflowError):
+        as_prob_vector([10 ** 400, 0.5])
 
 
 # === percolation closed forms ===
