@@ -53,8 +53,8 @@ def _fail(code: int, msg: str):
 def _load(fn, path, what):
     try:
         return fn(path)
-    # an integer literal past the float range overflows where numbers are
-    # converted, not while the JSON parses
+    # the loader of each field refuses a number past the double range; an
+    # integer one raises OverflowError where it converts to float
     except (ValueError, OverflowError, OSError) as exc:
         _fail(2, "%s %s: %s" % (what, path, exc))
 
@@ -470,16 +470,14 @@ def cmd_boxcount(ifs_path, tree_path, alpha_text, depth, seed, scales, window,
                                   or seed is not None):
         _fail(2, "--tree is mutually exclusive with --alpha, --depth and --seed")
     N_list = _floats(scales)
-    fit_window = None
-    if window is not None:
-        # checked before sampling, which may hit a resource cap
-        fit_window = _compute(lambda: fit_range(_ints(window), len(N_list)))
     ifs = _load(io.load_ifs, ifs_path, "ifs")
-    if tree_path is not None:
-        tree = _load(io.load_tree, tree_path, "tree")
-    else:
-        if alpha_text is None or depth is None:
-            _fail(2, "either --tree or both --alpha and --depth are required")
+    tree = None if tree_path is None else _load(io.load_tree, tree_path, "tree")
+    if tree is None and (alpha_text is None or depth is None):
+        _fail(2, "either --tree or both --alpha and --depth are required")
+    # checked before sampling, which may hit a resource cap
+    fit_window = _compute(lambda: fit_range(
+        None if window is None else _ints(window), len(N_list)))
+    if tree is None:
         alpha = _alpha_arg(alpha_text, ifs.n)
         seed = 0 if seed is None else seed
         tree = _compute(lambda: sample_tree(ifs, alpha, depth, seed=seed))
@@ -537,7 +535,7 @@ def cmd_local_dim(ifs_path, weights_path, depth, points, seed, scales, out):
         ifs, model, depth, points, seed=seed, N_list=N_list))
     try:
         theory = dim_mandelbrot(ifs, model).value
-    except (DegenerateError, ValueError):
+    except DegenerateError:
         theory = None
     result = {"median_slope": rep.median_slope, "slopes": rep.slopes,
               "N": rep.N, "theory_value": theory}
@@ -602,9 +600,7 @@ def _argv_from_params(params: dict) -> list:
               type=click.Path(exists=True))
 def cmd_rerun(manifest_path):
     """Re-execute a manifest and verify the artifacts reproduce exactly."""
-    man = _load(io.load_json, manifest_path, "manifest")
-    if not isinstance(man, dict) or man.get("schema") != "spongedim.manifest.v1":
-        _fail(2, "not a manifest: %s" % manifest_path)
+    man = _load(io.load_manifest, manifest_path, "manifest")
     bad = io.verify_hashes(man["inputs"])
     if bad:
         lines = ["input %s changed (recorded %s.., found %s..)"
@@ -616,7 +612,7 @@ def cmd_rerun(manifest_path):
     except click.ClickException as exc:
         _fail(2, "rerun dispatch failed: %s" % exc.format_message())
     bad = io.verify_hashes(man["outputs"])
-    new_man_path = os.path.join(man["params"].get("out", "."), "manifest.json")
+    new_man_path = os.path.join(str(man["params"].get("out", ".")), "manifest.json")
     try:
         new_man = io.load_json(new_man_path)
     except (OSError, ValueError):

@@ -115,15 +115,19 @@ def _closed_form(ifs: DiagonalIFS, p, H: float) -> MandelbrotDimension:
                                chi_tilde=chi_tilde, breakdown=breakdown, flags=[])
 
 
+def check_letters(ifs: DiagonalIFS, W: WeightModel) -> None:
+    """InputError unless the law W has one letter per map of the system."""
+    if W.n_letters != ifs.n:
+        raise InputError("weights have %d letters, system has %d" % (W.n_letters, ifs.n))
+
+
 def dim_mandelbrot(ifs: DiagonalIFS, W: WeightModel) -> MandelbrotDimension:
     """Dimension of the limit measure of a fixed weight law: the closed
     form of ``mandelbrot_value`` at p = E(W), H = H(W), with its terms.
 
     Requires one letter per map, and H(W) >= 0; H(W) < 0 gives an a.s.
     vanishing measure and raises."""
-    if W.n_letters != ifs.n:
-        raise InputError("weights have %d letters, system has %d"
-                         % (W.n_letters, ifs.n))
+    check_letters(ifs, W)
     H = W.entropy_H()
     if H < -DEGENERATE_TOL:
         raise DegenerateError("H(W) = %g < 0: the measure is degenerate" % H)
@@ -254,6 +258,8 @@ class PeriodicSpec:
 
     def __init__(self, lam: float, knot_t, knot_p, alpha=None):
         self.lam = float(lam)
+        if not math.isfinite(self.lam):
+            raise ValueError("non-finite period ratio lam")
         if not self.lam > 1.0:
             raise ValueError("period ratio lam must be > 1")
         t = np.asarray(knot_t, dtype=np.float64)

@@ -11,7 +11,6 @@ import gc
 import hashlib
 import json
 import math
-import re
 from itertools import chain
 from operator import itemgetter
 
@@ -30,37 +29,8 @@ VERSION = "0.1.0"
 # strict JSON
 
 
-def _finite_float(token: str) -> float:
-    x = float(token)
-    if not math.isfinite(x):
-        raise ValueError("non-finite number %r" % token)
-    return x
-
-
 def _non_finite_constant(token: str):
     raise ValueError("non-finite constant %r" % token)
-
-
-# A float literal passes the double range only with an exponent of three or
-# more digits, or with an integer part of 210 or more digits: below that it
-# is under 10**209 * 10**99.  With signs dropped, E read as e and every
-# digit as 0, such a literal holds "e000" or a run of 210 zeros.  The text
-# is scanned in windows that overlap by more than either pattern, so no
-# second copy of the whole text is made.
-_AS_ZEROS = str.maketrans({**dict.fromkeys("123456789", "0"), "E": "e",
-                           "+": None, "-": None})
-_LONG_EXPONENT = re.compile("e000")
-_LONG_INTEGER = "0" * 210
-_SCAN_WINDOW, _SCAN_OVERLAP = 1 << 20, 256
-
-
-def _may_overflow(text: str) -> bool:
-    """False only when no float literal in the text can overflow."""
-    for start in range(0, len(text), _SCAN_WINDOW):
-        window = text[start:start + _SCAN_WINDOW + _SCAN_OVERLAP].translate(_AS_ZEROS)
-        if _LONG_EXPONENT.search(window) or _LONG_INTEGER in window:
-            return True
-    return False
 
 
 @contextlib.contextmanager
@@ -78,15 +48,9 @@ def _gc_paused():
 
 
 def strict_loads(text: str):
-    """json.loads that rejects NaN/Infinity tokens and overflowed floats.
-
-    Floats are checked one by one only when the text may hold a literal
-    past the double range; otherwise json's C scanner converts them, to
-    the same doubles.  The cyclic GC is paused during the parse."""
-    hook = _finite_float if _may_overflow(text) else None
-    with _gc_paused():
-        return json.loads(text, parse_constant=_non_finite_constant,
-                          parse_float=hook)
+    """json.loads that rejects NaN and Infinity tokens.  A literal past the
+    double range parses to inf; the loader of its field refuses it."""
+    return json.loads(text, parse_constant=_non_finite_constant)
 
 
 def load_json(path: str):
@@ -398,6 +362,8 @@ def _orphan_runs(starts, ends, above, arity: int) -> int:
 
 def _int_field(obj, key: str, least=None) -> int:
     x = obj[key]
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError("tree: %s is non-finite" % key)
     if not isinstance(x, int) or isinstance(x, bool) or (least is not None and x < least):
         raise ValueError("tree: %s must be an integer%s, got %r"
                          % (key, "" if least is None else " >= %d" % least, x))
@@ -425,6 +391,8 @@ def tree_from_dict(obj) -> PercolationTree:
     arity = _int_field(obj, "arity", 1)
     depth = _int_field(obj, "depth", 0)
     seed = _int_field(obj, "seed")
+    if not isinstance(obj["model_hash"], str):
+        raise ValueError("tree: model_hash must be a string")
     if depth > max_code_depth(arity):
         raise ValueError("tree: depth %d is past the %d levels that heap codes "
                          "of arity %d hold" % (depth, max_code_depth(arity), arity))
@@ -464,6 +432,31 @@ def make_manifest(command: str, params: dict, inputs: dict, outputs: dict,
             "seed": seed,
             "inputs": {p: sha256_file(p) for p in inputs},
             "outputs": {p: sha256_file(p) for p in outputs}}
+
+
+def manifest_from_dict(obj) -> dict:
+    """A manifest that `rerun` can replay: a string command, params an
+    object, inputs and outputs that map path strings to hash strings, and
+    no non-finite number, which has no canonical form to compare."""
+    _require_keys(obj, {"schema", "version", "command", "params", "seed",
+                        "inputs", "outputs"}, ctx="manifest")
+    if obj["schema"] != "spongedim.manifest.v1":
+        raise ValueError("manifest: unsupported schema %r" % obj["schema"])
+    files = obj["inputs"], obj["outputs"]
+    if not (isinstance(obj["command"], str) and isinstance(obj["params"], dict)
+            and all(isinstance(m, dict) for m in files)
+            and all(isinstance(x, str) for m in files for x in chain(m, m.values()))):
+        raise ValueError("manifest: expected a string command, params an object, "
+                         "and inputs and outputs mapping path strings to hash strings")
+    try:
+        canonical_json(obj)
+    except ValueError:
+        raise ValueError("manifest: non-finite number") from None
+    return obj
+
+
+def load_manifest(path: str) -> dict:
+    return _load(path, manifest_from_dict)
 
 
 def verify_hashes(recorded: dict) -> list:

@@ -17,7 +17,7 @@ import numpy as np
 from .ifs import DiagonalIFS
 from .rng import ROOT_CODE, child_codes, max_code_depth, uniform
 from .weights import InputError, WeightModel, WeightSequence, as_survival_vector
-from .engine import stable_chain
+from .engine import check_letters, stable_chain
 from .scales import _const_gamma
 
 MEMORY_GUARD = 10 ** 8
@@ -539,7 +539,9 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
     Samples spines under the size-biased law (digits i.i.d. p = E(W); the
     spine cell's weight re-weighted by it), realizes the off-spine fiber
     sums per coarse band, and fits -log(mass of the scale-N box) against N
-    per point.  The depth must cover the slowest clock of the largest N."""
+    per point.  The law needs one letter per map, and the depth must cover
+    the slowest clock of the largest N (InputError otherwise)."""
+    check_letters(ifs, model)
     p = model.mean()
     groups, _, chi_tilde, coding = stable_chain(ifs, p)
     s = len(groups)
@@ -550,7 +552,7 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
     g_at = {N: [_const_gamma(float(c), float(N)) for c in chi_tilde] for N in N_list}
     gs_needed = max(g[-1] for g in g_at.values())
     if gs_needed > depth:
-        raise ValueError("depth %d too shallow: slowest clock needs %d "
+        raise InputError("depth %d too shallow: slowest clock needs %d "
                          "generations" % (depth, gs_needed))
 
     rng = np.random.default_rng(seed)

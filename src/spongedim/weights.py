@@ -78,7 +78,9 @@ def as_survival_vector(alpha, n: int | None = None) -> np.ndarray:
         raise ValueError("survival vector must be 1-d and nonempty")
     if n is not None and a.size != n:
         raise ValueError("survival vector length %d, expected %d" % (a.size, n))
-    if not np.all(np.isfinite(a)) or np.any(a <= 0.0) or np.any(a > 1.0):
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite survival probability")
+    if np.any(a <= 0.0) or np.any(a > 1.0):
         raise ValueError("survival probabilities must lie in (0, 1]")
     return a
 

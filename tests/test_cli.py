@@ -250,9 +250,9 @@ def test_bad_sequence_numbers_exit_two(workdir):
 
 
 def test_integers_past_the_float_range_exit_two(workdir):
-    # the strict parser checks floats, not ints: an integer past the float
-    # range overflows where the loader converts it, still invalid input.
-    # So does a value of the wrong JSON type where the loader reads it.
+    # an integer past the float range overflows where the loader converts
+    # it, still invalid input.  So does a value of the wrong JSON type
+    # where the loader reads it.
     big = "1" + "0" * 400
     cases = (
         ("sequence", '{"blocks": [{"len": 2, "p": [%s, 0.5, 0.5]}]}' % big,
@@ -283,8 +283,8 @@ def test_integers_past_the_float_range_exit_two(workdir):
 
 @pytest.mark.parametrize("flag", ["ifs", "weights", "periodic", "tree"])
 def test_float_literals_past_the_double_range_exit_two(workdir, flag):
-    # every input file goes through the strict parser, which refuses a
-    # float literal that overflows before any loader sees the number
+    # a float literal that overflows parses to an infinity, which the
+    # loader of its field refuses as non-finite where it converts it
     tree = io.tree_to_dict(sample_tree(3, [1.0] * 3, depth=2), {})
     docs = {
         "ifs": ('{"dimension": 2, "maps": [{"a": [1e999, 0.5], "t": [0, 0]}]}',
@@ -333,6 +333,15 @@ def test_schedule_searches_check_their_bounds_before_computing(workdir, monkeypa
     assert "degenerate" in capsys.readouterr().err
 
 
+MANIFEST_DOC = {"schema": "spongedim.manifest.v1", "version": io.VERSION,
+                "command": "validate", "params": {"ifs": "ifs.json", "out": "o"},
+                "seed": None, "inputs": {"ifs.json": "HASH"}, "outputs": {}}
+BAD_MANIFESTS = {
+    "int-hash.json": json.dumps(MANIFEST_DOC).replace('"HASH"', "5"),
+    "huge-hash.json": json.dumps(MANIFEST_DOC).replace('"HASH"', "1e999"),
+    "list-inputs.json": json.dumps(dict(MANIFEST_DOC, inputs=[1, 2])),
+    "no-params.json": json.dumps({k: v for k, v in MANIFEST_DOC.items() if k != "params"}),
+}
 HAUSDORFF = ("optimize-hausdorff", "--ifs", "ifs.json")
 PACKING = ("optimize-packing", "--ifs", "ifs.json", "--scales", "20")
 DEEP_BOXCOUNT = ("boxcount", "--ifs", "ifs.json", "--alpha", "0.8", "--depth", "39")
@@ -341,7 +350,8 @@ SEQ_FILE = ("dim-imm", "--ifs", "ifs.json", "--sequence")
 
 # each input rule has one owner, a library function that raises InputError
 # (exit 2) before a subcritical alpha raises DegenerateError (exit 3); the
-# boxcount cases would exit 4 in sampling, after their window check
+# boxcount cases would exit 4 in sampling, after their window check.  A
+# malformed manifest exits 2 and names the file
 @pytest.mark.parametrize("args, code", [
     ((*HAUSDORFF, "--lengths", "0,5,6", "--eps", "0.1"), 2),
     ((*HAUSDORFF, "--lengths", "6,5,4", "--eps", "0.1"), 2),
@@ -359,8 +369,14 @@ SEQ_FILE = ("dim-imm", "--ifs", "ifs.json", "--sequence")
     *[((*DEEP_BOXCOUNT, "--scales", "1,2,3,4", "--window", w), 2)
       for w in ("3,1", "0,1,2", "0.5,3")],
     # the default window of one scale holds fewer than two
-    (("boxcount", "--ifs", "ifs.json", "--alpha", "0.8", "--depth", "3",
-      "--scales", "2"), 2),
+    *[(("boxcount", "--ifs", "ifs.json", "--alpha", "0.8", "--depth", depth,
+        "--scales", "2"), 2) for depth in ("3", "39")],
+    # one letter per map, and a depth that covers the slowest clock
+    (("local-dim", "--ifs", "ifs.json", "--weights", "two-letters.json",
+      "--depth", "5"), 2),
+    (("local-dim", "--ifs", "ifs.json", "--weights", "weights.json",
+      "--depth", "3", "--scales", "50"), 2),
+    *[(("rerun", "--manifest", name), 2) for name in BAD_MANIFESTS],
     (("cascade", "--sequence", "sequence.json", "--depth", "500"), 2),
     (("dim-mm", "--ifs", "ifs.json", "--weights", "two-letters.json"), 2),
     ((*SEQ_FILE, "fraction.json"), 2),
@@ -376,8 +392,13 @@ def test_exit_code_matrix(workdir, monkeypatch, capsys, args, code):
                       ("zero.json", {"blocks": [{"len": 0, "p": p}]})):
         with open(name, "w") as fh:
             json.dump(doc, fh)
-    assert invoke([*args, "--out", "o"]) == code
-    assert ("degenerate" if code == 3 else "spongedim:") in capsys.readouterr().err
+    for name, text in BAD_MANIFESTS.items():
+        (workdir / name).write_text(text)
+    # rerun takes no --out: its manifest's params name the directory
+    assert invoke([*args] if args[0] == "rerun" else [*args, "--out", "o"]) == code
+    err = capsys.readouterr().err
+    assert ("degenerate" if code == 3 else "spongedim:") in err
+    assert args[0] != "rerun" or args[-1] in err
     assert not (workdir / "o").exists()
 
 
@@ -509,10 +530,11 @@ def test_boxcount_tree_excludes_sampling_options(workdir):
 
 def test_boxcount_past_int64_exits_four(workdir):
     # at N = 40 the box total passes 2**63; at N = 50 the indices do;
-    # past N of about 709.78 e^N itself leaves the float range
+    # past N of about 709.78 e^N itself leaves the float range.  A second
+    # scale gives the fit window its two scales, which is checked first
     for N in ("40", "50", "800", "1e6"):
         r = run_cli("boxcount", "--ifs", "ifs.json", "--alpha", "1",
-                    "--depth", "3", "--scales", N, "--out", "o", cwd=workdir)
+                    "--depth", "3", "--scales", "2," + N, "--out", "o", cwd=workdir)
         assert r.returncode == 4, (N, r.stderr)
         assert "Traceback" not in r.stderr
 

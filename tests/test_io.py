@@ -5,6 +5,7 @@ Round-trips must be exact: floats survive via repr, tree code sets via
 run-length spans, manifests via canonical hashing.
 """
 
+import copy
 import gc
 import json
 import math
@@ -26,8 +27,7 @@ from conftest import carpet
 # === strict JSON ===
 
 def test_strict_loads_rejects_non_finite():
-    for text in ("NaN", "Infinity", "-Infinity", "[1e999]",
-                 '{"x": -1e999}'):
+    for text in ("NaN", "Infinity", "-Infinity", '{"x": [-Infinity]}'):
         with pytest.raises(ValueError):
             io.strict_loads(text)
 
@@ -36,64 +36,93 @@ def test_strict_loads_rejects_non_finite():
 # exponent, a long integer part
 OVERFLOW_SHAPES = ["1E+400", "-1e0309", "7" * 250 + "e60", "9" * 310 + ".0"]
 
+ATOMS = [{"prob": 0.5, "c": [1, 1, 1], "w": [0.6, 0.525, 0.375]},
+         {"prob": 0.5, "c": [1, 1, 1], "w": [0.2, 0.175, 0.125]}]
+# schema -> (its loader, a document that loads)
+DOCS = {
+    "ifs": (io.ifs_from_dict, {"dimension": 2, "maps": [
+        {"a": [1 / 3, 0.5], "t": [0.0, 0.0]}, {"a": [1 / 3, 0.5], "t": [2 / 3, 0.0]}]}),
+    "deterministic": (io.weights_from_dict,
+                      {"type": "deterministic", "p": [0.4, 0.35, 0.25]}),
+    "percolation": (io.weights_from_dict, {"type": "percolation", "p": [0.4, 0.35, 0.25],
+                                           "alpha": [0.9, 0.8, 0.85]}),
+    "atoms": (io.weights_from_dict, {"type": "atoms", "atoms": ATOMS}),
+    "sequence": (io.sequence_from_dict, {"alpha": [0.9, 0.8, 0.85],
+                                         "blocks": [{"len": 2, "p": [0.4, 0.35, 0.25]}]}),
+    "atom-sequence": (io.sequence_from_dict, {"blocks": [{"len": 2, "atoms": ATOMS}]}),
+    "periodic": (io.periodic_from_dict, {"lambda": 4.0, "alpha": [0.9, 0.8, 0.85], "knots": [
+        {"t": 1.0, "p": [0.4, 0.35, 0.25]}, {"t": 2.0, "p": [0.5, 0.25, 0.25]}]}),
+    "tree": (io.tree_from_dict, io.tree_to_dict(sample_tree(3, [1.0] * 3, depth=2), {})),
+    "manifest": (io.manifest_from_dict, {
+        "schema": "spongedim.manifest.v1", "version": io.VERSION, "command": "simulate",
+        "params": {"depth": 2, "out": "o"}, "seed": 0,
+        "inputs": {"ifs.json": "0" * 64}, "outputs": {"o/tree.json": "1" * 64}}),
+}
+# every number field, as its schema and its path in that schema's document;
+# a manifest's hashes are strings, and a number there must fail as well
+NUMBER_FIELDS = [
+    ("ifs", "dimension"), ("ifs", "maps", 1, "a", 0), ("ifs", "maps", 1, "t", 0),
+    ("deterministic", "p", 1),
+    ("percolation", "p", 2), ("percolation", "alpha", 2),
+    ("atoms", "atoms", 0, "prob"), ("atoms", "atoms", 1, "c", 0),
+    ("atoms", "atoms", 1, "w", 0),
+    ("sequence", "blocks", 0, "len"), ("sequence", "blocks", 0, "p", 0),
+    ("sequence", "alpha", 1),
+    ("atom-sequence", "blocks", 0, "len"), ("atom-sequence", "blocks", 0, "atoms", 0, "prob"),
+    ("atom-sequence", "blocks", 0, "atoms", 1, "c", 2),
+    ("atom-sequence", "blocks", 0, "atoms", 1, "w", 2),
+    ("periodic", "lambda"), ("periodic", "knots", 1, "t"), ("periodic", "knots", 0, "p", 1),
+    ("periodic", "alpha", 1),
+    ("tree", "seed"), ("tree", "depth"), ("tree", "arity"), ("tree", "counts", 1),
+    ("tree", "levels", 1, 0, 0), ("tree", "levels", 1, 0, 1), ("tree", "model_hash"),
+    ("manifest", "seed"), ("manifest", "params", "depth"),
+    ("manifest", "inputs", "ifs.json"), ("manifest", "outputs", "o/tree.json"),
+]
 
-def _padded(literal, start, size):
-    """A JSON list of `size` characters, ordinary floats around `literal`,
-    which begins at offset `start`."""
-    head = "[" + "0.25, " * ((start - 1) // 6)
-    text = head + " " * (start - len(head)) + literal
-    tail = ", 0.25" * ((size - len(text) - 1) // 6)
-    return text + tail + " " * (size - len(text) - len(tail) - 1) + "]"
+
+def _with_literal(doc, path, literal):
+    """The text of `doc` with the value at `path` written as `literal`."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@literal@"
+    return json.dumps(doc).replace('"@literal@"', literal)
+
+
+def _refuses(from_dict, text) -> bool:
+    try:
+        from_dict(io.strict_loads(text))
+    except ValueError:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("literal", OVERFLOW_SHAPES,
                          ids=["E+400", "e0309", "250-digits-e60", "310-digit-integer"])
-def test_strict_loads_rejects_overflow_shapes_across_windows(literal):
-    with pytest.raises(ValueError, match="non-finite"):
-        io.strict_loads("[%s]" % literal)
-    # in a 2 MB document, ending at, straddling and starting at the
-    # boundary of the first scan window
-    W = io._SCAN_WINDOW
-    for start in (W - len(literal), W - len(literal) // 2, W - 1, W):
-        text = _padded(literal, start, 2 * W)
-        assert len(text) == 2 * W and text[start:start + len(literal)] == literal
-        with pytest.raises(ValueError, match="non-finite"):
-            io.strict_loads(text)
+def test_every_number_field_refuses_overflow_shapes(literal):
+    # the parser reads these literals as infinities; the loader of each
+    # field refuses them where it converts the number
+    for from_dict, doc in DOCS.values():
+        from_dict(copy.deepcopy(doc))
+    accepted = [(schema, *path) for schema, *path in NUMBER_FIELDS
+                if not _refuses(DOCS[schema][0],
+                                _with_literal(DOCS[schema][1], path, literal))]
+    assert accepted == []
 
 
-FINITE = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
-                     2.2250738585072014e-308, 1.7976931348623157e308,
-                     -1.7976931348623157e308]))
-
-
-@given(st.lists(FINITE, min_size=1, max_size=30), st.booleans(),
-       st.integers(1, 3 * io._SCAN_WINDOW // 2))
-@settings(max_examples=25, deadline=None)
-def test_strict_loads_matches_json_loads_bit_for_bit(xs, positional, start):
-    # repr writes exponents (three digits for subnormals and the largest
-    # doubles); the positional form writes none, so a subnormal becomes a
-    # long fraction and the largest double a 309-digit integer part
-    write = (lambda x: np.format_float_positional(x, trim="0")) if positional else repr
-    literals = ", ".join(map(write, xs))
-    text = _padded(literals, start, start + len(literals) + io._SCAN_WINDOW)
-    got, want = io.strict_loads(text), json.loads(text)
-    assert len(got) == len(want) and all(type(x) is float for x in got)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
-    first = (start - 1) // 6    # the padding floats before them
-    assert [x.hex() for x in got[first:first + len(xs)]] == [x.hex() for x in xs]
-
-
-def test_strict_loads_restores_the_gc_state():
+def test_strict_loads_restores_the_gc_state(tmp_path):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"blocks": [{"len": 2, "p": [0.5, 0.5]}]}')
+    bad.write_text('{"blocks": [{"len": 2, "p": [1e999, 0.5]}]}')
     enabled = gc.isenabled()
     try:
         for state in (False, True):
             (gc.enable if state else gc.disable)()
-            io.strict_loads("[1.5]")
+            io.load_sequence(str(good))
             assert gc.isenabled() is state
-            with pytest.raises(ValueError):
-                io.strict_loads("[1e999]")
+            with pytest.raises(ValueError, match="non-finite"):
+                io.load_sequence(str(bad))
             assert gc.isenabled() is state
     finally:
         (gc.enable if enabled else gc.disable)()
@@ -160,6 +189,15 @@ WRONG_TYPES = [
     (io.periodic_from_dict, {"lambda": 4.0, "knots": [{"t": 1.0, "p": ["0.5", "0.5"]}]}),
     (io.periodic_from_dict, {"lambda": 4.0, "knots": [{"t": 1.0, "p": [0.5, 0.5]}],
                              "alpha": [0.9, "0.9"]}),
+    (io.tree_from_dict, dict(DOCS["tree"][1], model_hash=5)),
+    # what rerun reads of a manifest: a string command, params an object,
+    # and inputs and outputs that map strings to strings
+    (io.manifest_from_dict, dict(DOCS["manifest"][1], inputs={"ifs.json": 5})),
+    (io.manifest_from_dict, dict(DOCS["manifest"][1], inputs=[1, 2])),
+    (io.manifest_from_dict, dict(DOCS["manifest"][1], outputs={"o/tree.json": None})),
+    (io.manifest_from_dict, dict(DOCS["manifest"][1], command=["simulate"])),
+    (io.manifest_from_dict, dict(DOCS["manifest"][1], params="--depth 2")),
+    (io.manifest_from_dict, {k: v for k, v in DOCS["manifest"][1].items() if k != "params"}),
 ]
 
 
