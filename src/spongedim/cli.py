@@ -41,7 +41,7 @@ from .weights import (DegenerateError, InputError, WeightModel, as_prob_vector,
 
 # sizes fail while parsing, with exit 2 before any output: depths (0 is
 # the root alone), and counts (local-dim's points and depth, dim-imm's
-# horizon)
+# horizon, simulate's guard)
 SIZE, COUNT = click.IntRange(min=0), click.IntRange(min=1)
 
 
@@ -86,21 +86,6 @@ def _floats(text):
     if not all(map(math.isfinite, vals)):
         _fail(2, "expected finite numbers, got %r" % text)
     return np.array(vals)
-
-
-def _positive(x, what):
-    if not (math.isfinite(x) and x > 0):
-        _fail(2, "%s must be finite and positive, got %r" % (what, x))
-    return x
-
-
-def _scales(text):
-    """A comma-separated list of resolutions N, each positive, as a
-    schedule's clocks need (box counts take any N)."""
-    vals = _floats(text)
-    for N in vals:
-        _positive(float(N), "scale")
-    return vals
 
 
 def _ints(text):
@@ -291,7 +276,6 @@ def cmd_decompose(ifs_path, seq_path, n_scale, out):
     """Axis groups and clock values of a schedule at one scale."""
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     seq = _load(io.load_sequence, seq_path, "sequence")
-    _positive(n_scale, "--N")
     result = _compute(lambda: decompose(ifs, seq, n_scale)).as_dict()
     return Outcome(result, "s=%(s)d g=%(g)s A=%(A)s" % result)
 
@@ -319,7 +303,7 @@ def cmd_dim_imm(ifs_path, seq_path, scales, horizon, out):
     """At-horizon dimension bounds of an inhomogeneous schedule."""
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     seq = _load(io.load_sequence, seq_path, "sequence")
-    N_grid = None if scales is None else _scales(scales)
+    N_grid = None if scales is None else _floats(scales)
     res = _compute(lambda: dim_imm_bounds(seq, ifs, N_grid=N_grid,
                                           tail_horizon=horizon))
     csv_path, files = _csv(out, "dim-imm", ["N", "d", "d_tilde"],
@@ -401,7 +385,7 @@ def cmd_optimize_packing(ifs_path, alpha_text, lengths, eps, scales, out):
     ifs = _load(io.load_ifs, ifs_path, "ifs")
     alpha = _alpha_arg(alpha_text, ifs.n)
     blocks = _ints(lengths)
-    N_grid = _scales(scales)
+    N_grid = _floats(scales)
     res = _compute(lambda: optimize_packing(ifs, alpha, blocks, eps, N_grid))
     result = {"value": res.value, "argument": io.sequence_to_dict(res.argument),
               "certificate": {k: res.extras.get(k)
@@ -432,7 +416,7 @@ def cmd_dim_attractor(ifs_path, alpha_text, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--conditioned", is_flag=True,
               help="Resample until the tree survives to the full depth.")
-@click.option("--guard", type=int, default=MEMORY_GUARD, show_default=True)
+@click.option("--guard", type=COUNT, default=MEMORY_GUARD, show_default=True)
 def cmd_simulate(ifs_path, alpha_text, depth, seed, conditioned, guard, out):
     """Sample a fractal percolation tree and dump it."""
     ifs = _load(io.load_ifs, ifs_path, "ifs")

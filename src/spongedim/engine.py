@@ -178,7 +178,8 @@ def dim_imm_bounds(seq: WeightSequence, ifs: DiagonalIFS,
     The estimates are minima/maxima over the tail window of the N grid
     (labelled at-horizon; nothing asymptotic is certified).  The oscillation
     diagnostic compares the window estimate with the estimate over its later
-    half; disagreement beyond IMM_OSC_TOL marks the estimate unconverged."""
+    half; disagreement beyond IMM_OSC_TOL marks the estimate unconverged.
+    A scale past the horizon's resolution raises InputError."""
     rep = nondegeneracy_report(seq)
     if rep.verdict != "supercritical-at-horizon":
         raise DegenerateError("entropy drift at horizon is %g <= 0"
@@ -189,7 +190,7 @@ def dim_imm_bounds(seq: WeightSequence, ifs: DiagonalIFS,
         N_grid = np.geomspace(max(4.0, maxN / 64.0), maxN, 128)
     N_grid = np.asarray(N_grid, dtype=np.float64)
     if N_grid.max() > maxN:
-        raise ValueError("N grid exceeds the horizon resolution %g" % maxN)
+        raise InputError("N grid exceeds the horizon resolution %g" % maxN)
     G, dt, d, (_, _, limited) = prefix.scan(
         N_grid, prefix.horizon if tail_horizon is None else tail_horizon)
     flags = []

@@ -435,7 +435,8 @@ def make_manifest(command: str, params: dict, inputs: dict, outputs: dict,
 
 
 def manifest_from_dict(obj) -> dict:
-    """A manifest that `rerun` can replay: a string command, params an
+    """A manifest that `rerun` can replay: a string command other than
+    `rerun` (which writes no manifest, and would replay itself), params an
     object, inputs and outputs that map path strings to hash strings, and
     no non-finite number, which has no canonical form to compare."""
     _require_keys(obj, {"schema", "version", "command", "params", "seed",
@@ -448,6 +449,8 @@ def manifest_from_dict(obj) -> dict:
             and all(isinstance(x, str) for m in files for x in chain(m, m.values()))):
         raise ValueError("manifest: expected a string command, params an object, "
                          "and inputs and outputs mapping path strings to hash strings")
+    if obj["command"] == "rerun":
+        raise ValueError("manifest: command 'rerun' has no result to replay")
     try:
         canonical_json(obj)
     except ValueError:

@@ -52,6 +52,17 @@ def kahan_cumsum(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def resolutions(Ns) -> np.ndarray:
+    """The resolutions Ns as a float64 array; InputError unless each is
+    finite and positive."""
+    Ns = np.asarray(Ns, dtype=np.float64)
+    if not (Ns.min() > 0.0 and math.isfinite(Ns.max())):
+        bad = Ns[~(np.isfinite(Ns) & (Ns > 0.0))][0]
+        raise InputError("resolution N must be finite and positive, got %r"
+                         % float(bad))
+    return Ns
+
+
 def _const_gamma(chi: float, N: float) -> int:
     """Smallest n with n * chi > N, for a constant exponent chi."""
     n = int(N // chi) + 1
@@ -233,18 +244,14 @@ class _RunTable:
     def clocks(self, Ns) -> np.ndarray:
         """gamma_k(N), the smallest n with sum_{m<=n} chi_k > N, for every
         scale (rows) and axis (columns)."""
-        Ns = np.asarray(Ns, dtype=np.float64)
-        if not (Ns.min() > 0.0 and math.isfinite(Ns.max())):
-            bad = Ns[~(np.isfinite(Ns) & (Ns > 0.0))][0]
-            raise ValueError("resolution N must be finite and positive, got %r"
-                             % float(bad))
+        Ns = resolutions(Ns)
         R = self.L.size
         js = np.empty((Ns.size, self.ev.ifs.d), dtype=np.intp)
         for k in self.ev.axes:
             js[:, k] = self.CP[1:, k].searchsorted(Ns, side="right")
         if js.max() >= R:
             i, k = np.argwhere(js >= R)[0]
-            raise ValueError("horizon %d exhausted before axis %d reaches "
+            raise InputError("horizon %d exhausted before axis %d reaches "
                              "resolution %g" % (self.horizon, k, Ns[i]))
         axes = self.ev.axes
         rest = Ns[:, None] - self.CP[js, axes]

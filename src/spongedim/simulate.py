@@ -18,7 +18,7 @@ from .ifs import DiagonalIFS
 from .rng import ROOT_CODE, child_codes, max_code_depth, uniform
 from .weights import InputError, WeightModel, WeightSequence, as_survival_vector
 from .engine import check_letters, stable_chain
-from .scales import _const_gamma
+from .scales import _const_gamma, resolutions
 
 MEMORY_GUARD = 10 ** 8
 SURVIVAL_CAP = 100_000      # population cap of gw_survival_frequency
@@ -531,16 +531,38 @@ class LocalDimReport:
     n_points: int
 
 
+def _spine_weights(model: WeightModel, dig: np.ndarray, rng) -> np.ndarray:
+    """One generation's realized weights, points x letters, beside spines
+    that take the letters ``dig``, size-biased at the spine letter: a
+    percolation spine cell survives, and the atom is drawn with probability
+    proportional to its spine weight.  Draws nothing for a deterministic
+    law, the alive mask for percolation, one uniform per point for atoms."""
+    if model.kind == "deterministic":
+        return np.broadcast_to(model.p, (dig.size, model.p.size))
+    if model.kind == "percolation":
+        alive = rng.random((dig.size, model.p.size)) < model.alpha
+        alive[np.arange(dig.size), dig] = True
+        return alive * (model.p / model.alpha)
+    biased = model.atom_probs[None, :] * model.atom_w[:, dig].T     # (points, atoms)
+    biased = biased / biased.sum(axis=1, keepdims=True)
+    u = rng.random(dig.size)
+    idx = (np.cumsum(biased, axis=1) < u[:, None]).sum(axis=1)
+    return model.atom_w[np.minimum(idx, model.atom_probs.size - 1)]
+
+
 def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
                               n_points: int, seed: int = 0,
                               N_list=None) -> LocalDimReport:
     """Monte Carlo local dimension of the limit measure at typical points.
 
     Samples spines under the size-biased law (digits i.i.d. p = E(W); the
-    spine cell's weight re-weighted by it), realizes the off-spine fiber
-    sums per coarse band, and fits -log(mass of the scale-N box) against N
-    per point.  The law needs one letter per map, and the depth must cover
-    the slowest clock of the largest N (InputError otherwise)."""
+    spine cell's weight re-weighted by it, see ``_spine_weights``), realizes
+    the off-spine fiber sums per coarse band, and takes per point the
+    least-squares slope of -log(mass of the scale-N box) against the box's
+    realized scale.  The law needs one letter per map, the scales must be
+    finite and positive, the depth must cover the slowest clock of the
+    largest N, and the scales must give at least two distinct box sizes
+    (InputError otherwise)."""
     check_letters(ifs, model)
     p = model.mean()
     groups, _, chi_tilde, coding = stable_chain(ifs, p)
@@ -548,74 +570,48 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
     if N_list is None:
         N_max = (depth - 1) * float(chi_tilde[-1]) * 0.999
         N_list = np.linspace(N_max / 2.0, N_max, 8)
-    N_list = np.asarray(N_list, dtype=np.float64)
-    g_at = {N: [_const_gamma(float(c), float(N)) for c in chi_tilde] for N in N_list}
-    gs_needed = max(g[-1] for g in g_at.values())
-    if gs_needed > depth:
-        raise InputError("depth %d too shallow: slowest clock needs %d "
-                         "generations" % (depth, gs_needed))
+    else:
+        N_list = resolutions(N_list)
+    # the slowest clock passes the depth exactly when depth * chi_s <= N;
+    # checked first: ``_const_gamma`` does not end where a step of one
+    # generation no longer changes n * chi
+    if N_list.max() >= depth * chi_tilde[-1]:
+        raise InputError("depth %d too shallow: the slowest clock needs more "
+                         "generations at N = %g" % (depth, N_list.max()))
+    # clocks per scale (rows) and clock group (columns)
+    G = np.array([[_const_gamma(float(c), float(N)) for c in chi_tilde]
+                  for N in N_list], dtype=np.intp)
+    # the box's largest side sets its scale; regressing against it instead
+    # of the nominal N removes the clock-rounding bias
+    realized = (G * chi_tilde).min(axis=1)
+    if realized.min() == realized.max():
+        raise InputError("depth %d and scales %s give one box size; the fit "
+                         "needs two" % (depth, ",".join("%g" % N for N in N_list)))
 
     rng = np.random.default_rng(seed)
-    cum_p = np.cumsum(p)
-    digits = np.searchsorted(cum_p, rng.random((n_points, depth)), side="right")
+    digits = np.searchsorted(np.cumsum(p), rng.random((n_points, depth)), side="right")
     digits = np.minimum(digits, p.size - 1)
-
-    # per generation: spine log-weight and per-band fiber log-sums
-    log_w = np.empty((n_points, depth))
-    log_V = np.empty((s + 1, n_points, depth))     # levels 2..s used
-    if model.kind == "deterministic":
-        logp = np.log(p)
-        log_w[:] = logp[digits]
+    rows = np.arange(n_points)
+    # logs[0]: spine log-weights, logs[r - 1]: log-masses of the spine's
+    # level-r fibers, per point and generation after a leading zero
+    logs = np.zeros((s, n_points, depth + 1))
+    for n in range(depth):
+        dig = digits[:, n]
+        W = _spine_weights(model, dig, rng)
+        logs[0, :, n + 1] = np.log(W[rows, dig])
         for r in range(2, s + 1):
-            pr = coding.project_vector(p, r)
-            sel = coding.class_index[r - 1][digits]
-            log_V[r] = np.log(pr[sel])
-    elif model.kind == "percolation":
-        ratio = model.p / model.alpha
-        log_w[:] = np.log(ratio)[digits]
-        for n in range(depth):
-            alive = rng.random((n_points, p.size)) < model.alpha
-            alive[np.arange(n_points), digits[:, n]] = True
-            vals = alive * ratio
-            for r in range(2, s + 1):
-                cls = coding.class_index[r - 1]
-                V = coding.project_rows(vals, r)
-                sel = V[np.arange(n_points), cls[digits[:, n]]]
-                log_V[r][:, n] = np.log(sel)
-    else:
-        probs = model.atom_probs
-        w = model.atom_w
-        for n in range(depth):
-            dig = digits[:, n]
-            biased = probs[None, :] * w[:, dig].T       # (points, atoms)
-            biased = biased / biased.sum(axis=1, keepdims=True)
-            u = rng.random(n_points)
-            idx = (np.cumsum(biased, axis=1) < u[:, None]).sum(axis=1)
-            idx = np.minimum(idx, probs.size - 1)
-            log_w[:, n] = np.log(w[idx, dig])
-            for r in range(2, s + 1):
-                cls = coding.class_index[r - 1]
-                fiber_sum = coding.project_rows(w[idx], r)
-                sel = fiber_sum[np.arange(n_points), cls[dig]]
-                log_V[r][:, n] = np.log(sel)
-
-    cum_w = np.concatenate([np.zeros((n_points, 1)), np.cumsum(log_w, axis=1)], axis=1)
-    cum_V = {r: np.concatenate([np.zeros((n_points, 1)),
-                                np.cumsum(log_V[r], axis=1)], axis=1)
-             for r in range(2, s + 1)}
-    masses = np.empty((n_points, N_list.size))
-    realized = np.empty(N_list.size)
-    for j, N in enumerate(N_list):
-        g = g_at[N]
-        total = cum_w[:, g[0]]
-        for r in range(2, s + 1):
-            total = total + (cum_V[r][:, g[r - 1]] - cum_V[r][:, g[r - 2]])
-        masses[:, j] = total
-        # the box's largest side sets its scale; regressing against it
-        # instead of the nominal N removes the clock-rounding bias
-        realized[j] = min(g[r] * float(chi_tilde[r]) for r in range(s))
-    slopes = np.array([np.polyfit(realized, -masses[i], 1)[0]
-                       for i in range(n_points)])
+            fiber = coding.project_rows(W, r)[rows, coding.class_index[r - 1][dig]]
+            logs[r - 1, :, n + 1] = np.log(fiber)
+    cum = np.cumsum(logs, axis=2)
+    # log-mass of the box: the spine to the first clock, then each level's
+    # fibers over its band of generations
+    masses = cum[0][:, G[:, 0]]
+    for r in range(1, s):
+        masses = masses + (cum[r][:, G[:, r]] - cum[r][:, G[:, r - 1]])
+    # centring both sides keeps the slope exact to rounding even where it
+    # is near zero
+    x = realized - realized.mean()
+    slopes = (masses.mean(axis=1, keepdims=True) - masses) @ x / (x @ x)
     return LocalDimReport(N=N_list, slopes=slopes,
                           median_slope=float(np.median(slopes)),
                           depth=depth, n_points=n_points)

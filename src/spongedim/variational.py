@@ -22,7 +22,7 @@ import numpy as np
 from ._scipy import entr, minimize
 from .engine import DEGENERATE_TOL, dim_mandelbrot, mandelbrot_value, stable_chain
 from .ifs import DiagonalIFS
-from .scales import _RunEvaluator, _RunTable, _chain_groups
+from .scales import _RunEvaluator, _RunTable, _chain_groups, resolutions
 from .weights import (DegenerateError, InputError, WeightModel, WeightSequence,
                       as_survival_vector, drift_scan, entropy, p_max_vector,
                       validate_type_ell)
@@ -650,12 +650,12 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     is deterministic; ``seed`` is ignored (``bench/reference.py`` still
     passes it).  The witness concatenates entropy-lifted
     maximizers on exponentially separated windows; it is reported, with its
-    admissibility scan, rather than certified optimal.  Bad eps or lengths,
-    and lengths short of the largest scale's budget, raise InputError
-    before a subcritical alpha raises DegenerateError."""
+    admissibility scan, rather than certified optimal.  Bad eps, lengths or
+    scales, and lengths short of the largest scale's budget, raise
+    InputError before a subcritical alpha raises DegenerateError."""
     alpha = as_survival_vector(alpha, ifs.n)
     lengths = _schedule_lengths(lengths, eps)
-    N_grid = np.sort(np.asarray(N_grid, dtype=np.float64))
+    N_grid = np.sort(resolutions(N_grid))
     rows = packing_budget(ifs, N_grid.max())
     if sum(lengths) < rows:
         raise InputError("lengths cover %d rows; the scale N = %g reads %d"

@@ -159,8 +159,10 @@ def test_parse_error_exits_two(workdir, monkeypatch, capsys):
      "--depth", "12", "--points", "0"),
     ("local-dim", "--ifs", "ifs.json", "--weights", "weights.json",
      "--depth", "0"),
+    *[("simulate", "--ifs", "ifs.json", "--alpha", "0.9", "--depth", "3",
+       "--guard", guard) for guard in ("-5", "0")],
 ], ids=["simulate-depth", "boxcount-depth", "cascade-depth",
-        "local-dim-points", "local-dim-depth"])
+        "local-dim-points", "local-dim-depth", "simulate-guard", "simulate-guard-0"])
 def test_bad_sizes_exit_two_before_writing(workdir, args):
     r = run_cli(*args, "--out", "o", cwd=workdir)
     assert r.returncode == 2
@@ -199,10 +201,6 @@ def test_numeric_failure_exits_three(workdir):
                 "--out", "o", cwd=workdir)
     assert r.returncode == 3
     assert not (workdir / "o").exists()
-    # a scale past the schedule's resolution
-    r = run_cli("dim-imm", "--ifs", "ifs.json", "--sequence", "sequence.json",
-                "--scales", "20,1e6", "--out", "o", cwd=workdir)
-    assert r.returncode == 3
     # a 2x3 carpet whose x-projections overlap is not a good sponge
     overlap = {"dimension": 2, "maps": [
         {"a": [0.5, 1 / 3], "t": [0.0, 0.0]},
@@ -341,11 +339,15 @@ BAD_MANIFESTS = {
     "huge-hash.json": json.dumps(MANIFEST_DOC).replace('"HASH"', "1e999"),
     "list-inputs.json": json.dumps(dict(MANIFEST_DOC, inputs=[1, 2])),
     "no-params.json": json.dumps({k: v for k, v in MANIFEST_DOC.items() if k != "params"}),
+    # no command writes a rerun manifest, and this one would replay itself
+    "self-rerun.json": json.dumps(dict(MANIFEST_DOC, command="rerun",
+                                       params={"manifest": "self-rerun.json"})),
 }
 HAUSDORFF = ("optimize-hausdorff", "--ifs", "ifs.json")
 PACKING = ("optimize-packing", "--ifs", "ifs.json", "--scales", "20")
 DEEP_BOXCOUNT = ("boxcount", "--ifs", "ifs.json", "--alpha", "0.8", "--depth", "39")
 SEQ_FILE = ("dim-imm", "--ifs", "ifs.json", "--sequence")
+LOCAL_DIM = ("local-dim", "--ifs", "ifs.json", "--weights", "weights.json")
 
 
 # each input rule has one owner, a library function that raises InputError
@@ -374,8 +376,20 @@ SEQ_FILE = ("dim-imm", "--ifs", "ifs.json", "--sequence")
     # one letter per map, and a depth that covers the slowest clock
     (("local-dim", "--ifs", "ifs.json", "--weights", "two-letters.json",
       "--depth", "5"), 2),
-    (("local-dim", "--ifs", "ifs.json", "--weights", "weights.json",
-      "--depth", "3", "--scales", "50"), 2),
+    ((*LOCAL_DIM, "--depth", "3", "--scales", "50"), 2),
+    # refused before its clocks, whose search in steps of one generation
+    # would not end at these scales
+    ((*LOCAL_DIM, "--depth", "12", "--scales", "1e30,2e30"), 2),
+    # scales.resolutions: finite and positive scales; a local-dimension fit
+    # needs two distinct box sizes
+    *[((*LOCAL_DIM, "--depth", "12", "--scales", scales), 2)
+      for scales in ("-5,-2", "3", "0.5,0.5")],
+    *[((*LOCAL_DIM, "--depth", depth), 2) for depth in ("1", "2")],
+    # a scale past the schedule's horizon
+    *[((*SEQ_FILE, "sequence.json", "--scales", scales), 2)
+      for scales in ("1e9", "20,1e6")],
+    (("decompose", "--ifs", "ifs.json", "--sequence", "sequence.json",
+      "--N", "1e9"), 2),
     *[(("rerun", "--manifest", name), 2) for name in BAD_MANIFESTS],
     (("cascade", "--sequence", "sequence.json", "--depth", "500"), 2),
     (("dim-mm", "--ifs", "ifs.json", "--weights", "two-letters.json"), 2),

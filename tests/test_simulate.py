@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import dense_oracle
+import local_dim_oracle
 from spongedim import io
 from spongedim.simulate import (BLOCK_ROWS, PercolationTree, ResourceCapError,
                                 _raster_count,
@@ -439,3 +440,37 @@ def test_local_dimension_conformal(sierpinski):
     rep = empirical_local_dimension(sierpinski, m, depth=25, n_points=64,
                                     seed=2)
     assert abs(rep.median_slope - target) < 0.1
+
+
+def random_law(kind: str, n: int, rng) -> WeightModel:
+    """A law on n letters with mean entries in [0.1, 1] before
+    normalizing: deterministic, percolation with alpha in [0.3, 1], or two
+    atoms (the first with some letters dead) scaled to mean mass one."""
+    p = rng.uniform(0.1, 1.0, n)
+    p /= p.sum()
+    if kind == "deterministic":
+        return WeightModel.deterministic(p)
+    if kind == "percolation":
+        return WeightModel.percolation(p, rng.uniform(0.3, 1.0, n))
+    c = (rng.random(n) < 0.7).astype(float)
+    c[0] = 1.0
+    w1, w2 = c * rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n)
+    q = rng.uniform(0.2, 0.8)
+    mass = q * w1.sum() + (1.0 - q) * w2.sum()
+    return WeightModel.atoms([(q, c, w1 / mass), (1.0 - q, np.ones(n), w2 / mass)])
+
+
+# the spine loop draws what the per-law paths drew, in the same order, so a
+# seed gives the same points; the closed-form fit matches np.polyfit
+@given(st.sampled_from(["3x2", "4x2", "4x3x2"]),
+       st.sampled_from(["deterministic", "percolation", "atoms"]),
+       st.integers(3, 30), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_local_dimension_matches_the_per_law_oracle(system, kind, depth, seed):
+    ifs = SYSTEMS[system]
+    model = random_law(kind, ifs.n, np.random.default_rng(seed))
+    rep = empirical_local_dimension(ifs, model, depth, 40, seed=seed)
+    ref = local_dim_oracle.empirical_local_dimension(ifs, model, depth, 40, seed=seed)
+    np.testing.assert_array_equal(rep.N, ref.N)
+    np.testing.assert_allclose(rep.slopes, ref.slopes, rtol=1e-12, atol=0.0)
+    assert abs(rep.median_slope - ref.median_slope) <= 1e-12 * abs(ref.median_slope)

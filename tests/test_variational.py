@@ -19,8 +19,9 @@ from scipy.special import xlogy
 
 from spongedim import DiagonalIFS, DiagonalMap, io, variational
 from spongedim.engine import dim_imm_bounds, dim_mandelbrot, mandelbrot_value
-from spongedim.scales import TailHorizonError, _RunEvaluator, _RunTable
-from spongedim.simulate import box_count_fit, fit_range, sample_cascade, sample_tree
+from spongedim.scales import TailHorizonError, _RunEvaluator, _RunTable, decompose
+from spongedim.simulate import (box_count_fit, empirical_local_dimension, fit_range,
+                                sample_cascade, sample_tree)
 from spongedim.variational import (admissible_eps_bound,
                                    dim_attractor_equal_linear,
                                    maximize_on_simplex, optimize_mandelbrot,
@@ -255,6 +256,19 @@ INPUT_RULES = {
     "model-length": lambda ifs: WeightSequence.from_models(
         [WeightModel.deterministic(P3)], [True]),
     "tail-horizon": lambda ifs: dim_imm_bounds(SCHEDULE, ifs, tail_horizon=5),
+    # scales: finite and positive, within the horizon, and for the local
+    # dimension two distinct box sizes
+    "packing-scale": lambda ifs: optimize_packing(ifs, 0.9, [20, 40, 80], 0.1,
+                                                  [20.0, 0.0]),
+    "decompose-scale": lambda ifs: decompose(ifs, SCHEDULE, math.nan),
+    "decompose-horizon": lambda ifs: decompose(ifs, SCHEDULE, 1e9),
+    "imm-horizon": lambda ifs: dim_imm_bounds(SCHEDULE, ifs, N_grid=[20.0, 1e9]),
+    "local-dim-scale": lambda ifs: empirical_local_dimension(
+        ifs, WeightModel.deterministic(P3), 12, 5, N_list=[-5.0, -2.0]),
+    "local-dim-one-size": lambda ifs: empirical_local_dimension(
+        ifs, WeightModel.deterministic(P3), 12, 5, N_list=[3.0]),
+    "local-dim-depth-2": lambda ifs: empirical_local_dimension(
+        ifs, WeightModel.deterministic(P3), 2, 5),
 }
 
 
