@@ -108,6 +108,34 @@ class DiagonalIFS:
         return self.n
 
 
+def _relations(ifs: DiagonalIFS, axes):
+    """(exact, disjoint): n x n boolean matrices of the pairs whose maps
+    coincide coordinate-wise on ``axes`` (within RECT_TOL), and of those whose
+    open projected images miss each other on at least one of the axes.  A
+    pair in neither is a violation."""
+    axes = sorted(axes)
+    a, t = ifs.A[:, axes], ifs.T[:, axes]
+    at = np.concatenate([a, t], axis=1)
+    exact = (np.abs(at[:, None] - at[None]) <= RECT_TOL).all(axis=2)
+    end = t + a
+    hi_lo = np.minimum(end[:, None], end[None]) - np.maximum(t[:, None], t[None])
+    return exact, (hi_lo <= RECT_TOL).any(axis=2)
+
+
+def _first_violation(ifs: DiagonalIFS, axis_sets):
+    """(pair, sorted axes) of the first pair, in combinations order, that is
+    neither exact nor disjoint on the first axis set that has one; None when
+    every pair is one or the other on every set."""
+    for axes in axis_sets:
+        exact, disjoint = _relations(ifs, axes)
+        # the relation is symmetric and every letter is exact with itself,
+        # so the first violation in row-major order has i < j
+        bad = np.argwhere(~(exact | disjoint))
+        if bad.size:
+            return tuple(int(v) for v in bad[0]), tuple(sorted(int(k) for k in axes))
+    return None
+
+
 def compare_projections(ifs: DiagonalIFS, i: int, j: int, axes) -> str:
     """Classify the pair (i, j) on the axes of ``axes``.
 
@@ -115,16 +143,8 @@ def compare_projections(ifs: DiagonalIFS, i: int, j: int, axes) -> str:
     RECT_TOL), "disjoint" when the open projected images miss each other on at
     least one of the axes, and "violation" otherwise.
     """
-    axes = sorted(axes)
-    ai, aj = ifs.A[i, axes], ifs.A[j, axes]
-    ti, tj = ifs.T[i, axes], ifs.T[j, axes]
-    if np.all(np.abs(ai - aj) <= RECT_TOL) and np.all(np.abs(ti - tj) <= RECT_TOL):
-        return "exact"
-    lo = np.maximum(ti, tj)
-    hi = np.minimum(ti + ai, tj + aj)
-    if np.any(hi - lo <= RECT_TOL):
-        return "disjoint"
-    return "violation"
+    exact, disjoint = _relations(ifs, axes)
+    return "exact" if exact[i, j] else "disjoint" if disjoint[i, j] else "violation"
 
 
 @dataclass
@@ -140,11 +160,9 @@ def validate_ifs(ifs: DiagonalIFS) -> ValidationReport:
     open images are pairwise disjoint and that no face of the cube is touched
     by every map (face avoidance, one check per axis and side).
     """
-    violations = []
-    full = range(ifs.d)
-    for i, j in itertools.combinations(range(ifs.n), 2):
-        if compare_projections(ifs, i, j, full) != "disjoint":
-            violations.append("open images of maps %d and %d overlap" % (i, j))
+    exact, disjoint = _relations(ifs, range(ifs.d))
+    violations = ["open images of maps %d and %d overlap" % (i, j)
+                  for i, j in np.argwhere(np.triu(exact | ~disjoint, 1))]
     for k in range(ifs.d):
         if np.all(ifs.T[:, k] <= RECT_TOL):
             violations.append("all maps touch face (axis %d, side 0)" % k)
@@ -204,13 +222,6 @@ def feasible_direction_sets(ifs: DiagonalIFS) -> list[FeasibleSet]:
     return out
 
 
-def _pairs_exact_or_disjoint(ifs, axes):
-    for i, j in itertools.combinations(range(ifs.n), 2):
-        if compare_projections(ifs, i, j, axes) == "violation":
-            return (i, j)
-    return None
-
-
 @dataclass
 class Classification:
     good_sponge: bool
@@ -255,57 +266,23 @@ def classify(ifs: DiagonalIFS) -> Classification:
     failures = []
     feas = feasible_direction_sets(ifs)
 
-    good = True
-    for fs in feas:
-        bad = _pairs_exact_or_disjoint(ifs, fs.axes)
-        if bad is not None:
-            good = False
-            failures.append("good: pair %s on axes %s" % (bad, tuple(sorted(fs.axes))))
-            break
+    def holds(failure, axis_sets):
+        found = _first_violation(ifs, axis_sets)
+        if found is not None:
+            failures.append(failure.format(*found))
+        return found is None
 
-    sppc = good
-    if sppc:
-        seen = set()
-        for fs in feas:
-            for r in range(1, len(fs.axes) + 1):
-                for sub in itertools.combinations(sorted(fs.axes), r):
-                    if sub in seen:
-                        continue
-                    seen.add(sub)
-                    bad = _pairs_exact_or_disjoint(ifs, sub)
-                    if bad is not None:
-                        sppc = False
-                        failures.append("sppc: pair %s on axes %s" % (bad, sub))
-                        break
-                if not sppc:
-                    break
-            if not sppc:
-                break
-
+    good = holds("good: pair {} on axes {}", (fs.axes for fs in feas))
+    sppc = good and holds("sppc: pair {} on axes {}", dict.fromkeys(
+        sub for fs in feas for r in range(1, len(fs.axes) + 1)
+        for sub in itertools.combinations(sorted(fs.axes), r)))
     # Gatzouras-Lalley: the candidate order is forced by any single map.
-    order = tuple(np.argsort(-ifs.A[0], kind="stable"))
-    gl = True
-    for i in range(ifs.n):
-        row = ifs.A[i, list(order)]
-        if not np.all(row[:-1] > row[1:]):
-            gl = False
-            break
-    if gl:
-        for k in range(1, ifs.d):
-            bad = _pairs_exact_or_disjoint(ifs, order[:k])
-            if bad is not None:
-                gl = False
-                failures.append("gl: pair %s on axes %s" % (bad, tuple(sorted(order[:k]))))
-                break
+    order = tuple(int(k) for k in np.argsort(-ifs.A[0], kind="stable"))
+    ranked = ifs.A[:, order]
+    gl = (bool(np.all(ranked[:, :-1] > ranked[:, 1:]))
+          and holds("gl: pair {} on axes {}", (order[:k] for k in range(1, ifs.d))))
     gl_order = order if gl else None
-
-    baranski = True
-    for k in range(ifs.d):
-        bad = _pairs_exact_or_disjoint(ifs, (k,))
-        if bad is not None:
-            baranski = False
-            failures.append("baranski: pair %s on axis %d" % (bad, k))
-            break
+    baranski = holds("baranski: pair {} on axis {[0]}", ((k,) for k in range(ifs.d)))
 
     equal_linear = ifs.equal_linear_parts()
     conformal = bool(np.all(np.abs(ifs.A - ifs.A[:, :1]) <= RECT_TOL))
@@ -363,27 +340,17 @@ class ProjectionCoding:
             self.chain_maps.append(self.class_index[r][self.reps[r - 1]])
 
     def _build_level(self, axes):
-        n = self.ifs.n
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in itertools.combinations(range(n), 2):
-            verdict = compare_projections(self.ifs, i, j, axes)
-            if verdict == "exact":
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-            elif verdict == "violation":
-                raise ProjectionOverlapError(axes, i, j)
-        roots = np.array([find(i) for i in range(n)])
+        found = _first_violation(self.ifs, [axes])
+        if found is not None:
+            raise ProjectionOverlapError(found[1], *found[0])
+        # classes: the connected components of the exact relation, each
+        # named by its smallest letter
+        reach, _ = _relations(self.ifs, axes)
+        while not np.array_equal(wider := reach @ reach, reach):
+            reach = wider
+        roots = reach.argmax(axis=1)
         reps = np.unique(roots)
-        lookup = {r: c for c, r in enumerate(reps)}
-        idx = np.array([lookup[r] for r in roots])
+        idx = np.searchsorted(reps, roots)
         fibers = [np.flatnonzero(roots == r) for r in reps]
         return idx, reps, fibers
 

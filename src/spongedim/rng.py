@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -23,15 +22,15 @@ _INV53 = float(2.0 ** -53)
 def _mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     # modular 64-bit arithmetic; the wraparound is the whole point
     with np.errstate(over="ignore"):
-        z = (z + _GOLDEN) & _MASK
-        z = ((z ^ (z >> np.uint64(30))) * _MIX1) & _MASK
-        z = ((z ^ (z >> np.uint64(27))) * _MIX2) & _MASK
+        z = z + _GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
         return z ^ (z >> np.uint64(31))
 
 
 def _absorb(acc, word):
     with np.errstate(over="ignore"):
-        return _mix64(acc ^ ((word + _GOLDEN) & _MASK))
+        return _mix64(acc ^ (word + _GOLDEN))
 
 
 def node_key(seed: int, codes, stream: int = 0) -> np.ndarray:

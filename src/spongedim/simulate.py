@@ -570,8 +570,10 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
     if N_list is None:
         N_max = (depth - 1) * float(chi_tilde[-1]) * 0.999
         N_list = np.linspace(N_max / 2.0, N_max, 8)
+        scales = "the default scales"
     else:
         N_list = resolutions(N_list)
+        scales = "scales " + ",".join("%g" % N for N in N_list)
     # the slowest clock passes the depth exactly when depth * chi_s <= N;
     # checked first: ``_const_gamma`` does not end where a step of one
     # generation no longer changes n * chi
@@ -585,8 +587,8 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
     # of the nominal N removes the clock-rounding bias
     realized = (G * chi_tilde).min(axis=1)
     if realized.min() == realized.max():
-        raise InputError("depth %d and scales %s give one box size; the fit "
-                         "needs two" % (depth, ",".join("%g" % N for N in N_list)))
+        raise InputError("depth %d and %s give one box size; the fit needs "
+                         "two" % (depth, scales))
 
     rng = np.random.default_rng(seed)
     digits = np.searchsorted(np.cumsum(p), rng.random((n_points, depth)), side="right")

@@ -1,15 +1,20 @@
 """Per-law reference path for the Monte Carlo local dimension.
 
 The sampler ``spongedim.simulate.empirical_local_dimension`` replaced: one
-code path per law kind (deterministic, percolation, finite atoms), one
-cumulative sum per level, and one ``np.polyfit`` per point.  It draws the
-same random numbers in the same order (the digit matrix, then per
-generation the percolation alive mask or the atom uniform), so a seed
-gives the same points, and its slopes are the check on the single spine
-loop and closed-form fit of the library.
+code path per law kind (deterministic, percolation, finite atoms) and one
+cumulative sum per level.  It draws the same random numbers in the same
+order (the digit matrix, then per generation the percolation alive mask or
+the atom uniform), so a seed gives the same points, and its slopes are the
+check on the single spine loop and closed-form fit of the library.  Each
+slope is the least-squares slope of its floats computed exactly, in
+rationals, and rounded once: ``np.polyfit``, which the replaced sampler
+used, can be off by several 1e-12 relative on the nearly flat fits of deep
+percolation trees.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -103,8 +108,16 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
         # the box's largest side sets its scale; regressing against it
         # instead of the nominal N removes the clock-rounding bias
         realized[j] = min(g[r] * float(chi_tilde[r]) for r in range(s))
-    slopes = np.array([np.polyfit(realized, -masses[i], 1)[0]
-                       for i in range(n_points)])
+    slopes = np.array([exact_slope(realized, -masses[i]) for i in range(n_points)])
     return LocalDimReport(N=N_list, slopes=slopes,
                           median_slope=float(np.median(slopes)),
                           depth=depth, n_points=n_points)
+
+
+def exact_slope(x, y) -> float:
+    """The least-squares slope of y against x, exact for the given floats
+    and rounded once."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    return float(sum((u - mx) * (v - my) for u, v in zip(x, y))
+                 / sum((u - mx) ** 2 for u in x))

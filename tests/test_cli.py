@@ -416,6 +416,17 @@ def test_exit_code_matrix(workdir, monkeypatch, capsys, args, code):
     assert not (workdir / "o").exists()
 
 
+# the default grid at depth 1 is eight zero scales, which the user never
+# gave: the message names the depth and says the scales are the defaults
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_local_dim_without_scales_names_the_defaults(workdir, monkeypatch, capsys,
+                                                     depth):
+    monkeypatch.chdir(workdir)
+    assert invoke([*LOCAL_DIM, "--depth", depth, "--out", "o"]) == 2
+    assert ("depth %s and the default scales give one box size" % depth
+            in capsys.readouterr().err)
+
+
 def test_json_flag_prints_versioned_document(workdir):
     r = run_cli("dim-mm", "--ifs", "ifs.json", "--weights", "weights.json",
                 "--json", "--out", "o", cwd=workdir)

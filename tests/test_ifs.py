@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spongedim import DiagonalIFS, DiagonalMap
-from spongedim.ifs import (build_projection_coding, classify,
+from spongedim.ifs import (ProjectionCoding, ProjectionOverlapError,
+                           build_projection_coding, classify,
                            compare_projections, feasible_direction_sets,
                            validate_ifs)
 
+import geometry_oracle
 from conftest import carpet
 
 
@@ -111,6 +113,70 @@ def test_compare_projections_symmetric_reflexive(mcmullen, sponge3d):
                             == compare_projections(ifs, j, i, fs.axes))
 
 
+# === one pair relation against the per-pair oracle ===
+
+@st.composite
+def grid_systems(draw):
+    """2 to 6 maps in dimension 1 to 3 with ratios and translations on one
+    q-adic grid, so that coinciding, touching and overlapping projections
+    all occur.  A ratio or translation may sit 6e-13 or 1.2e-12 off the
+    grid, within RECT_TOL of one of its neighbours but not of the other."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    q = draw(st.sampled_from([2, 3, 4, 6]))
+    jitter = st.sampled_from([0.0, 0.0, 0.0, 6e-13, 1.2e-12])
+    maps = []
+    for _ in range(n):
+        m = [draw(st.integers(1, q - 1)) for _ in range(d)]
+        a = [mk / q + draw(jitter) for mk in m]
+        t = [min(draw(st.integers(0, q - mk)) / q + draw(jitter), 1.0 - ak)
+             for mk, ak in zip(m, a)]
+        maps.append(DiagonalMap(a, t))
+    return DiagonalIFS(maps)
+
+
+@given(grid_systems())
+@settings(max_examples=200, deadline=None)
+def test_pair_relation_matches_the_per_pair_oracle(ifs):
+    overlaps = [v for v in validate_ifs(ifs).violations if v.startswith("open")]
+    assert overlaps == geometry_oracle.overlap_violations(ifs)
+    c, ref = classify(ifs), geometry_oracle.classify(ifs)
+    assert c == ref
+    assert c.failures == ref.failures
+    for r in range(1, ifs.d + 1):
+        for axes in itertools.combinations(range(ifs.d), r):
+            for i, j in itertools.product(range(ifs.n), repeat=2):
+                assert (compare_projections(ifs, i, j, axes)
+                        == geometry_oracle.compare_projections(ifs, i, j, axes))
+            try:
+                idx, reps, fibers = geometry_oracle.coding_level(ifs, axes)
+            except ProjectionOverlapError as want:
+                with pytest.raises(ProjectionOverlapError) as got:
+                    ProjectionCoding(ifs, [axes])
+                assert (got.value.pair, got.value.axes) == (want.pair, want.axes)
+                continue
+            coding = ProjectionCoding(ifs, [axes])
+            np.testing.assert_array_equal(coding.class_index[0], idx)
+            np.testing.assert_array_equal(coding.reps[0], reps)
+            assert len(coding.fibers[0]) == len(fibers)
+            for f, g in zip(coding.fibers[0], fibers):
+                np.testing.assert_array_equal(f, g)
+
+
+def test_coding_classes_are_the_components_of_the_exact_relation():
+    # ratios of 1e-12 on the first axis: map 1 coincides there with maps 0
+    # and 2, which are disjoint, so the exact relation is not transitive;
+    # the class is its connected component, named by letter 0
+    ifs = DiagonalIFS([DiagonalMap([1e-12, 0.25], [0.0, 0.0]),
+                       DiagonalMap([1e-12, 0.25], [6e-13, 0.25]),
+                       DiagonalMap([1e-12, 0.25], [1.2e-12, 0.5])])
+    verdicts = [compare_projections(ifs, i, j, [0]) for i, j in ((0, 1), (1, 2), (0, 2))]
+    assert verdicts == ["exact", "exact", "disjoint"]
+    coding = ProjectionCoding(ifs, [[0, 1], [0]])
+    assert coding.class_index[1].tolist() == [0, 0, 0]
+    assert coding.reps[1].tolist() == [0]
+    assert geometry_oracle.coding_level(ifs, [0])[0].tolist() == [0, 0, 0]
+
+
 # === classification ===
 
 def test_classify_sierpinski(sierpinski, mcmullen, gl4x2):
@@ -156,6 +222,15 @@ def test_classify_not_good():
     c = classify(ifs)
     assert c.label == "not-good"
     assert c.failures
+
+
+def test_classify_failures_name_axes_as_ints():
+    ifs = DiagonalIFS([DiagonalMap([1 / 4, 1 / 2], [0, 0]),
+                       DiagonalMap([1 / 4, 1 / 2], [1 / 8, 1 / 2]),
+                       DiagonalMap([1 / 4, 1 / 3], [3 / 4, 0])])
+    assert classify(ifs).failures == ["good: pair (0, 2) on axes (1,)",
+                                      "gl: pair (0, 2) on axes (1,)",
+                                      "baranski: pair (0, 1) on axis 0"]
 
 
 def test_classify_good_sponge_flags(sponge3d):

@@ -10,12 +10,14 @@ solver diagnostics are checked separately.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spongedim import DiagonalIFS, DiagonalMap
 from spongedim.scales import _RunEvaluator, _RunTable
-from spongedim.variational import optimize_packing, optimize_type_ell_hausdorff
+from spongedim.variational import (_CLOCK_ROUNDS, optimize_packing,
+                                   optimize_type_ell_hausdorff)
 from spongedim.weights import p_max_vector
 
 import nm_oracle
@@ -97,6 +99,29 @@ def test_baranski_carpet_moves_clocks_and_keeps_its_value():
     assert math.isfinite(value)
     assert value == _RunTable(ev, L, V).d_tilde([N])[0]
     assert value >= start.d_tilde([N])[0]
+
+
+# a Barański carpet whose clocks move after the first solve: at horizon 80
+# the pattern settles on the second solve, at 200 it still moves when the
+# rounds run out
+COL3 = DiagonalIFS([DiagonalMap([1 / 3, 1 / 2], [0, 0]),
+                    DiagonalMap([1 / 3, 1 / 4], [0, 1 / 2]),
+                    DiagonalMap([1 / 2, 1 / 4], [1 / 2, 3 / 4])])
+
+
+@pytest.mark.parametrize("total", [80, 200])
+def test_clock_rounds_resolve_until_the_pattern_settles(total):
+    res = optimize_type_ell_hausdorff(COL3, None, type_ell_lengths(total), 0.05,
+                                      N_points=8)
+    rounds = len(res.extras["solver"]["status"])
+    assert rounds > 1
+    assert ("clock-pattern-unsettled" in res.flags) == (rounds == _CLOCK_ROUNDS)
+    L, V = _block_vectors(res.argument)
+    N_grid = res.extras["N_grid"]
+    ev = _RunEvaluator(COL3, None)
+    assert res.value == _RunTable(ev, L, V).d_lower(N_grid).min()
+    start = _RunTable(ev, L, np.full((len(L), 3), 1 / 3))
+    assert res.value >= start.d_lower(N_grid).min()
 
 
 def test_solver_diagnostics_on_the_carpet(mcmullen):

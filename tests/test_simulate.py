@@ -461,7 +461,7 @@ def random_law(kind: str, n: int, rng) -> WeightModel:
 
 
 # the spine loop draws what the per-law paths drew, in the same order, so a
-# seed gives the same points; the closed-form fit matches np.polyfit
+# seed gives the same points; the closed-form fit matches the exact slope
 @given(st.sampled_from(["3x2", "4x2", "4x3x2"]),
        st.sampled_from(["deterministic", "percolation", "atoms"]),
        st.integers(3, 30), st.integers(0, 2 ** 32 - 1))
