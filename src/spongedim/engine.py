@@ -17,10 +17,11 @@ import numpy as np
 from ._scipy import entr
 from .ifs import DiagonalIFS, build_projection_coding
 from .scales import (PrefixTable, ScaleDecomposition, TailMin, _chain_groups,
-                     _const_gamma, _decomposition, _profile_min, _range_min,
-                     _RunEvaluator, certified_tail_horizon, clock_chain)
+                     _const_gamma, _decomposition, _profile_min, _profile_rows,
+                     _range_min, _RunEvaluator, certified_tail_horizon,
+                     clock_chain)
 from .weights import (DegenerateError, InputError, WeightModel, WeightSequence,
-                      as_prob_vector, as_survival_vector, entropy,
+                      _pow_mass, as_prob_vector, as_survival_vector, entropy,
                       nondegeneracy_report)
 
 DEGENERATE_TOL = 1e-12
@@ -227,26 +228,18 @@ def dim_imm_bounds(seq: WeightSequence, ifs: DiagonalIFS,
 
 def partition_function(seq: WeightSequence, dec: ScaleDecomposition, k: int,
                        q: float) -> float:
-    """S_{N,k}(q): log moment sums up to k, projected pressure terms beyond.
-    Its derivative at q = 1 recovers the entropy profile H_{N,k}."""
+    """S_{N,k}(q): log moment sums up to k, projected pressure terms beyond,
+    summed block by block with the rows of the entropy profile.  Its
+    derivative at q = 1 recovers the entropy profile H_{N,k}."""
     gs = dec.g[-1]
     if not (0 <= k <= gs):
         raise ValueError("k = %d outside [0, g_s = %d]" % (k, gs))
-    phi = seq.phi_array(q)[:k]
-    total = float(-np.log(phi).sum())
-    P = seq.p_rows()
+    rows = _profile_rows(np.concatenate([[0.0], seq.ends]), dec.g, [k])[0]
+    total = -rows[0] @ np.log(seq.phi_blocks(q))
     for r in range(1, dec.s + 1):
-        lo = max(k, dec.g_of(r - 1))
-        hi = dec.g[r - 1]
-        if lo >= hi:
-            continue
-        proj = dec.coding.project_rows(P[lo:hi], r)
-        if q == 0.0:
-            mass = (proj > 0).sum(axis=1).astype(np.float64)
-        else:
-            mass = (proj ** q).sum(axis=1)
-        total += float(-np.log(mass).sum())
-    return total
+        mass = _pow_mass(dec.coding.project_rows(seq.V, r), q).sum(axis=1)
+        total -= rows[r] @ np.log(mass)
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +402,7 @@ def dim_exp_periodic(ifs: DiagonalIFS, pspec: PeriodicSpec) -> PeriodicDimension
     periodic in log T; dim_H and dim_P are its extremes over a grid of one
     period, each refined on finer grids around the best grid point."""
     if pspec.n_letters != ifs.n:
-        raise ValueError("schedule alphabet size %d, ifs has %d maps"
+        raise InputError("schedule alphabet size %d, ifs has %d maps"
                          % (pspec.n_letters, ifs.n))
     tab = _PeriodTables(pspec, ifs, QUAD_STEPS)
 

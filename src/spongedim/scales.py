@@ -153,6 +153,30 @@ def _chain_groups(G: np.ndarray, ev: _RunEvaluator, rtol: float = 0.0):
         yield hit[0], rows, Gs[rows][:, hit[1]]
 
 
+def _rows_in(E, x):
+    """Rows of each run inside the generations (0, x], one line per
+    position x: the coefficients of a prefix sum on per-run values."""
+    x = np.asarray(x, dtype=np.float64)[:, None]
+    return np.clip(x - E[:-1], 0.0, E[1:] - E[:-1])
+
+
+def _profile_rows(E, g, ks) -> np.ndarray:
+    """The profile H_{N,k} at each position k of ``ks``, for one scale with
+    distinct clocks g_1 < ... < g_s, as coefficient rows on the per-run
+    values of the runs with boundaries E: a (ks, 1 + s, runs) array.  Slot
+    0 weighs the run entropies over (0, k]; slot r weighs the level-r
+    projected entropies over (clip(k, g_{r-1}, g_r), g_r], with g_0 = 0.
+    Every coefficient is nonnegative."""
+    ks = np.asarray(ks, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    out = np.empty((ks.size, 1 + g.size, E.size - 1))
+    out[:, 0] = _rows_in(E, ks)
+    for r in range(1, g.size + 1):
+        lo = np.clip(ks, 0.0 if r == 1 else g[r - 2], g[r - 1])
+        out[:, r] = _rows_in(E, g[r - 1:r]) - _rows_in(E, lo)
+    return out
+
+
 def _range_min(F: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """min F[a_i:b_i] per i, +inf where the range is empty.  ``reduceat``
     also reduces the gaps between consecutive ranges, so the ranges are
@@ -320,16 +344,11 @@ class _RunTable:
 
     def profile_at(self, g, coding, k: int) -> float:
         """H_{N,k} at one scale with distinct clocks g and chain coding
-        ``coding``, for any 0 <= k <= g_s."""
-        h, Q = self._projected(coding, first=1)
-        g = np.asarray(g, dtype=np.float64)
-        # level r counts the generations in (clip(k, g_{r-1}, g_r), g_r]
-        lo = np.minimum(np.maximum(k, np.concatenate([[0.0], g[:-1]])), g)
-        j, off, HPpos = self._locate(np.concatenate([[k], lo, g]))
-        lev, jl, jh = np.arange(g.size), j[1:g.size + 1], j[g.size + 1:]
-        Qlo = Q[lev, jl] + off[1:g.size + 1] * h[lev, jl]
-        Qhi = Q[lev, jh] + off[g.size + 1:] * h[lev, jh]
-        return float(HPpos[0] + (Qhi - Qlo).sum())
+        ``coding``, for any 0 <= k <= g_s: the rows of ``_profile_rows``
+        times the per-run entropies and projected entropies."""
+        rows = _profile_rows(self.E, g, [k])[0]
+        h, _ = self._projected(coding, first=1)
+        return float(rows[0] @ self.H[:-1] + (rows[1:] * h[:, :-1]).sum())
 
     def d_tilde(self, Ns) -> np.ndarray:
         """min_k H_{N,k} / N over k in [g_1, g_s], per scale."""
@@ -354,7 +373,7 @@ class PrefixTable(_RunTable):
 
     def __init__(self, ifs: DiagonalIFS, seq):
         if seq.n_letters != ifs.n:
-            raise ValueError("sequence alphabet size %d, ifs has %d maps"
+            raise InputError("sequence alphabet size %d, ifs has %d maps"
                              % (seq.n_letters, ifs.n))
         V = seq.V
         change = (V[1:] != V[:-1]).any(axis=1)
@@ -377,10 +396,6 @@ class ScaleDecomposition:
     g: list                 # g[r-1] = g_r(N); strictly increasing
     gammas: np.ndarray      # per-axis clock
     coding: ProjectionCoding = field(repr=False)
-
-    def g_of(self, r: int) -> int:
-        # g_0 = 0 by convention
-        return 0 if r == 0 else self.g[r - 1]
 
     def as_dict(self) -> dict:
         return {

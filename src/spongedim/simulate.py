@@ -184,8 +184,10 @@ def tree_rects(tree: PercolationTree, ifs: DiagonalIFS, level: int):
     onwards, so the parents of a block are a slice of the level above and
     each parent's first child is found by one search in the block.  The
     float operations are those of composing the maps digit by digit, in the
-    same order."""
+    same order.  InputError unless the tree has one letter per map."""
     d, arity = ifs.d, tree.arity
+    if arity != ifs.n:
+        raise InputError("tree has arity %d, system has %d maps" % (arity, ifs.n))
     T, A = ifs.T.T.copy(), ifs.A.T.copy()     # one contiguous row per axis
     lo, scale = np.zeros((d, 1)), np.ones((d, 1))
     # every code a level could hold stays below 2**63 (rng.max_code_depth),

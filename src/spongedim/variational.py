@@ -13,7 +13,6 @@ multistart Nelder-Mead search on the simplex (``maximize_on_simplex``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +21,8 @@ import numpy as np
 from ._scipy import entr, minimize
 from .engine import DEGENERATE_TOL, dim_mandelbrot, mandelbrot_value, stable_chain
 from .ifs import DiagonalIFS
-from .scales import _RunEvaluator, _RunTable, _chain_groups, resolutions
+from .scales import (_RunEvaluator, _RunTable, _chain_groups, _profile_rows,
+                     _rows_in, resolutions)
 from .weights import (DegenerateError, InputError, WeightModel, WeightSequence,
                       as_survival_vector, drift_scan, entropy, p_max_vector,
                       validate_type_ell)
@@ -45,8 +45,6 @@ class OptimizationResult:
 
 
 NM_ITER_PER_LETTER = 300   # Nelder-Mead iterations per start and letter
-POLISH_ITER = 500           # most ascent steps of the polish
-POLISH_TOL = 1e-8           # gradient residual at which the polish stops
 # the constant-law search on unequal linear parts: starts and their seed
 MULTISTARTS = 32
 MULTISTART_SEED = 0
@@ -54,9 +52,10 @@ MULTISTART_SEED = 0
 
 def maximize_on_simplex(f, n: int, starts: int, seed: int,
                         extra_starts=()) -> OptimizationResult:
-    """Multistart Nelder-Mead in softmax coordinates, then gradient-ascent
-    polish with finite differences.  The residual is the sup norm of the
-    centred finite-difference gradient at the returned point."""
+    """Multistart Nelder-Mead in softmax coordinates.  Returns the best
+    start's point and value; the residual is the sup norm of the centred
+    finite-difference gradient there (the flat all-ones direction
+    projected out), and the iterations are that start's."""
     rng = np.random.default_rng(seed)
     xs = [np.zeros(n)]
     for p0 in extra_starts:
@@ -67,48 +66,18 @@ def maximize_on_simplex(f, n: int, starts: int, seed: int,
     def F(x):
         return f(softmax(x))
 
-    best_x, best_v = None, -math.inf
+    best = None
     for x0 in xs:
         res = minimize(lambda x: -F(x), x0, method="Nelder-Mead",
                        options={"maxiter": NM_ITER_PER_LETTER * n,
                                 "fatol": 1e-13, "xatol": 1e-9})
-        v = -res.fun
-        if v > best_v:
-            best_v, best_x = v, res.x.copy()
-
-    # ascent polish; the all-ones direction is flat, project it out
-    x, fx = best_x, best_v
+        if best is None or -res.fun > -best.fun:
+            best = res
     h = 1e-6
-    residual = math.inf
-    it = 0
-    for it in range(1, POLISH_ITER + 1):
-        g = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            g[i] = (F(x + e) - F(x - e)) / (2 * h)
-        g -= g.mean()
-        residual = float(np.abs(g).max())
-        if residual <= POLISH_TOL:
-            break
-        step = 1.0
-        moved = False
-        while step > 1e-16:
-            xn = x + step * g
-            fn = F(xn)
-            if fn > fx:
-                x, fx = xn, fn
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    p = softmax(x)
-    flags = []
-    if abs(f(p) - fx) > 1e-9:
-        flags.append("re-evaluation-mismatch")
-    return OptimizationResult(value=float(fx), argument=p, residual=residual,
-                              iterations=it, n_starts=len(xs), flags=flags)
+    g = np.array([F(best.x + e) - F(best.x - e) for e in h * np.eye(n)]) / (2 * h)
+    return OptimizationResult(value=float(-best.fun), argument=softmax(best.x),
+                              residual=float(np.abs(g - g.mean()).max()),
+                              iterations=int(best.nit), n_starts=len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +134,16 @@ def optimize_mandelbrot(ifs: DiagonalIFS, alpha=None) -> OptimizationResult:
 def _constant_law_rows(ifs: DiagonalIFS, p):
     """The constant-law objective H/chi~_1 + sum_{r>=2} c_r min(H, h(Pi_r p)),
     c_r = 1/chi~_r - 1/chi~_{r-1} > 0, on the chain of chi(p), as the
-    candidate rows of one run (``_solve_epigraph``): per subset S of the
-    levels 2..s, the coefficient of H is 1/chi~_1 plus c_r for r not in S,
-    and that of h_r is c_r for r in S.  Returns (C, mats) as
-    ``_program_rows`` does."""
+    candidate rows of one run (``_solve_epigraph``): the profile of one
+    endless run at N = 1, whose clocks are g_r = 1/chi~_r, read at each
+    clock (``_profile_rows``).  h(Pi_r p) never grows with r, so the levels
+    where min(H, h_r) = h_r are the top ones, and the minimum of these s
+    rows is the closed form.  Returns (C, mats) as ``_program_rows`` does."""
     _, _, chi_tilde, coding = stable_chain(ifs, p)
-    inv = 1.0 / chi_tilde
-    c = np.diff(inv)
-    S = np.array(list(itertools.product((0.0, 1.0), repeat=c.size)))
-    C = np.concatenate([(inv[0] + (1.0 - S) @ c)[:, None], S * c], axis=1)
-    return C[:, :, None], coding.indicators[1:]
+    g = 1.0 / chi_tilde
+    # the level-1 slot is empty at every clock
+    C = np.delete(_profile_rows(np.array([0.0, math.inf]), g, g), 1, axis=1)
+    return C, coding.indicators[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +410,6 @@ def _cut_runs(L, cuts):
             E.searchsorted(bounds[:-1], side="right") - 1)
 
 
-def _rows_in(E, x):
-    """Rows of each run inside the generations (0, x], one line per
-    position x: the coefficients of a prefix sum on per-run values."""
-    x = np.asarray(x, dtype=np.float64)[:, None]
-    return np.clip(x - E[:-1], 0.0, E[1:] - E[:-1])
-
-
 def _program_rows(table: _RunTable, Ns, tail: bool):
     """Every candidate of the minima behind min_N d~_N (min_N d_N with
     ``tail``) as a row of coefficients on the per-run values.  Returns
@@ -456,12 +418,10 @@ def _program_rows(table: _RunTable, Ns, tail: bool):
     H and feature f >= 1 the projected entropy through the indicator
     matrix mats[f - 1].
 
-    At a scale with distinct clocks g_1 < ... < g_s, H_{N,k} is the sum of
-    H over (0, k] plus, per level r >= 2, the level-r projected entropy
-    over (clip(k, g_{r-1}, g_r), g_r].  It is linear between the clocks and
-    the run boundaries, so those are the candidates for k in [g_1, g_s];
-    the tail adds the prefix sums of H at the boundaries inside (g_s, T)
-    and at T, the horizon.  Every coefficient is nonnegative."""
+    At a scale, H_{N,k} (``_profile_rows``, whose level-1 slot is empty
+    for k >= g_1) is linear between the clocks and the run boundaries, so
+    those are the candidates for k in [g_1, g_s]; the tail adds the prefix
+    sums of H at the boundaries inside (g_s, T) and at T, the horizon."""
     E, T = table.E, float(table.horizon)
     Ns = np.asarray(Ns, dtype=np.float64)
     groups = list(_chain_groups(table.clocks(Ns), table.ev))
@@ -474,11 +434,11 @@ def _program_rows(table: _RunTable, Ns, tail: bool):
             if tail:
                 # past g_s every level's interval is empty: H alone
                 ks = np.concatenate([ks, E[(E > gi[-1]) & (E < T)], [T]])
+            prof = _profile_rows(E, gi, ks)
             c = np.zeros((ks.size, len(feats) + 1, E.size - 1))
-            c[:, 0] = _rows_in(E, ks)
+            c[:, 0] = prof[:, 0]
             for r in range(2, gi.size + 1):
-                lo = np.clip(ks, gi[r - 2], gi[r - 1])
-                c[:, feats[coding, r]] = _rows_in(E, gi[r - 1:r]) - _rows_in(E, lo)
+                c[:, feats[coding, r]] = prof[:, r]
             blocks.append(c / N)
     return np.concatenate(blocks), [coding.indicators[r - 1] for coding, r in feats]
 

@@ -210,7 +210,7 @@ class WeightSequence:
     shared survival vector alpha (deterministic when alpha is None) or the
     explicit law models[m].  A dense matrix of rows is a list of blocks of
     length 1.  Nothing is stored per generation: the row views (p_rows,
-    H_array, phi_array, model_at) are expanded on demand.
+    H_array, model_at) are expanded on demand.
     """
 
     def __init__(self, P, alpha=None):
@@ -300,15 +300,13 @@ class WeightSequence:
         """H(W^{(n)}) for n = 1..horizon."""
         return np.repeat(self.H, self.L)
 
-    def phi_array(self, q: float) -> np.ndarray:
-        """phi_{W^{(n)}}(q) for n = 1..horizon."""
+    def phi_blocks(self, q: float) -> np.ndarray:
+        """phi_{W^{(n)}}(q) of each block's law."""
         if self.models is not None:
-            vals = np.array([m.phi(q) for m in self.models])
-        elif self.alpha is None:
-            vals = _pow_mass(self.V, q).sum(axis=1)
-        else:
-            vals = _pow_mass(self.V, q) @ (self.alpha ** (1.0 - q))
-        return np.repeat(vals, self.L)
+            return np.array([m.phi(q) for m in self.models])
+        if self.alpha is None:
+            return _pow_mass(self.V, q).sum(axis=1)
+        return _pow_mass(self.V, q) @ (self.alpha ** (1.0 - q))
 
     def truncated(self, horizon: int) -> "WeightSequence":
         if not (1 <= horizon <= self.horizon):

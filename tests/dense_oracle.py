@@ -10,6 +10,9 @@ small schedules only.
 
 ``tree_rects`` composes the maps along each cell's digit word, the oracle
 for the level gather of ``spongedim.simulate.tree_rects``.
+``partition_function`` sums the log moments of every generation's law and
+the projected power sums of every row, the oracle for the block sums of
+``spongedim.engine.partition_function``.
 """
 
 from __future__ import annotations
@@ -100,11 +103,34 @@ def entropy_profile(seq, dec: ScaleDecomposition, k: int,
     total = prefix.H_prefix[k]
     P = seq.p_rows()
     for r in range(1, dec.s + 1):
-        lo = max(k, dec.g_of(r - 1))
+        lo = max(k, dec.g[r - 2] if r > 1 else 0)
         hi = dec.g[r - 1]
         if lo < hi:
             total += float(entr(dec.coding.project_rows(P[lo:hi], r)).sum())
     return float(total)
+
+
+def partition_function(seq, dec: ScaleDecomposition, k: int, q: float) -> float:
+    """S_{N,k}(q) row by row: log moment sums of the generation laws up to
+    k, projected power sums of the mean rows beyond."""
+    gs = dec.g[-1]
+    if not (0 <= k <= gs):
+        raise ValueError("k = %d outside [0, g_s = %d]" % (k, gs))
+    phi = np.array([seq.model_at(n).phi(q) for n in range(1, k + 1)])
+    total = float(-np.log(phi).sum())
+    P = seq.p_rows()
+    for r in range(1, dec.s + 1):
+        lo = max(k, dec.g[r - 2] if r > 1 else 0)
+        hi = dec.g[r - 1]
+        if lo >= hi:
+            continue
+        proj = dec.coding.project_rows(P[lo:hi], r)
+        if q == 0.0:
+            mass = (proj > 0).sum(axis=1).astype(np.float64)
+        else:
+            mass = (proj ** q).sum(axis=1)
+        total += float(-np.log(mass).sum())
+    return total
 
 
 class DenseSequences:

@@ -343,6 +343,11 @@ BAD_MANIFESTS = {
     "self-rerun.json": json.dumps(dict(MANIFEST_DOC, command="rerun",
                                        params={"manifest": "self-rerun.json"})),
 }
+# grid carpets of four and of two maps, for a tree of arity 3
+FOUR_MAPS = {"dimension": 2, "maps": [{"a": [0.5, 0.5], "t": t} for t in
+                                      ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5])]}
+TWO_MAPS = {"dimension": 2, "maps": [{"a": [0.5, 0.5], "t": t} for t in
+                                     ([0.0, 0.0], [0.5, 0.5])]}
 HAUSDORFF = ("optimize-hausdorff", "--ifs", "ifs.json")
 PACKING = ("optimize-packing", "--ifs", "ifs.json", "--scales", "20")
 DEEP_BOXCOUNT = ("boxcount", "--ifs", "ifs.json", "--alpha", "0.8", "--depth", "39")
@@ -396,14 +401,29 @@ LOCAL_DIM = ("local-dim", "--ifs", "ifs.json", "--weights", "weights.json")
     ((*SEQ_FILE, "fraction.json"), 2),
     ((*SEQ_FILE, "zero.json"), 2),
     ((*SEQ_FILE, "sequence.json", "--horizon", "5"), 2),
+    # one letter per map: a schedule or periodic law, and a counted tree
+    ((*SEQ_FILE, "two-letter-seq.json"), 2),
+    (("decompose", "--ifs", "ifs.json", "--sequence", "two-letter-seq.json",
+      "--N", "20"), 2),
+    (("dim-periodic", "--ifs", "ifs.json", "--periodic", "two-letter-periodic.json"), 2),
+    *[(("boxcount", "--ifs", name, "--tree", "tree.json", "--scales", "1,2"), 2)
+      for name in ("four-maps.json", "two-maps.json")],
 ], ids=lambda x: str(x) if isinstance(x, int)
    else " ".join(a for a in x if a not in ("--ifs", "ifs.json")))
 def test_exit_code_matrix(workdir, monkeypatch, capsys, args, code):
     monkeypatch.chdir(workdir)
     p = [0.5, 0.25, 0.25]
+    # a 3-ary tree as simulate writes it on the 3x2 carpet
+    tree = io.tree_to_dict(sample_tree(3, [0.9] * 3, depth=4, seed=1),
+                           {"type": "percolation-tree", "arity": 3, "alpha": [0.9] * 3})
     for name, doc in (("two-letters.json", {"type": "deterministic", "p": [0.5, 0.5]}),
                       ("fraction.json", {"blocks": [{"len": 2.7, "p": p}]}),
-                      ("zero.json", {"blocks": [{"len": 0, "p": p}]})):
+                      ("zero.json", {"blocks": [{"len": 0, "p": p}]}),
+                      ("two-letter-seq.json", {"blocks": [{"len": 100, "p": [0.5, 0.5]}]}),
+                      ("two-letter-periodic.json",
+                       {"lambda": 4.0, "knots": [{"t": 1.0, "p": [0.5, 0.5]}]}),
+                      ("four-maps.json", FOUR_MAPS), ("two-maps.json", TWO_MAPS),
+                      ("tree.json", tree)):
         with open(name, "w") as fh:
             json.dump(doc, fh)
     for name, text in BAD_MANIFESTS.items():

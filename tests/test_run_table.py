@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 import spongedim
 from spongedim import io
 from spongedim.engine import (d_sequences, dim_imm_bounds, entropy_profile,
-                              scaled_weight_model, three_weight_gap_sequence)
+                              partition_function, scaled_weight_model,
+                              three_weight_gap_sequence)
 from spongedim.scales import PrefixTable, decompose, tail_min
 from spongedim.weights import WeightSequence, entropy, nondegeneracy_report
 
@@ -112,6 +113,24 @@ def test_run_table_matches_dense_oracle(sponge3d, seed, kind, use_sponge):
                 if x == gs:
                     assert (("tail-horizon-limited" in res.flags)
                             == want.horizon_limited)
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["blocks", "dense", "gap"]), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_partition_function_matches_dense_oracle(sponge3d, seed, kind, use_sponge):
+    # block sums with the profile's rows against one term per generation
+    rng = np.random.default_rng(seed)
+    ifs = sponge3d if use_sponge and kind != "gap" else MCMULLEN
+    seq = draw_schedule(kind, ifs, rng)
+    table = PrefixTable(ifs, seq)
+    dec = decompose(ifs, seq, float(rng.uniform(0.05, 0.98) * table.max_resolution()),
+                    prefix=table)
+    for k in [0, dec.g[0], dec.g[-1], *rng.integers(0, dec.g[-1] + 1, size=2)]:
+        for q in (0.0, 0.5, 1.0, 2.0):
+            want = dense.partition_function(seq, dec, int(k), q)
+            got = partition_function(seq, dec, int(k), q)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (k, q)
 
 
 def test_grid_call_matches_one_scale_calls(mcmullen):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from spongedim import DiagonalIFS, DiagonalMap, io, variational
-from spongedim.engine import dim_imm_bounds, dim_mandelbrot, mandelbrot_value
+from spongedim.engine import (dim_imm_bounds, dim_mandelbrot, mandelbrot_value,
+                              stable_chain)
 from spongedim.scales import TailHorizonError, _RunEvaluator, _RunTable, decompose
 from spongedim.simulate import (box_count_fit, empirical_local_dimension, fit_range,
                                 sample_cascade, sample_tree)
@@ -33,6 +34,7 @@ from spongedim.weights import (DegenerateError, InputError, WeightModel,
 
 from conftest import carpet, type_ell_lengths
 from dense_oracle import DensePrefixTable, d_sequences
+import multistart_oracle
 
 
 LOG2, LOG3 = math.log(2.0), math.log(3.0)
@@ -122,6 +124,53 @@ def test_unequal_linear_parts_keep_the_multistart(alpha, value):
     assert res.n_starts == 32
     assert "solver" not in res.extras
     assert abs(res.value - value) <= 1e-9
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_constant_law_rows_give_the_closed_form(seed, percolated):
+    # s rows, one per clock; their minimum is the closed form because the
+    # projected entropies never grow up the chain
+    rng = np.random.default_rng(seed)
+    ifs = _grid_sponge(rng)
+    p = rng.dirichlet(np.full(ifs.n, rng.uniform(0.3, 3.0)))
+    alpha = rng.uniform(0.3, 1.0, size=ifs.n) if percolated else np.ones(ifs.n)
+    H = entropy(p) + float(p @ np.log(alpha))
+    C, mats = variational._constant_law_rows(ifs, p)
+    s = len(stable_chain(ifs, p)[0])
+    assert C.shape == (s, s, 1) and len(mats) == s - 1
+    F = np.array([H] + [entropy(p @ M) for M in mats])
+    assert abs((C[:, :, 0] @ F).min() - mandelbrot_value(ifs, p, H)) <= 1e-14
+
+
+BARANSKI2 = DiagonalIFS([DiagonalMap([1 / 2, 1 / 3], [0, 0]),
+                         DiagonalMap([1 / 3, 1 / 2], [2 / 3, 1 / 2])])
+BARANSKI3 = DiagonalIFS([DiagonalMap([1 / 2, 1 / 3], [0, 0]),
+                         DiagonalMap([1 / 6, 1 / 6], [1 / 2, 1 / 3]),
+                         DiagonalMap([1 / 3, 1 / 2], [2 / 3, 1 / 2])])
+
+
+@pytest.mark.parametrize("ifs,alpha", [(BARANSKI2, None), (BARANSKI2, (0.9, 0.8)),
+                                       (BARANSKI3, None), (BARANSKI3, (0.9, 0.8, 0.85))],
+                         ids=["baranski2", "baranski2-alpha", "baranski3",
+                              "baranski3-alpha"])
+def test_multistart_matches_the_polished_oracle(ifs, alpha):
+    # the ascent polish never moved on these carpets: without it the search
+    # returns the same value, law and residual, bit for bit, and no flag
+    log_alpha = np.zeros(ifs.n) if alpha is None else np.log(alpha)
+    extra = [] if alpha is None else [np.asarray(alpha) / sum(alpha)]
+
+    def f(p):
+        return mandelbrot_value(ifs, p, entropy(p) + float(p @ log_alpha))
+
+    args = (f, ifs.n, variational.MULTISTARTS, variational.MULTISTART_SEED)
+    got = maximize_on_simplex(*args, extra_starts=extra)
+    want = multistart_oracle.maximize_on_simplex(*args, extra_starts=extra)
+    assert got.value == want.value and got.residual == want.residual
+    assert np.array_equal(got.argument, want.argument)
+    assert got.flags == want.flags == []
+    res = optimize_mandelbrot(ifs, alpha=alpha)
+    assert res.value == got.value and np.array_equal(res.argument, got.argument)
 
 
 @pytest.mark.parametrize("level", [0.3, 1 / 3])
