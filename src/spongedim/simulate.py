@@ -564,7 +564,9 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
     realized scale.  The law needs one letter per map, the scales must be
     finite and positive, the depth must cover the slowest clock of the
     largest N, and the scales must give at least two distinct box sizes
-    (InputError otherwise)."""
+    (InputError otherwise).  A sample whose points x (depth + 1) x s
+    log-masses exceed MEMORY_GUARD raises ResourceCapError before any
+    draw."""
     check_letters(ifs, model)
     p = model.mean()
     groups, _, chi_tilde, coding = stable_chain(ifs, p)
@@ -592,6 +594,11 @@ def empirical_local_dimension(ifs: DiagonalIFS, model: WeightModel, depth: int,
         raise InputError("depth %d and %s give one box size; the fit needs "
                          "two" % (depth, scales))
 
+    size = n_points * (depth + 1) * s
+    if size > MEMORY_GUARD:
+        raise ResourceCapError("%d points to depth %d on %d levels hold %d "
+                               "log-masses (guard %d)"
+                               % (n_points, depth, s, size, MEMORY_GUARD))
     rng = np.random.default_rng(seed)
     digits = np.searchsorted(np.cumsum(p), rng.random((n_points, depth)), side="right")
     digits = np.minimum(digits, p.size - 1)

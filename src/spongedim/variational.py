@@ -155,7 +155,7 @@ class PressureContext:
 
     def __init__(self, ifs: DiagonalIFS, alpha):
         if not ifs.equal_linear_parts():
-            raise ValueError("weighted pressure needs equal linear parts")
+            raise InputError("weighted pressure needs equal linear parts")
         self.ifs = ifs
         self.alpha = as_survival_vector(alpha, ifs.n)
         # the law is immaterial: every one has the first map's exponents
@@ -163,8 +163,7 @@ class PressureContext:
             ifs, np.eye(ifs.n)[0])
         self.s = len(self.groups)
         # expected offspring per class and level
-        self.EN = [np.bincount(self.coding.class_index[r - 1], weights=self.alpha,
-                               minlength=self.coding.n_classes(r))
+        self.EN = [self.coding.project_vector(self.alpha, r)
                    for r in range(1, self.s + 1)]
 
     def lift_to_letters(self, u: np.ndarray, r: int) -> np.ndarray:
@@ -215,33 +214,23 @@ def weighted_pressure(ifs: DiagonalIFS, alpha, r: int, theta: float,
     return float(P), w
 
 
-THETA_GRID = 256        # theta grid of the pressure minimum
-GOLDEN_ROUNDS = 80      # golden-section steps around its best grid point
+def _pressure_min_theta(ctx: PressureContext, r: int, lo: float):
+    """min over theta in [lo, 1] of P_r(theta), as (theta, P, maximizer).
 
+    P_r is convex, and its slope at theta is <w, log EN_r>/chi~_r at the
+    maximizer w (Danskin), so the ends decide: unless their slopes change
+    sign the lower end is the minimum; otherwise the bracket is halved on
+    the slope's sign until no float lies strictly inside it."""
+    def at(theta):
+        P, w = weighted_pressure(ctx.ifs, ctx.alpha, r, theta, ctx)
+        return theta, P, w, float(w @ np.log(ctx.EN[r - 1]))
 
-def _pressure_min_theta(ifs, alpha, r, lo, hi, ctx):
-    """min over theta in [lo, hi] of P_r(theta) (convex), grid + golden."""
-    ths = np.linspace(lo, hi, THETA_GRID)
-    vals = np.array([weighted_pressure(ifs, alpha, r, t, ctx)[0] for t in ths])
-    j = int(np.argmin(vals))
-    a = ths[max(0, j - 1)]
-    b = ths[min(THETA_GRID - 1, j + 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = weighted_pressure(ifs, alpha, r, c, ctx)[0]
-    fd = weighted_pressure(ifs, alpha, r, d, ctx)[0]
-    for _ in range(GOLDEN_ROUNDS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = weighted_pressure(ifs, alpha, r, c, ctx)[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = weighted_pressure(ifs, alpha, r, d, ctx)[0]
-    t_star = 0.5 * (a + b)
-    return t_star, weighted_pressure(ifs, alpha, r, t_star, ctx)
+    a, b = at(lo), at(1.0)
+    if a[3] < 0.0 < b[3]:
+        while a[0] < (mid := 0.5 * (a[0] + b[0])) < b[0]:
+            m = at(mid)
+            a, b = (m, b) if m[3] < 0.0 else (a, m)
+    return min(a, b, key=lambda end: end[1])[:3]
 
 
 @dataclass
@@ -258,6 +247,8 @@ def dim_attractor_equal_linear(ifs: DiagonalIFS, alpha) -> AttractorDimension:
     """A.s. Hausdorff dimension of the surviving set for equal linear parts:
     the infimum of weighted pressures over levels r >= 2 and theta in
     [chi~_r/chi~_{r-1}, 1], attained by an explicit percolation-type law.
+    With one level (s = 1) the interval is theta = 1 at level 1, whose
+    pressure is log(sum alpha)/chi~_1, at the law alpha/sum alpha.
 
     Verifies the variational claim by recomputing the dimension of the
     reconstructed law; disagreement beyond 1e-6 is flagged."""
@@ -265,25 +256,17 @@ def dim_attractor_equal_linear(ifs: DiagonalIFS, alpha) -> AttractorDimension:
     total = float(ctx.alpha.sum())
     if total <= 1.0:
         raise DegenerateError("subcritical survival: sum alpha = %g <= 1" % total)
-    flags = []
-    if ctx.s == 1:
-        value = math.log(total) / ctx.chi_tilde[0]
-        r_star, theta_star = 1, 1.0
-        u = ctx.EN[0] / total
-        p = ctx.lift_to_letters(u, 1)
-    else:
-        best = (math.inf, None, None, None)
-        for r in range(2, ctx.s + 1):
-            lo = ctx.chi_tilde[r - 1] / ctx.chi_tilde[r - 2]
-            t_star, (val, u) = _pressure_min_theta(ifs, alpha, r, lo, 1.0, ctx)
-            if val < best[0]:
-                best = (val, r, t_star, u)
-        value, r_star, theta_star, u = best
-        p = ctx.lift_to_letters(u, r_star)
-    model = WeightModel.percolation(p, ctx.alpha)
+    levels = []
+    for r in range(min(2, ctx.s), ctx.s + 1):
+        # level 1 (s = 1 alone) divides chi~_1 by itself: theta = 1
+        lo = ctx.chi_tilde[r - 1] / ctx.chi_tilde[max(r - 2, 0)]
+        theta, P, u = _pressure_min_theta(ctx, r, lo)
+        levels.append((P, r, theta, u))
+    # the first level wins a tie
+    value, r_star, theta_star, u = min(levels, key=lambda level: level[0])
+    model = WeightModel.percolation(ctx.lift_to_letters(u, r_star), ctx.alpha)
     mm = dim_mandelbrot(ifs, model).value
-    if abs(mm - value) > 1e-6:
-        flags.append("variational-mismatch")
+    flags = ["variational-mismatch"] if abs(mm - value) > 1e-6 else []
     return AttractorDimension(value=float(value), r_star=int(r_star),
                               theta_star=float(theta_star), weight_model=model,
                               mm_value=float(mm), flags=flags)
@@ -585,6 +568,35 @@ def _solve_schedule(ev: _RunEvaluator, lengths, vectors, Ns, M0: int,
     return best, best_value, solves, settled
 
 
+def _start_laws(ifs: DiagonalIFS, alpha, pm) -> list:
+    """The laws the schedule searches start from: the entropy maximizer pm
+    and, on unequal linear parts, the best constant law
+    (``optimize_mandelbrot``).  There the clocks move with the law and a
+    search stays in its start's clock pattern; on equal linear parts the
+    program is concave and one start suffices."""
+    if ifs.equal_linear_parts():
+        return [pm]
+    return [pm, optimize_mandelbrot(ifs, alpha).argument]
+
+
+def _solve_from_starts(ev: _RunEvaluator, lengths, laws, Ns, M0: int,
+                       rate: float, tail: bool = False, cut: bool = False):
+    """``_solve_schedule`` from each law repeated on every run, when that
+    start lies in the drift class; the first must.  Returns the search
+    with the largest value, the earliest on a tie, and the number of
+    starts solved."""
+    best, n = None, 0
+    for i, p in enumerate(laws):
+        vectors = np.tile(p, (len(lengths), 1))
+        if i and not _RunTable(ev, lengths, vectors).admissible(M0, rate):
+            continue
+        n += 1
+        search = _solve_schedule(ev, lengths, vectors, Ns, M0, rate, tail, cut)
+        if best is None or search[1] > best[1]:
+            best = search
+    return best, n
+
+
 def _solver_report(solves, settled: bool):
     """(flags, extras entry, iterations, largest KKT residual) of a
     search's solves."""
@@ -606,11 +618,13 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     the scale grid.
 
     Per N the variables are the blocks cut at the scale's clocks and at
-    floor(N*eps), one concave solve each (``_solve_schedule``).  The search
-    is deterministic; ``seed`` is ignored (``bench/reference.py`` still
-    passes it).  The witness concatenates entropy-lifted
-    maximizers on exponentially separated windows; it is reported, with its
-    admissibility scan, rather than certified optimal.  Bad eps, lengths or
+    floor(N*eps), one concave solve each (``_solve_schedule``) from each
+    law of ``_start_laws``; the better search is kept, and n_starts is the
+    most starts solved at one N.  The search is deterministic; ``seed`` is
+    ignored (``bench/reference.py`` still passes it).  The witness
+    concatenates entropy-lifted maximizers on exponentially separated
+    windows; it is reported, with its admissibility scan, rather than
+    certified optimal.  Bad eps, lengths or
     scales, and lengths short of the largest scale's budget, raise
     InputError before a subcritical alpha raises DegenerateError."""
     alpha = as_survival_vector(alpha, ifs.n)
@@ -623,16 +637,17 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
     if top_entropy(ifs.n, alpha) <= 0:
         raise DegenerateError("subcritical survival vector")
     _, lam_hi = ifs.contraction_span()
-    pm = p_max_vector(alpha)
+    laws = _start_laws(ifs, alpha, p_max_vector(alpha))
     ev = _RunEvaluator(ifs, alpha)
-    per_N, runs, solves, settled = [], {}, [], True
+    per_N, runs, solves, settled, n_starts = [], {}, [], True, 1
     for N in N_grid:
         budget = packing_budget(ifs, N)
         M_lo = max(1, int(math.floor(N * eps)))
         L, _ = _cut_runs(lengths, [M_lo, budget])
         L = L[np.cumsum(L) <= budget]
-        table, value, solved, done = _solve_schedule(ev, L, np.tile(pm, (L.size, 1)),
-                                                     [N], M_lo, -eps, cut=True)
+        (table, value, solved, done), n = _solve_from_starts(
+            ev, L, laws, [N], M_lo, -eps, cut=True)
+        n_starts = max(n_starts, n)
         solves += solved
         settled &= done
         per_N.append({"N": float(N), "value": value})
@@ -646,7 +661,7 @@ def optimize_packing(ifs: DiagonalIFS, alpha, lengths, eps: float,
                                                    N_grid, runs, lam_hi)
     solver_flags, solver, nit, residual = _solver_report(solves, settled)
     return OptimizationResult(value=value, argument=witness, residual=residual,
-                              iterations=nit, n_starts=1,
+                              iterations=nit, n_starts=n_starts,
                               flags=["at-horizon"] + solver_flags + wit_flags,
                               extras={"per_N": per_N, "windows": windows,
                                       "eps": eps, "runs": runs,
@@ -711,8 +726,9 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
     dimension estimate (minimum of d_N over a scale grid) over block
     schedules with certified entropy drift sum_{n<=N} H >= N*eps.
 
-    One vector per block, one concave solve (``_solve_schedule``) from the
-    entropy maximizer.  The certificate re-scans the returned schedule
+    One vector per block, one concave solve (``_solve_schedule``) from
+    each law of ``_start_laws`` that lies in the class; the better search
+    is kept.  The certificate re-scans the returned schedule
     after projecting each block vector to the eps^2 grid; both the
     continuous and the projected values are reported.  Bad eps or lengths
     raise InputError before a subcritical alpha raises DegenerateError, an
@@ -732,10 +748,11 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
     maxN = horizon / lam_hi * 0.98
     N_grid = np.geomspace(max(4.0, maxN / 16.0), maxN, N_points)
     burn = int(math.ceil(1.0 / eps))
-    # the entropy maximizer has the largest sums, so it lies in the class
-    start = np.repeat(pm[None, :], len(block_lengths), axis=0)
-    table, value, solves, settled = _solve_schedule(ev, block_lengths, start,
-                                                    N_grid, burn, eps, tail=True)
+    # the entropy maximizer, the first start, has the largest sums, so it
+    # lies in the class
+    (table, value, solves, settled), n_starts = _solve_from_starts(
+        ev, block_lengths, _start_laws(ifs, alpha, pm), N_grid, burn, eps,
+        tail=True)
     vectors = table.V
 
     # certificate on the eta = eps^2 grid
@@ -752,7 +769,7 @@ def optimize_type_ell_hausdorff(ifs: DiagonalIFS, alpha, lengths, eps: float,
     if not grid_ok:
         flags.append("grid-certificate-failed")
     return OptimizationResult(value=value, argument=seq, residual=residual,
-                              iterations=nit, n_starts=1, flags=flags,
+                              iterations=nit, n_starts=n_starts, flags=flags,
                               extras={"eps": eps, "eta": eta,
                                       "grid_value": grid_val,
                                       "grid_certificate": grid_ok,

@@ -348,6 +348,9 @@ FOUR_MAPS = {"dimension": 2, "maps": [{"a": [0.5, 0.5], "t": t} for t in
                                       ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5])]}
 TWO_MAPS = {"dimension": 2, "maps": [{"a": [0.5, 0.5], "t": t} for t in
                                      ([0.0, 0.0], [0.5, 0.5])]}
+# a Barański carpet: its linear parts differ
+BARANSKI = {"dimension": 2, "maps": [{"a": [1 / 2, 1 / 3], "t": [0.0, 0.0]},
+                                     {"a": [1 / 3, 1 / 2], "t": [2 / 3, 1 / 2]}]}
 HAUSDORFF = ("optimize-hausdorff", "--ifs", "ifs.json")
 PACKING = ("optimize-packing", "--ifs", "ifs.json", "--scales", "20")
 DEEP_BOXCOUNT = ("boxcount", "--ifs", "ifs.json", "--alpha", "0.8", "--depth", "39")
@@ -358,7 +361,8 @@ LOCAL_DIM = ("local-dim", "--ifs", "ifs.json", "--weights", "weights.json")
 # each input rule has one owner, a library function that raises InputError
 # (exit 2) before a subcritical alpha raises DegenerateError (exit 3); the
 # boxcount cases would exit 4 in sampling, after their window check.  A
-# malformed manifest exits 2 and names the file
+# malformed manifest exits 2 and names the file; a local-dimension sample
+# past the memory guard exits 4 before any draw
 @pytest.mark.parametrize("args, code", [
     ((*HAUSDORFF, "--lengths", "0,5,6", "--eps", "0.1"), 2),
     ((*HAUSDORFF, "--lengths", "6,5,4", "--eps", "0.1"), 2),
@@ -390,6 +394,10 @@ LOCAL_DIM = ("local-dim", "--ifs", "ifs.json", "--weights", "weights.json")
     *[((*LOCAL_DIM, "--depth", "12", "--scales", scales), 2)
       for scales in ("-5,-2", "3", "0.5,0.5")],
     *[((*LOCAL_DIM, "--depth", depth), 2) for depth in ("1", "2")],
+    ((*LOCAL_DIM, "--depth", "1000000000", "--points", "100"), 4),
+    ((*LOCAL_DIM, "--depth", "1000000000000000000"), 4),
+    # the weighted pressure needs equal linear parts
+    (("dim-attractor", "--ifs", "baranski.json", "--alpha", "0.9"), 2),
     # a scale past the schedule's horizon
     *[((*SEQ_FILE, "sequence.json", "--scales", scales), 2)
       for scales in ("1e9", "20,1e6")],
@@ -423,7 +431,7 @@ def test_exit_code_matrix(workdir, monkeypatch, capsys, args, code):
                       ("two-letter-periodic.json",
                        {"lambda": 4.0, "knots": [{"t": 1.0, "p": [0.5, 0.5]}]}),
                       ("four-maps.json", FOUR_MAPS), ("two-maps.json", TWO_MAPS),
-                      ("tree.json", tree)):
+                      ("baranski.json", BARANSKI), ("tree.json", tree)):
         with open(name, "w") as fh:
             json.dump(doc, fh)
     for name, text in BAD_MANIFESTS.items():

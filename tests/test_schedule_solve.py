@@ -124,6 +124,29 @@ def test_clock_rounds_resolve_until_the_pattern_settles(total):
     assert res.value >= start.d_lower(N_grid).min()
 
 
+# a Barański carpet whose uniform start holds both searches in a clock
+# pattern below the one of the best constant law
+BAR3 = DiagonalIFS([DiagonalMap([1 / 2, 1 / 3], [0, 0]),
+                    DiagonalMap([1 / 4, 1 / 4], [1 / 2, 1 / 3]),
+                    DiagonalMap([1 / 4, 2 / 5], [3 / 4, 3 / 5])])
+
+
+def test_unequal_linear_parts_also_start_from_the_constant_law():
+    # from the uniform start alone: 0.97138, and 0.98875 and 0.97044
+    res = optimize_type_ell_hausdorff(BAR3, None, type_ell_lengths(300), 0.05)
+    assert res.n_starts == 2
+    assert abs(res.value - 1.00078) < 1e-5
+    assert ("clock-pattern-unsettled" in res.flags) == (
+        len(res.extras["solver"]["status"]) == _CLOCK_ROUNDS)
+    res = optimize_packing(BAR3, np.ones(3), type_ell_lengths(300), 0.1, [40.0, 60.0])
+    assert res.n_starts == 2
+    values = [row["value"] for row in res.extras["per_N"]]
+    assert np.allclose(values, [1.01373, 1.00506], rtol=0, atol=1e-5)
+    # the constant law, of entropy 1.0397, leaves the class at eps 1.07
+    res = optimize_type_ell_hausdorff(BAR3, None, type_ell_lengths(300), 1.07)
+    assert res.n_starts == 1
+
+
 def test_solver_diagnostics_on_the_carpet(mcmullen):
     alpha = np.array([0.9, 0.85, 0.8])
     for res in (optimize_type_ell_hausdorff(mcmullen, alpha, type_ell_lengths(50),

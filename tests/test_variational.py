@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
@@ -35,6 +35,7 @@ from spongedim.weights import (DegenerateError, InputError, WeightModel,
 from conftest import carpet, type_ell_lengths
 from dense_oracle import DensePrefixTable, d_sequences
 import multistart_oracle
+import pressure_oracle
 
 
 LOG2, LOG3 = math.log(2.0), math.log(3.0)
@@ -213,6 +214,62 @@ def test_full_retention_attractor_closed_form(mcmullen):
     assert abs(res.value - MCMULLEN_H) < 1e-9
     # the corner of the pressure scan sits at theta = log2/log3
     assert abs(res.theta_star - LOG2 / LOG3) < 1e-6
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["full", "random", "near-critical"]))
+@example(65, "random")
+@example(85, "random")
+@settings(max_examples=40, deadline=None)
+def test_pressure_bisection_matches_grid_and_golden(seed, kind):
+    # per level, the slope bisection finds the oracle's minimum to rounding
+    # and never a larger one; at the two examples the end slopes straddle
+    # zero, which few random draws give, and the bisection runs
+    rng = np.random.default_rng(seed)
+    ifs = _grid_sponge(rng)
+    if kind == "full":
+        alpha = np.ones(ifs.n)
+    elif kind == "random":
+        alpha = rng.uniform(0.3, 1.0, size=ifs.n)
+    else:
+        alpha = rng.dirichlet(np.full(ifs.n, 2.0)) * (1.0 + rng.uniform(1e-3, 0.05))
+        assume(alpha.max() <= 1.0)
+    ctx = variational.PressureContext(ifs, alpha)
+    chi = ctx.chi_tilde
+    for r in range(min(2, ctx.s), ctx.s + 1):
+        lo = chi[r - 1] / chi[max(r - 2, 0)]
+        theta, P, w = variational._pressure_min_theta(ctx, r, lo)
+        _, P_oracle, _ = pressure_oracle.pressure_min_theta(ifs, alpha, r, lo, 1.0, ctx)
+        assert lo <= theta <= 1.0
+        assert P_oracle - 1e-12 <= P <= P_oracle + 1e-14
+        P_at, w_at = weighted_pressure(ifs, alpha, r, theta, ctx)
+        assert P == P_at and np.array_equal(w, w_at)
+
+
+def test_pressure_minimum_on_the_carpet_takes_two_evaluations(mcmullen, monkeypatch):
+    # the corner theta = log2/log3: the two ends' slopes decide, and the
+    # grid and golden section took 339 evaluations
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return weighted_pressure(*args)
+
+    monkeypatch.setattr(variational, "weighted_pressure", counted)
+    alpha = np.array([0.9, 0.85, 0.8])
+    res = dim_attractor_equal_linear(mcmullen, alpha)
+    assert calls == [2, 2]
+    chi = variational.PressureContext(mcmullen, alpha).chi_tilde
+    assert res.theta_star == chi[1] / chi[0]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
+def test_one_level_attractor_is_the_top_entropy(sierpinski, alpha):
+    # one level: theta = 1 gives log(sum alpha)/chi~_1 at the law alpha/sum
+    res = dim_attractor_equal_linear(sierpinski, np.full(8, alpha))
+    want = math.log(8 * alpha) / LOG3
+    assert abs(res.value - want) <= math.ulp(want)
+    assert (res.r_star, res.theta_star, res.flags) == (1, 1.0, [])
+    assert np.allclose(res.weight_model.p, 1 / 8, rtol=0, atol=1e-16)
 
 
 # === perturbation ===
