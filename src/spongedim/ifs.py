@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scipy import linprog
+from .weights import InputError
 
 RECT_TOL = 1e-12
 LP_SLACK = 1e-9
 
 
-class ProjectionOverlapError(ValueError):
+class ProjectionOverlapError(InputError):
     """A pair of maps neither exactly overlaps nor is disjoint on some
     direction set; the sponge is not good for the requested chain."""
 

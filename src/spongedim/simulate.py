@@ -8,7 +8,6 @@ independent of traversal order or chunking.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -417,33 +416,25 @@ def _raster_count(lo: np.ndarray, size: np.ndarray, k: float, guard: int) -> int
         raise ResourceCapError("box keys at k = %.6g do not fit in int64" % k)
     strides = [math.prod(radix[t + 1:]) for t in range(d)]
     base = sum((i - m) * st for i, m, st in zip(first, low, strides))
-    chunks, pending = [], 0
-
-    def _add(keys):
-        nonlocal chunks, pending
-        chunks.append(keys)
-        pending += keys.size
-        if pending > 1 << 24:
-            chunks = [_sorted_distinct(np.concatenate(chunks))]
-            pending = chunks[0].size
-
-    # ranges of few boxes are enumerated by offset, vectorized over ranges
+    # each box is its range's base plus an offset, the box's position in
+    # the range split by mixed radix over its spans; ranges are taken in
+    # chunks of at most 2**24 boxes (or one range)
     per_range = math.prod(spans)
-    small = per_range <= 64
-    if small.any():
-        base_s, sp_s = base[small], [n[small] for n in spans]
-        for off in itertools.product(*(range(int(n.max())) for n in sp_s)):
-            mask = np.logical_and.reduce([n > o for n, o in zip(sp_s, off)])
-            if mask.any():
-                _add(base_s[mask] + sum(o * st for o, st in zip(off, strides)))
-    # ranges of many boxes get an explicit grid each (these are few
-    # relative to their box count, which the guard already bounds)
-    for r in np.nonzero(~small)[0]:
-        flat = base[r:r + 1]
-        for n, st in zip(spans, strides):
-            flat = (flat[:, None] + np.arange(n[r]) * st).ravel()
-        _add(flat)
-    return int(_sorted_distinct(np.concatenate(chunks)).size)
+    ends = np.cumsum(per_range)
+    seen, a = np.empty(0, dtype=np.int64), 0
+    while a < base.size:
+        done = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(ends.searchsorted(done + (1 << 24), side="right")))
+        count = per_range[a:b]
+        keys = np.repeat(base[a:b], count)
+        j = np.arange(keys.size) - np.repeat(ends[a:b] - count - done, count)
+        for n, st in zip(spans[:0:-1], strides[:0:-1]):
+            j, off = np.divmod(j, np.repeat(n[a:b], count))
+            keys += off * st
+        keys += j * strides[0]
+        seen = _sorted_distinct(np.concatenate([seen, keys]))
+        a = b
+    return int(seen.size)
 
 
 def fit_range(window, n_scales: int) -> tuple:

@@ -4,11 +4,12 @@ Four layers: the sup over constant laws, the closed-form weighted pressure
 for equal linear parts (a log-sum-exp recursion along the projection
 chain), the attractor dimension as an infimum of pressures, and schedule
 optimizers (Hausdorff side with an entropy-drift class, packing side with
-per-scale profile maxima).  The constant-law sup on equal linear parts and
-both schedule optimizers are concave programs in epigraph form, solved by
-one SLSQP core with exact gradients (``_solve_epigraph``); only constant
-laws on unequal linear parts, where the clocks move with the law, keep a
-multistart Nelder-Mead search on the simplex (``maximize_on_simplex``).
+per-scale profile maxima).  On equal linear parts the constant-law sup is
+the attractor's pressure minimum; on unequal ones, where the clocks move
+with the law, a multistart Nelder-Mead search on the simplex
+(``maximize_on_simplex``).  Both schedule optimizers are concave programs
+in epigraph form, solved by one SLSQP core with exact gradients
+(``_solve_epigraph``).
 """
 
 from __future__ import annotations
@@ -88,14 +89,15 @@ def optimize_mandelbrot(ifs: DiagonalIFS, alpha=None) -> OptimizationResult:
     """Largest dimension among fixed weight laws: deterministic laws when
     alpha is None, percolation laws W_i = p_i 1{c_i}/alpha_i otherwise.
 
-    With equal linear parts the clocks do not move with p, and the
-    objective is one concave program (``_constant_law_rows``), solved once
-    from the entropy maximizer.  Elsewhere chi(p) moves the chain, so the
-    multistart ``maximize_on_simplex`` searches it, from MULTISTARTS starts
-    drawn with MULTISTART_SEED.  The value is the objective at the
-    returned law; a maximum that is not above DEGENERATE_TOL (a zero sup
-    computed to rounding included) is reported as dimension zero with a
-    degenerate-sup flag."""
+    With equal linear parts the sup is the attractor's pressure minimum
+    (``dim_attractor_equal_linear``), attained by its Gibbs law; the value
+    is the objective at that law and the residual its distance from the
+    pressure minimum.  Elsewhere chi(p) moves the chain, so the multistart
+    ``maximize_on_simplex`` searches it, from MULTISTARTS starts drawn with
+    MULTISTART_SEED.  A maximum that is not above DEGENERATE_TOL (a zero
+    sup computed to rounding included) is reported as dimension zero with
+    a degenerate-sup flag; a subcritical alpha on equal linear parts
+    reports the entropy maximizer there."""
     if alpha is None:
         log_alpha, p0 = np.zeros(ifs.n), np.full(ifs.n, 1.0 / ifs.n)
     else:
@@ -105,19 +107,18 @@ def optimize_mandelbrot(ifs: DiagonalIFS, alpha=None) -> OptimizationResult:
     def f(p):
         return mandelbrot_value(ifs, p, entropy(p) + float(p @ log_alpha))
 
-    if ifs.equal_linear_parts():
-        V, solve = _solve_epigraph(p0[None, :], *_constant_law_rows(ifs, p0),
-                                   log_alpha)
-        # the start is kept when the solve does not beat it
-        v0, v = f(p0), f(V[0])
-        p, value = (V[0], v) if v > v0 else (p0, v0)
-        flags, solver, nit, residual = _solver_report([solve], True)
-        res = OptimizationResult(value=value, argument=p, residual=residual,
-                                 iterations=nit, n_starts=1, flags=flags,
-                                 extras={"solver": solver})
-    else:
+    if not ifs.equal_linear_parts():
         res = maximize_on_simplex(f, ifs.n, MULTISTARTS, MULTISTART_SEED,
                                   extra_starts=[] if alpha is None else [p0])
+    elif top_entropy(ifs.n, alpha) > 0:
+        att = dim_attractor_equal_linear(
+            ifs, np.ones(ifs.n) if alpha is None else alpha)
+        res = OptimizationResult(value=att.mm_value, argument=att.weight_model.p,
+                                 residual=abs(att.value - att.mm_value),
+                                 iterations=0, n_starts=1, flags=att.flags)
+    else:
+        res = OptimizationResult(value=f(p0), argument=p0, residual=0.0,
+                                 iterations=0, n_starts=1)
     p = res.argument
     model = (WeightModel.deterministic(p) if alpha is None
              else WeightModel.percolation(p, alpha))
@@ -129,21 +130,6 @@ def optimize_mandelbrot(ifs: DiagonalIFS, alpha=None) -> OptimizationResult:
     else:
         res.extras["closed_form_value"] = dim_mandelbrot(ifs, model).value
     return res
-
-
-def _constant_law_rows(ifs: DiagonalIFS, p):
-    """The constant-law objective H/chi~_1 + sum_{r>=2} c_r min(H, h(Pi_r p)),
-    c_r = 1/chi~_r - 1/chi~_{r-1} > 0, on the chain of chi(p), as the
-    candidate rows of one run (``_solve_epigraph``): the profile of one
-    endless run at N = 1, whose clocks are g_r = 1/chi~_r, read at each
-    clock (``_profile_rows``).  h(Pi_r p) never grows with r, so the levels
-    where min(H, h_r) = h_r are the top ones, and the minimum of these s
-    rows is the closed form.  Returns (C, mats) as ``_program_rows`` does."""
-    _, _, chi_tilde, coding = stable_chain(ifs, p)
-    g = 1.0 / chi_tilde
-    # the level-1 slot is empty at every clock
-    C = np.delete(_profile_rows(np.array([0.0, math.inf]), g, g), 1, axis=1)
-    return C, coding.indicators[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +432,7 @@ def _solve_program(table: _RunTable, Ns, tail: bool, M0: int, rate: float):
                            _drift_rows(table, M0), rate)
 
 
-def _solve_epigraph(V, C, mats, log_alpha, D=None, rate: float = 0.0):
+def _solve_epigraph(V, C, mats, log_alpha, D, rate: float):
     """An SLSQP solve, from the run vectors V (runs x letters), of the
     epigraph program max t subject to t <= C.F for every candidate row,
     D @ H >= rate and sum p = 1 per run.  F holds the per-run values:
@@ -455,7 +441,6 @@ def _solve_epigraph(V, C, mats, log_alpha, D=None, rate: float = 0.0):
     mats[f - 1]; C[j, f, i] is the coefficient of run i's feature f in
     candidate j.  Returns the vectors and the solve's status, iterations,
     evaluations and KKT residual (sup norm of the Lagrangian's gradient)."""
-    D = np.zeros((0, C.shape[2])) if D is None else D
     # one block of inequality rows C.F - a*t - b >= 0: the candidates
     # (a = 1, b = 0), then the drift rows on H (a = 0, b = rate)
     a = np.concatenate([np.ones(C.shape[0]), np.zeros(D.shape[0])])

@@ -201,17 +201,6 @@ def test_numeric_failure_exits_three(workdir):
                 "--out", "o", cwd=workdir)
     assert r.returncode == 3
     assert not (workdir / "o").exists()
-    # a 2x3 carpet whose x-projections overlap is not a good sponge
-    overlap = {"dimension": 2, "maps": [
-        {"a": [0.5, 1 / 3], "t": [0.0, 0.0]},
-        {"a": [0.5, 1 / 3], "t": [0.25, 1 / 3]},
-        {"a": [0.5, 1 / 3], "t": [0.5, 2 / 3]}]}
-    with open(workdir / "overlap.json", "w") as fh:
-        json.dump(overlap, fh)
-    for args in (("coding",), ("dim-attractor", "--alpha", "0.9")):
-        r = run_cli(*args, "--ifs", "overlap.json", "--out", "o", cwd=workdir)
-        assert r.returncode == 3, args
-        assert "Traceback" not in r.stderr
 
 
 def test_resource_cap_exits_four(workdir):
@@ -351,6 +340,12 @@ TWO_MAPS = {"dimension": 2, "maps": [{"a": [0.5, 0.5], "t": t} for t in
 # a Barański carpet: its linear parts differ
 BARANSKI = {"dimension": 2, "maps": [{"a": [1 / 2, 1 / 3], "t": [0.0, 0.0]},
                                      {"a": [1 / 3, 1 / 2], "t": [2 / 3, 1 / 2]}]}
+# not good sponges: a 2x3 carpet whose x-projections overlap, and two maps
+# whose x-projections overlap without coinciding
+OVERLAP = {"dimension": 2, "maps": [{"a": [0.5, 1 / 3], "t": t} for t in
+                                    ([0.0, 0.0], [0.25, 1 / 3], [0.5, 2 / 3])]}
+NOT_GOOD = {"dimension": 2, "maps": [{"a": [0.5, 0.5], "t": [0.0, 0.0]},
+                                     {"a": [0.5, 0.4], "t": [0.25, 0.5]}]}
 HAUSDORFF = ("optimize-hausdorff", "--ifs", "ifs.json")
 PACKING = ("optimize-packing", "--ifs", "ifs.json", "--scales", "20")
 DEEP_BOXCOUNT = ("boxcount", "--ifs", "ifs.json", "--alpha", "0.8", "--depth", "39")
@@ -398,6 +393,19 @@ LOCAL_DIM = ("local-dim", "--ifs", "ifs.json", "--weights", "weights.json")
     ((*LOCAL_DIM, "--depth", "1000000000000000000"), 4),
     # the weighted pressure needs equal linear parts
     (("dim-attractor", "--ifs", "baranski.json", "--alpha", "0.9"), 2),
+    # ifs.ProjectionCoding: a good sponge
+    (("coding", "--ifs", "overlap.json"), 2),
+    (("dim-attractor", "--ifs", "overlap.json", "--alpha", "0.9"), 2),
+    *[((args[0], "--ifs", "not-good.json", *args[1:]), 2) for args in (
+        ("dim-mm", "--weights", "two-letters.json"),
+        ("coding",),
+        ("optimize-hausdorff",),
+        ("local-dim", "--weights", "two-letters.json", "--depth", "8"),
+        ("dim-imm", "--sequence", "two-letter-seq.json"),
+        ("decompose", "--sequence", "two-letter-seq.json", "--N", "20"),
+        ("dim-periodic", "--periodic", "two-letter-periodic.json"),
+        ("optimize-packing", "--alpha", "0.9", "--lengths", "20,40,80",
+         "--eps", "0.1", "--scales", "20"))],
     # a scale past the schedule's horizon
     *[((*SEQ_FILE, "sequence.json", "--scales", scales), 2)
       for scales in ("1e9", "20,1e6")],
@@ -431,7 +439,8 @@ def test_exit_code_matrix(workdir, monkeypatch, capsys, args, code):
                       ("two-letter-periodic.json",
                        {"lambda": 4.0, "knots": [{"t": 1.0, "p": [0.5, 0.5]}]}),
                       ("four-maps.json", FOUR_MAPS), ("two-maps.json", TWO_MAPS),
-                      ("baranski.json", BARANSKI), ("tree.json", tree)):
+                      ("baranski.json", BARANSKI), ("overlap.json", OVERLAP),
+                      ("not-good.json", NOT_GOOD), ("tree.json", tree)):
         with open(name, "w") as fh:
             json.dump(doc, fh)
     for name, text in BAD_MANIFESTS.items():
@@ -883,7 +892,10 @@ def test_formula_commands_load_scipy_special_only(workdir):
          "--out", "p"],
         ["local-dim", "--ifs", "ifs.json", "--weights", "weights.json",
          "--depth", "5", "--points", "10", "--out", "l"],
-        ["cascade", "--sequence", "sequence.json", "--depth", "5", "--out", "c"])
+        ["cascade", "--sequence", "sequence.json", "--depth", "5", "--out", "c"],
+        # equal linear parts: the constant-law sup is the pressure minimum
+        ["optimize-hausdorff", "--ifs", "ifs.json", "--out", "h"],
+        ["gap-demo", "--out", "g"])
     assert seen[:2] == [set(), set()]
     for mods in seen[2:]:
         assert "scipy.special" in mods and "scipy.optimize" not in mods

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from spongedim import DiagonalIFS, DiagonalMap
 from spongedim.scales import _RunEvaluator, _RunTable
-from spongedim.variational import (_CLOCK_ROUNDS, optimize_packing,
-                                   optimize_type_ell_hausdorff)
+from spongedim.variational import (_CLOCK_ROUNDS, optimize_mandelbrot,
+                                   optimize_packing, optimize_type_ell_hausdorff,
+                                   packing_budget)
 from spongedim.weights import p_max_vector
 
 import nm_oracle
@@ -145,6 +146,52 @@ def test_unequal_linear_parts_also_start_from_the_constant_law():
     # the constant law, of entropy 1.0397, leaves the class at eps 1.07
     res = optimize_type_ell_hausdorff(BAR3, None, type_ell_lengths(300), 1.07)
     assert res.n_starts == 1
+
+
+def _baranski_carpet(rng):
+    """A Barański carpet on random unequal column and row partitions of
+    [0, 0.99]^2, with 2 to 4 maps on distinct cells: the cells of a
+    partition grid project onto equal or disjoint intervals, and no two
+    share their linear part."""
+    axes = []
+    for _ in range(2):
+        w = rng.uniform(0.5, 1.5, size=int(rng.integers(2, 4)))
+        w *= 0.99 / w.sum()
+        axes.append((w, np.concatenate([[0.0], np.cumsum(w)[:-1]])))
+    (wx, tx), (wy, ty) = axes
+    cells = [(i, j) for i in range(wx.size) for j in range(wy.size)]
+    pick = rng.choice(len(cells), size=int(rng.integers(2, 5)), replace=False)
+    return DiagonalIFS([DiagonalMap([wx[i], wy[j]], [tx[i], ty[j]])
+                        for i, j in (cells[c] for c in pick)])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=6, deadline=None)
+def test_searches_reach_the_constant_optimum_on_baranski_carpets(seed, percolated):
+    # each search also starts from the best constant law: where that start
+    # is in its class, the search ends at or above the start's value
+    rng = np.random.default_rng(seed)
+    ifs = _baranski_carpet(rng)
+    alpha = rng.uniform(0.8, 1.0, size=ifs.n) if percolated else None
+    p_c = optimize_mandelbrot(ifs, alpha).argument
+    ev = _RunEvaluator(ifs, alpha)
+    lengths, eps = type_ell_lengths(300), 0.05
+    res = optimize_type_ell_hausdorff(ifs, alpha, lengths, eps)
+    start = _RunTable(ev, lengths, np.tile(p_c, (len(lengths), 1)))
+    if start.admissible(math.ceil(1.0 / eps), eps):
+        assert res.value >= start.d_lower(res.extras["N_grid"]).min()
+
+    alpha = np.ones(ifs.n) if alpha is None else alpha
+    ev = _RunEvaluator(ifs, alpha)
+    Ns, eps = [20.0, 40.0], 0.1
+    res = optimize_packing(ifs, alpha, type_ell_lengths(packing_budget(ifs, Ns[-1])),
+                           eps, Ns)
+    for row in res.extras["per_N"]:
+        N = row["N"]
+        # the constant law on the scale's budget, in one run
+        start = _RunTable(ev, [packing_budget(ifs, N)], [p_c])
+        if start.admissible(max(1, math.floor(N * eps)), -eps):
+            assert row["value"] >= start.d_tilde([N])[0] - 1e-12
 
 
 def test_solver_diagnostics_on_the_carpet(mcmullen):

@@ -2,10 +2,10 @@
 packing-side schedule search and the entropy-drift perturbation.
 
 The constant-law optimizer is pinned to the closed-form value on the
-3x2 grid carpet, and on random equal-linear sponges its one concave solve
-is checked against the multistart search it replaced there and against
-the weighted-pressure route; the perturbation postcondition is re-checked
-by an exhaustive scan independent of the certificate returned.
+3x2 grid carpet, and on random equal-linear sponges its pressure minimum
+is checked against the concave SLSQP program and the multistart search it
+replaced there; the perturbation postcondition is re-checked by an
+exhaustive scan independent of the certificate returned.
 """
 
 import itertools
@@ -34,6 +34,7 @@ from spongedim.weights import (DegenerateError, InputError, WeightModel,
 
 from conftest import carpet, type_ell_lengths
 from dense_oracle import DensePrefixTable, d_sequences
+import constant_law_oracle
 import multistart_oracle
 import pressure_oracle
 
@@ -63,7 +64,9 @@ def test_routes_agree(mcmullen, gl4x2):
                        (gl4x2, np.full(4, 0.9))):
         att = dim_attractor_equal_linear(ifs, alpha)
         mm = optimize_mandelbrot(ifs, alpha=alpha)
+        slsqp = constant_law_oracle.optimize_constant_law(ifs, alpha)
         assert abs(att.value - mm.value) < 1e-6
+        assert abs(slsqp.value - mm.value) < 1e-6
 
 
 def _grid_sponge(rng):
@@ -101,12 +104,26 @@ def test_constant_law_solve_matches_multistart_and_pressure(seed, kind):
 
     res = optimize_mandelbrot(ifs, alpha=alpha)
     oracle = maximize_on_simplex(f, ifs.n, starts=8, seed=0, extra_starts=[p0])
-    att = dim_attractor_equal_linear(ifs, np.ones(ifs.n) if alpha is None else alpha)
-    assert res.n_starts == 1 and res.extras["solver"]["method"] == "SLSQP"
+    slsqp = constant_law_oracle.optimize_constant_law(ifs, alpha)
+    assert res.n_starts == 1 and res.iterations == 0 and "solver" not in res.extras
+    assert slsqp.extras["solver"]["method"] == "SLSQP"
     assert res.value >= oracle.value - 1e-9
-    assert abs(res.value - att.value) <= 1e-8
+    assert abs(res.value - slsqp.value) <= 1e-8
+    # the pressure minimum and the closed form at its Gibbs law
+    assert res.residual <= 1e-12
     assert abs(res.argument.sum() - 1.0) <= 1e-12
     assert res.value == f(res.argument)
+
+
+@pytest.mark.parametrize("alpha", [None, (0.9, 0.85, 0.8), (0.3, 0.3, 0.3)])
+def test_equal_linear_parts_make_no_solve(mcmullen, monkeypatch, alpha):
+    # the pressure route, and the entropy maximizer on a subcritical alpha
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimize called")
+
+    monkeypatch.setattr(variational, "minimize", refuse)
+    res = optimize_mandelbrot(mcmullen, alpha=alpha)
+    assert res.n_starts == 1 and res.iterations == 0
 
 
 # the multistart's values on a Baranski carpet, pinned to 1e-9: with
@@ -137,7 +154,7 @@ def test_constant_law_rows_give_the_closed_form(seed, percolated):
     p = rng.dirichlet(np.full(ifs.n, rng.uniform(0.3, 3.0)))
     alpha = rng.uniform(0.3, 1.0, size=ifs.n) if percolated else np.ones(ifs.n)
     H = entropy(p) + float(p @ np.log(alpha))
-    C, mats = variational._constant_law_rows(ifs, p)
+    C, mats = constant_law_oracle.constant_law_rows(ifs, p)
     s = len(stable_chain(ifs, p)[0])
     assert C.shape == (s, s, 1) and len(mats) == s - 1
     F = np.array([H] + [entropy(p @ M) for M in mats])
